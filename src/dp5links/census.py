@@ -327,10 +327,10 @@ def lines27(s: Surface, extra_seeds: list[ProjLine] | None = None) -> LineConfig
         else:
             r_count += 1
             labels.append(f"R{r_count}")
-    incidence = tuple(
-        tuple(0 if i == j else int(keyed[i].meets(keyed[j])) for j in range(27))
-        for i in range(27)
-    )
+    meets = [[0] * 27 for _ in range(27)]
+    for i, j in itertools.combinations(range(27), 2):
+        meets[i][j] = meets[j][i] = int(keyed[i].meets(keyed[j]))
+    incidence = tuple(tuple(row) for row in meets)
     return LineConfiguration(s.name, tuple(keyed), tuple(labels), tuple(tags[l] for l in keyed), incidence)
 
 

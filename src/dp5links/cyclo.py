@@ -2,13 +2,21 @@
 
 Every number used anywhere in this package is an element of K = Q(zeta_20),
 the smallest field containing a primitive fifth root of unity, the imaginary
-unit and sqrt(5) at once.  Elements are stored in the power basis
-1, z, ..., z^7 with exact rational coefficients, fully reduced modulo
+unit and sqrt(5) at once.  An element is stored in the power basis
+1, z, ..., z^7 as eight integer numerators over one positive common
+denominator, fully reduced modulo
 
     Phi_20(x) = x^8 - x^6 + x^4 - x^2 + 1,
 
-so equality of field elements is coefficient-wise equality of canonical
-forms.  There is no floating-point code path; all comparisons are exact.
+with the gcd of the numerators and the denominator equal to 1.  That form is
+canonical, so equality of field elements is equality of (numerators,
+denominator).  Every operation works on Python ints and normalises by one
+gcd at the end (the representation of Cohen, GTM 138, section 4.2).
+
+Inverses go through the Galois norm tower: (Z/20)^x = <3> x <11>, so with
+b = a sigma_11(a) and c = b sigma_9(b) the norm N(a) = c sigma_3(c) is
+rational and 1/a = sigma_11(a) sigma_9(b) sigma_3(c) / N(a).  There is no
+floating-point code path; all comparisons are exact.
 
 Values are immutable and hashable, hence freely shareable between threads.
 """
@@ -16,6 +24,7 @@ Values are immutable and hashable, hence freely shareable between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 DEGREE = 8
@@ -26,6 +35,9 @@ MODULUS = (1, 0, -1, 0, 1, 0, -1, 0, 1)
 Rat = Union[int, Fraction]
 Coercible = Union["FieldElement", int, Fraction]
 
+_ZERO_NUM = (0,) * DEGREE
+_FRACTION_ZERO = Fraction(0)
+
 
 class DivisionByZero(ZeroDivisionError):
     """Division by the zero element of K."""
@@ -35,32 +47,71 @@ class InvalidAutomorphism(ValueError):
     """Galois exponent not coprime to 20."""
 
 
-def _reduce(coeffs: list[Fraction]) -> list[Fraction]:
+class IrrationalNorm(ArithmeticError):
+    """The Galois norm of an element came out irrational (a field defect)."""
+
+
+def _fold(p: list[int]) -> list[int]:
+    """Reduce an integer coefficient list of any length modulo Phi_20."""
     # x^(8+k) = x^(6+k) - x^(4+k) + x^(2+k) - x^k
-    for d in range(len(coeffs) - 1, DEGREE - 1, -1):
-        c = coeffs[d]
+    for d in range(len(p) - 1, DEGREE - 1, -1):
+        c = p[d]
         if c:
-            coeffs[d - 2] += c
-            coeffs[d - 4] -= c
-            coeffs[d - 6] += c
-            coeffs[d - 8] -= c
-        coeffs[d] = Fraction(0)
-    return coeffs[:DEGREE]
+            p[d - 2] += c
+            p[d - 4] -= c
+            p[d - 6] += c
+            p[d - 8] -= c
+    return p[:DEGREE]
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer coefficient vectors modulo Phi_20."""
+    p = [0] * (2 * DEGREE - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                p[i + j] += x * y
+    return _fold(p)
+
+
+def _galois(k: int, a: Sequence[int]) -> list[int]:
+    """sigma_k (zeta -> zeta^k) on an integer coefficient vector."""
+    p = [0] * 20
+    for j, c in enumerate(a):
+        if c:
+            p[(j * k) % 20] += c
+    return _fold(p)
+
+
+def _element(num: Sequence[int], den: int) -> "FieldElement":
+    """The canonical element num/den; den must be positive."""
+    e = _new(FieldElement)
+    _init(e, num, den)
+    return e
+
+
+def _init(e: "FieldElement", num: Sequence[int], den: int) -> None:
+    """Store num/den in e in lowest terms: one gcd over all nine integers."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    _set_num(e, tuple(num))
+    _set_den(e, den)
 
 
 class FieldElement:
-    """An element of Q(zeta_20) in reduced power-basis form."""
+    """An element of Q(zeta_20): integer numerators over a common denominator."""
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Rat]):
         cs = [Fraction(c) for c in coeffs]
-        if len(cs) > DEGREE:
-            cs = _reduce(cs)
-        elif len(cs) < DEGREE:
-            cs = cs + [Fraction(0)] * (DEGREE - len(cs))
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_hash", None)
+        den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        num = _fold(num) if len(num) > DEGREE else num + [0] * (DEGREE - len(num))
+        _init(self, num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
@@ -69,15 +120,15 @@ class FieldElement:
 
     @staticmethod
     def from_rational(q: Rat) -> "FieldElement":
-        return FieldElement([Fraction(q)])
+        q = Fraction(q)
+        return _element((q.numerator,) + _ZERO_NUM[1:], q.denominator)
 
     @staticmethod
     def zeta_power(k: int) -> "FieldElement":
         """zeta_20^k, any integer k."""
-        k %= 20
-        cs = [Fraction(0)] * (k + 1)
-        cs[k] = Fraction(1)
-        return FieldElement(cs)
+        p = [0] * 20
+        p[k % 20] = 1
+        return _element(_fold(p), 1)
 
     # -- ring structure ------------------------------------------------
 
@@ -90,38 +141,44 @@ class FieldElement:
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other: Coercible) -> "FieldElement":
-        o = self._coerce(other)
+        o = other if other.__class__ is FieldElement else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement([a + b for a, b in zip(self.coeffs, o.coeffs)])
+        if o.num == _ZERO_NUM:
+            return self
+        if self.num == _ZERO_NUM:
+            return o
+        da, db = self.den, o.den
+        if da == db:
+            return _element([x + y for x, y in zip(self.num, o.num)], da)
+        return _element([x * db + y * da for x, y in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other: Coercible) -> "FieldElement":
-        o = self._coerce(other)
+        o = other if other.__class__ is FieldElement else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement([a - b for a, b in zip(self.coeffs, o.coeffs)])
+        if o.num == _ZERO_NUM:
+            return self
+        da, db = self.den, o.den
+        if da == db:
+            return _element([x - y for x, y in zip(self.num, o.num)], da)
+        return _element([x * db - y * da for x, y in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other: Coercible) -> "FieldElement":
         return self._coerce(other) - self
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement([-a for a in self.coeffs])
+        return _element([-x for x in self.num], self.den)
 
     def __mul__(self, other: Coercible) -> "FieldElement":
-        o = self._coerce(other)
+        o = other if other.__class__ is FieldElement else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        prod = [Fraction(0)] * (2 * DEGREE - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-        return FieldElement(_reduce(prod))
+        if self.num == _ZERO_NUM or o.num == _ZERO_NUM:
+            return ZERO
+        return _element(_mul(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -147,48 +204,58 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via extended Euclid against Phi_20."""
-        if self.is_zero():
+        """Multiplicative inverse through the Galois norm tower (module docstring)."""
+        a, d = self.num, self.den
+        if a == _ZERO_NUM:
             raise DivisionByZero("inverse of the zero element")
-        # Polynomials as coefficient lists (low degree first).
-        r0 = [Fraction(c) for c in MODULUS]
-        r1 = list(self.coeffs)
-        s0: list[Fraction] = [Fraction(0)]
-        s1: list[Fraction] = [Fraction(1)]
-        while any(r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is a nonzero constant gcd (Phi_20 is irreducible over Q).
-        lead = next(c for c in reversed(r0) if c)
-        inv = [c / lead for c in s0]
-        return FieldElement(_reduce(inv + [Fraction(0)] * max(0, DEGREE - len(inv))))
+        terms = [(i, x) for i, x in enumerate(a) if x]
+        if len(terms) == 1:  # (x z^i)^-1 = z^(20-i) / x
+            (i, norm), = terms
+            adj = [0] * 20
+            adj[-i % 20] = d
+            adj = _fold(adj)
+        else:
+            s11 = _galois(11, a)
+            b = _mul(a, s11)
+            s9 = _galois(9, b)
+            c = _mul(b, s9)
+            s3 = _galois(3, c)
+            n = _mul(c, s3)
+            if any(n[1:]):
+                raise IrrationalNorm(f"norm of {self!r} is not rational")
+            norm = n[0]
+            adj = [x * d for x in _mul(_mul(s11, s9), s3)]
+        if norm < 0:
+            norm, adj = -norm, [-x for x in adj]
+        return _element(adj, norm)
 
     # -- predicates and views -------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The eight power-basis coefficients as Fractions (read-only view)."""
+        d = self.den
+        return tuple(Fraction(x, d) if x else _FRACTION_ZERO for x in self.num)
+
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self.num == _ZERO_NUM
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a rational element: {self!r}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        o = other if other.__class__ is FieldElement else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self.coeffs)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.num, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -219,41 +286,10 @@ class FieldElement:
         return FieldElement([Fraction(s) for s in data])
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    """Quotient and remainder of rational coefficient lists, low degree first."""
-    a = list(a)
-    db = max(i for i, c in enumerate(b) if c)
-    lead = b[db]
-    q = [Fraction(0)] * max(1, len(a))
-    for da in range(len(a) - 1, db - 1, -1):
-        if not a[da]:
-            continue
-        f = a[da] / lead
-        q[da - db] = f
-        for j in range(db + 1):
-            a[da - db + j] -= f * b[j]
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    while len(q) > 1 and not q[-1]:
-        q.pop()
-    return q, a
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+# Slot writers that bypass the immutability guard in __setattr__.
+_new = object.__new__
+_set_num = FieldElement.num.__set__
+_set_den = FieldElement.den.__set__
 
 
 def galois_apply(k: int, a: FieldElement) -> FieldElement:
@@ -261,15 +297,9 @@ def galois_apply(k: int, a: FieldElement) -> FieldElement:
 
     k = 19 is complex conjugation.
     """
-    from math import gcd
-
     if gcd(k, 20) != 1:
         raise InvalidAutomorphism(f"gcd({k}, 20) != 1")
-    out = [Fraction(0)] * 20
-    for j, c in enumerate(a.coeffs):
-        if c:
-            out[(j * k) % 20] += c
-    return FieldElement(_reduce(out))
+    return _element(_galois(k, a.num), a.den)
 
 
 def field_arith(op: str, a: Coercible, b: Coercible) -> FieldElement:

@@ -9,7 +9,7 @@ complements) goes through Smith normal form with arbitrary-precision ints.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -298,6 +298,9 @@ class IntLattice:
     rank: int
     gram: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
+    # (i, j, gram[i][j]) for the nonzero entries; the gram is nearly diagonal
+    _entries: tuple[tuple[int, int, int], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.gram
@@ -309,6 +312,8 @@ class IntLattice:
                     raise ValueError("gram matrix not symmetric")
         if len(self.labels) != self.rank:
             raise ValueError("label count mismatch")
+        entries = tuple((i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if x)
+        object.__setattr__(self, "_entries", entries)
 
     @staticmethod
     def from_gram(gram: Sequence[Sequence[int]], labels: Sequence[str] | None = None) -> "IntLattice":
@@ -318,7 +323,7 @@ class IntLattice:
         return IntLattice(n, tuple(tuple(int(x) for x in row) for row in gram), tuple(labels))
 
     def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
-        return sum(u[i] * self.gram[i][j] * v[j] for i in range(self.rank) for j in range(self.rank))
+        return sum(u[i] * x * v[j] for i, j, x in self._entries)
 
     def serialize(self) -> dict:
         return {

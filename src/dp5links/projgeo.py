@@ -318,7 +318,8 @@ def residual_line(cubic: HomogeneousForm, a: ProjLine, b: ProjLine,
     for line in (a, b):
         coords = _line_coordinates_in_plane(line, plane)
         ker = kernel_basis(coords)
-        assert len(ker) == 1
+        if len(ker) != 1:
+            raise FactorizationFailure("a line of the pair does not cut one linear form")
         alphas.append({
             tuple(1 if i == k else 0 for i in range(3)): ker[0][k]
             for k in range(3) if not ker[0][k].is_zero()
@@ -330,7 +331,8 @@ def residual_line(cubic: HomogeneousForm, a: ProjLine, b: ProjLine,
         k = next(i for i, e in enumerate(mono) if e)
         gamma_vec[k] = c
     params = kernel_basis([gamma_vec])
-    assert len(params) == 2
+    if len(params) != 2:
+        raise FactorizationFailure("the residual factor is not a linear form")
     points = []
     for u in params:
         vec = [ZERO] * len(plane[0])

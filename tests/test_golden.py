@@ -1,0 +1,25 @@
+"""The full report is byte-identical to the committed golden report.
+
+``tests/golden/verify_all.json`` is the output of
+``dp5links verify all --format json``.  Any change of certificate content,
+ordering or formatting shows up here as a failure, even when two runs of the
+changed code still agree with each other.
+"""
+
+import hashlib
+from pathlib import Path
+
+from dp5links.report import run_checks
+
+GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
+GOLDEN_SHA256 = "bcd5004d72c79d6f3c8114e85db33f1843bb0fd6f254de83df6aacd3b10f5212"
+
+
+def test_golden_file_is_the_recorded_report():
+    data = GOLDEN.read_bytes()
+    assert len(data) == 258_286
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256
+
+
+def test_verify_all_equals_golden_report():
+    assert run_checks().to_json().encode("utf-8") == GOLDEN.read_bytes()

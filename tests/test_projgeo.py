@@ -168,6 +168,19 @@ def test_residual_rejects_skew_and_off_surface_lines():
         residual_line(CUBIC, off, l1, HYPER)
 
 
+@pytest.mark.parametrize("rows", [2, 1])
+def test_residual_with_degenerate_kernel_raises_factorization_failure(monkeypatch, rows):
+    # rows=2: the kernel cutting an input line; rows=1: the residual factor
+    import dp5links.projgeo as projgeo
+
+    real = projgeo.kernel_basis
+    monkeypatch.setattr(projgeo, "kernel_basis", lambda m: [] if len(m) == rows else real(m))
+    a = coordinate_line((0, 1), (3, 4))
+    b = coordinate_line((0, 1), (2, 3))
+    with pytest.raises(FactorizationFailure):
+        residual_line(CUBIC, a, b, HYPER)
+
+
 def test_divide_by_linear_detects_remainders():
     # (u + v) divides u^2 - v^2 but not u^2 + v^2
     u2_minus_v2 = {(2, 0): ONE, (0, 2): -ONE}
