@@ -10,7 +10,8 @@ numbers, not merely over the field of definition.
 
 The 27-line enumeration is seeded with closed-form lines and completed by
 tritangent-plane residuation, which is exact polynomial division; no
-polynomial system is ever solved.
+polynomial system is ever solved, and each of the 45 tritangent planes is
+residuated once.
 """
 
 from __future__ import annotations
@@ -108,9 +109,6 @@ class OrbitCensus:
     artifacts: list[dict]
     incidents: list[dict]
 
-    def orbit_count(self) -> int:
-        return sum(len(v) for v in self.orbits_by_length.values())
-
     def serialize(self) -> dict:
         return {
             "surface": self.surface,
@@ -203,14 +201,8 @@ class LineConfiguration:
     tags: tuple[str, ...]
     incidence: tuple[tuple[int, ...], ...]
 
-    def index_of(self, line: ProjLine) -> int:
-        return self.lines.index(line)
-
     def by_label(self, label: str) -> ProjLine:
         return self.lines[self.labels.index(label)]
-
-    def meets_count(self, i: int) -> int:
-        return sum(self.incidence[i])
 
     def serialize(self) -> dict:
         return {
@@ -272,32 +264,40 @@ def lines27(s: Surface, extra_seeds: list[ProjLine] | None = None) -> LineConfig
     for line in extra_seeds or []:
         if line_in_surface(line, s.form) and line_in_surface(line, s.hyperplane):
             seeds.append((line, "seed"))
-    lines: list[ProjLine] = []
     tags: dict[ProjLine, str] = {}
     for line, tag in seeds:
-        if line not in tags:
-            lines.append(line)
-            tags[line] = tag
+        tags.setdefault(line, tag)
+    lines = list(tags)
     if len(lines) < 2:
         raise EnumerationIncomplete("need at least two starting lines on the surface")
-    # residuation closure over meeting pairs, each unordered pair processed once
-    processed: set[tuple[int, int]] = set()
+    # residuation closure: each unordered pair (i, j), i < j, is decided once.
+    # A meeting pair spans a tritangent plane holding its residual k, so the
+    # pairs (i, k) and (j, k) meet too, and their residuals j and i are known.
+    index = {line: k for k, line in enumerate(lines)}
+    meets: dict[tuple[int, int], bool] = {}
+
+    def pair(a: int, b: int) -> tuple[int, int]:
+        return (a, b) if a < b else (b, a)
+
     while len(lines) <= 27:
         todo = [
-            (i, j)
-            for i, j in itertools.combinations(range(len(lines)), 2)
-            if (i, j) not in processed
+            ij for ij in itertools.combinations(range(len(lines)), 2)
+            if ij not in meets
         ]
         if not todo:
             break
         for i, j in todo:
-            processed.add((i, j))
-            if not lines[i].meets(lines[j]):
+            if (i, j) in meets:
+                continue
+            meets[(i, j)] = lines[i].meets(lines[j])
+            if not meets[(i, j)]:
                 continue
             c = residual_line(s.form, lines[i], lines[j], s.hyperplane)
-            if c not in tags:
+            k = index.setdefault(c, len(lines))
+            if k == len(lines):
                 lines.append(c)
                 tags[c] = "residuation"
+            meets[pair(i, k)] = meets[pair(j, k)] = True
     if len(lines) != 27:
         raise EnumerationIncomplete(f"closure stabilized at {len(lines)} lines, expected 27")
     # canonical order: the five contraction lines, other coordinate lines, pair lines, residuals
@@ -327,10 +327,11 @@ def lines27(s: Surface, extra_seeds: list[ProjLine] | None = None) -> LineConfig
         else:
             r_count += 1
             labels.append(f"R{r_count}")
-    meets = [[0] * 27 for _ in range(27)]
-    for i, j in itertools.combinations(range(27), 2):
-        meets[i][j] = meets[j][i] = int(keyed[i].meets(keyed[j]))
-    incidence = tuple(tuple(row) for row in meets)
+    # every pair of the 27 lines was decided by the closure
+    pos = [index[line] for line in keyed]
+    incidence = tuple(
+        tuple(int(a != b and meets[pair(a, b)]) for b in pos) for a in pos
+    )
     return LineConfiguration(s.name, tuple(keyed), tuple(labels), tuple(tags[l] for l in keyed), incidence)
 
 

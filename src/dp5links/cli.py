@@ -35,6 +35,9 @@ def main(argv: list[str] | None = None) -> int:
         for cid, statement in CATALOG:
             print(f"{cid}: {statement}")
         return 0
+    if "all" in args.ids and len(args.ids) > 1:
+        print("'all' cannot be combined with other check ids", file=sys.stderr)
+        return 2
     selection = None if args.ids == ["all"] else args.ids
     try:
         report = run_checks(selection, jobs=max(1, args.jobs))

@@ -9,6 +9,7 @@ pinned by the acceptance tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -166,14 +167,17 @@ def conjugate_subgroup(g: Permutation, h: FiniteGroup) -> FiniteGroup:
     return subgroup_closure(gens)
 
 
-def subgroups_of_order(g: FiniteGroup, n: int) -> list[list[FiniteGroup]]:
+@functools.cache
+def subgroups_of_order(g: FiniteGroup, n: int) -> tuple[tuple[FiniteGroup, ...], ...]:
     """All order-n subgroups, grouped into conjugacy classes.
 
     Found by closing generator subsets of size <= 2; every subgroup of the
     symmetric group on 5 letters is 2-generated, so this is exhaustive here.
+    Computed once per (group, order) and returned as immutable tuples, since
+    both censuses and the normalizer ask for the same classes.
     """
     if n <= 0 or g.order() % n != 0:
-        return []
+        return ()
     found: dict[frozenset[Permutation], FiniteGroup] = {}
     candidates = [e for e in g.elements if n % e.order() == 0]
     if n == 1:
@@ -186,7 +190,7 @@ def subgroups_of_order(g: FiniteGroup, n: int) -> list[list[FiniteGroup]]:
         h = subgroup_closure([a, b])
         if h.order() == n:
             found.setdefault(h.element_set(), h)
-    classes: list[list[FiniteGroup]] = []
+    classes: list[tuple[FiniteGroup, ...]] = []
     assigned: set[frozenset[Permutation]] = set()
     for key in sorted(found, key=lambda k: sorted(p.sort_key() for p in k)):
         if key in assigned:
@@ -199,8 +203,8 @@ def subgroups_of_order(g: FiniteGroup, n: int) -> list[list[FiniteGroup]]:
             if ck not in assigned:
                 assigned.add(ck)
                 cls.append(found.get(ck, conj))
-        classes.append(sorted(cls, key=lambda s: sorted(p.sort_key() for p in s.elements)))
-    return classes
+        classes.append(tuple(sorted(cls, key=lambda s: sorted(p.sort_key() for p in s.elements))))
+    return tuple(classes)
 
 
 def orbit_and_stabilizer(g: FiniteGroup, p: ProjPoint) -> tuple[list[ProjPoint], FiniteGroup]:

@@ -7,12 +7,16 @@ action matrices are forced by the induced permutation of the 27 lines.
 Everything downstream of that - invariant ranks, the two equivariant
 contractions, the divisor relations of the link, the (-2)-obstruction on the
 quadric side and the degree of the composite self-map - is integer matrix
-arithmetic against the reconstructed intersection form.
+arithmetic against the reconstructed intersection form.  The numerical
+(-1)-classes of a lattice head + <-1>^m are listed exactly: Cauchy-Schwarz
+bounds the head coefficients, and the exceptional part is enumerated by its
+prescribed norm and sum, so no search box has to be trusted.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .census import (
@@ -123,13 +127,6 @@ class LatticeMorphism:
 
 def apply_matrix(m, v) -> IntVec:
     return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
-
-
-def mat_mul_int(a, b) -> IntMat:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
 
 
 # -- reconstruction -----------------------------------------------------------
@@ -463,48 +460,103 @@ def ruling_blowup_check(quadric: Surface) -> dict:
 def cubic_minus_one_classes() -> list[IntVec]:
     """All c with c^2 = -1, c.(-K) = 1 in the rank-7 cubic lattice.
 
-    Hodge index bounds the h-coefficient to {0, 1, 2} and the exceptional
-    coefficients to {-1, 0, 1}; the box is padded beyond that.  The 27 line
+    The lattice is <1> + <-1>^6 with -K = (3, -1, ..., -1); the enumeration is
+    exact (see _minus_one_classes) and finds h in {0, 1, 2}.  The 27 line
     classes of a smooth cubic exhaust this set, which certifies that the 27
     geometric lines realize every numerical (-1)-class.
     """
-    gram = [[0] * 7 for _ in range(7)]
-    gram[0][0] = 1
-    for i in range(1, 7):
-        gram[i][i] = -1
-    lattice = IntLattice.from_gram(gram)
-    minus_k = [3, -1, -1, -1, -1, -1, -1]
-    out = []
-    for a in range(-1, 4):
-        for bs in itertools.product(range(-2, 3), repeat=6):
-            v = [a] + list(bs)
-            if lattice.pair(v, v) == -1 and lattice.pair(v, minus_k) == 1:
-                out.append(tuple(v))
-    return sorted(out)
+    return _minus_one_classes(((1,),), (3,), 6)
 
 
 def blowup5_minus_one_classes() -> list[IntVec]:
     """All c with c^2 = -1, c.(-K) = 1 in the 5-point quadric blow-up lattice.
 
-    Coefficient bounds follow from the Hodge index theorem: the component of
-    c orthogonal to -K has square -4/3, which pins a, b in [0, 2] and each
-    exceptional coefficient in [-1, 1]; the search box is padded beyond that.
+    The lattice is the hyperbolic plane (f1, f2) + <-1>^5 with
+    -K = (2, 2, -1, ..., -1); the enumeration is exact (see
+    _minus_one_classes) and finds (f1, f2) coefficients in [0, 2].
     """
-    gram = [[0] * 7 for _ in range(7)]
-    gram[0][1] = gram[1][0] = 1
-    for i in range(2, 7):
-        gram[i][i] = -1
-    lattice = IntLattice.from_gram(gram, ("f1", "f2", "g1", "g2", "g3", "g4", "g5"))
-    minus_k = [2, 2, -1, -1, -1, -1, -1]
-    assert lattice.pair(minus_k, minus_k) == 3
+    return _minus_one_classes(((0, 1), (1, 0)), (2, 2), 5)
+
+
+class UnboundedRegion(ArithmeticError):
+    """The quadratic part of a search region is not negative definite."""
+
+
+def _minus_one_classes(head_gram, head_k, m: int) -> list[IntVec]:
+    """All c = (h, e) with c^2 = -1 and c.(-K) = 1 in head + <-1>^m.
+
+    -K = (head_k, -1, ..., -1).  With w = head_gram . head_k, the two
+    conditions read sum e_i^2 = h^2 + 1 and sum e_i = 1 - w.h, and
+    Cauchy-Schwarz, (sum e_i)^2 <= m sum e_i^2, confines h to
+    F(h) = m (h^2 + 1) - (1 - w.h)^2 >= 0.  The quadratic part m G - w w^T
+    of F is negative definite for both lattices used here ((-K)^2 = 3 > 0),
+    so the region is bounded; _region_points checks this and lists the
+    region exactly, and every e is then listed exactly too.
+    """
+    r = len(head_gram)
+    w = [sum(head_gram[i][j] * head_k[j] for j in range(r)) for i in range(r)]
+    quad = [[m * head_gram[i][j] - w[i] * w[j] for j in range(r)] for i in range(r)]
     out = []
-    for a in range(-1, 4):
-        for b in range(-1, 4):
-            for cs in itertools.product(range(-2, 3), repeat=5):
-                v = [a, b] + list(cs)
-                if lattice.pair(v, v) == -1 and lattice.pair(v, minus_k) == 1:
-                    out.append(tuple(v))
+    for h in _region_points(quad, [2 * x for x in w], m - 1):
+        norm = _quad_value(head_gram, h) + 1
+        total = 1 - _dot(w, h)
+        out.extend(h + e for e in _norm_sum_vectors(m, norm, total))
     return sorted(out)
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _quad_value(quad, x) -> int:
+    return sum(quad[i][j] * x[i] * x[j] for i in range(len(x)) for j in range(len(x)))
+
+
+def _region_points(quad, lin, const: int) -> list[IntVec]:
+    """All integer x with x.quad.x + lin.x + const >= 0, quad negative definite.
+
+    The last coordinate z enters as s z^2 + b(y) z + c(y) with s < 0.  A real
+    z exists iff b(y)^2 - 4 s c(y) >= 0, which is again such a region in the
+    other coordinates y; for each of its points z runs over the integers
+    between the two roots, bounded exactly with an integer square root.
+    """
+    r = len(quad)
+    if r == 0:
+        return [()] if const >= 0 else []
+    s = quad[-1][-1]
+    if s >= 0:
+        raise UnboundedRegion("the quadratic part is not negative definite")
+    q = [quad[i][-1] for i in range(r - 1)]
+    rest = [row[:-1] for row in quad[:-1]]
+    lz = lin[-1]
+    outer = _region_points(
+        [[4 * q[i] * q[j] - 4 * s * rest[i][j] for j in range(r - 1)] for i in range(r - 1)],
+        [4 * lz * q[i] - 4 * s * lin[i] for i in range(r - 1)],
+        lz * lz - 4 * s * const,
+    )
+    out = []
+    a = -2 * s
+    for y in outer:
+        b = 2 * _dot(q, y) + lz
+        c = _quad_value(rest, y) + _dot(lin[:-1], y) + const
+        root = math.isqrt(b * b - 4 * s * c)
+        # s z^2 + b z + c >= 0 exactly for (b - sqrt) / a <= z <= (b + sqrt) / a
+        out.extend(y + (z,) for z in range(-((root - b) // a), (b + root) // a + 1))
+    return out
+
+
+def _norm_sum_vectors(m: int, norm: int, total: int) -> list[IntVec]:
+    """All integer m-tuples e with sum e_i^2 = norm and sum e_i = total."""
+    if m == 0:
+        return [()] if norm == 0 and total == 0 else []
+    if total * total > m * norm:  # Cauchy-Schwarz; also rejects norm < 0
+        return []
+    bound = math.isqrt(norm)
+    return [
+        (x,) + rest
+        for x in range(-bound, bound + 1)
+        for rest in _norm_sum_vectors(m - 1, norm - x * x, total - x)
+    ]
 
 
 def selfmap_degree(quadric: Surface, g: FiniteGroup,

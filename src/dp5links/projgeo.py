@@ -244,8 +244,19 @@ def restrict_to_line(form: HomogeneousForm, line: ProjLine) -> HomogeneousForm:
 
 
 def line_in_surface(line: ProjLine, form: HomogeneousForm) -> bool:
-    """True iff the form vanishes identically along the line."""
-    return restrict_to_line(form, line).is_zero()
+    """True iff the form vanishes identically along the line.
+
+    Restricted to the line, a form of degree d is a binary form of degree d,
+    and a nonzero one has at most d zeros on P^1; so it is zero iff it
+    vanishes at the d + 1 distinct parameters (0 : 1) and (1 : k), k < d.
+    """
+    b0, b1 = line.basis
+    if not form.evaluate(b1).is_zero():
+        return False
+    return all(
+        form.evaluate([a + rational(k) * b for a, b in zip(b0, b1)]).is_zero()
+        for k in range(form.degree)
+    )
 
 
 def membership(p: ProjPoint, forms: Iterable[HomogeneousForm]) -> bool:

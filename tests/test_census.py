@@ -113,6 +113,36 @@ def test_lines27_basics(cfg, clebsch):
     assert cfg.tags.count("residuation") == 10
 
 
+def test_lines27_residuates_once_per_tritangent_plane(clebsch, cfg, monkeypatch):
+    import dp5links.census as census
+    from dp5links.projgeo import ProjLine
+
+    real_residual, real_meets = census.residual_line, ProjLine.meets
+    planes, meets_calls = [], []
+
+    def residual(cubic, a, b, hyperplane):
+        c = real_residual(cubic, a, b, hyperplane)
+        planes.append(frozenset((a, b, c)))
+        return c
+
+    def meets(self, other):
+        meets_calls.append(frozenset((self, other)))
+        return real_meets(self, other)
+
+    monkeypatch.setattr(census, "residual_line", residual)
+    monkeypatch.setattr(ProjLine, "meets", meets)
+    fresh = lines27(clebsch)
+    monkeypatch.undo()
+    # a smooth cubic has 45 tritangent planes; each is residuated once, and
+    # its other two meeting pairs are decided without a meets call
+    assert len(planes) == 45 and len(set(planes)) == 45
+    assert len(meets_calls) == len(set(meets_calls)) == 27 * 26 // 2 - 2 * 45
+    # the closure-built incidence equals a fresh pairwise recomputation
+    assert fresh == cfg
+    for i, j in itertools.combinations(range(27), 2):
+        assert fresh.incidence[i][j] == int(fresh.lines[i].meets(fresh.lines[j]))
+
+
 def test_lines27_group_action_closes(cfg, g20):
     for el in g20.elements:
         perm = induced_line_permutation(cfg, el)

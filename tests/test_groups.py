@@ -48,9 +48,16 @@ def test_subgroups_of_g20_by_order():
     assert len(by4) == 1 and len(by4[0]) == 5  # one conjugacy class of five C4s
     by5 = subgroups_of_order(g20, 5)
     assert len(by5) == 1 and len(by5[0]) == 1
-    assert subgroups_of_order(g20, 3) == []
+    assert subgroups_of_order(g20, 3) == ()
     nonempty = [n for n in range(1, 21) if subgroups_of_order(g20, n)]
     assert nonempty == [1, 2, 4, 5, 10, 20]
+
+
+def test_subgroups_of_order_is_computed_once_and_immutable():
+    g20 = standard_groups()["G20"]
+    by4 = subgroups_of_order(g20, 4)
+    assert subgroups_of_order(standard_groups()["G20"], 4) is by4
+    assert isinstance(by4, tuple) and all(isinstance(cls, tuple) for cls in by4)
 
 
 def test_orbit_and_stabilizer_examples():

@@ -10,8 +10,11 @@ from dp5links.picard import (
     NotContractible,
     OrbitsNotDisjoint,
     apply_matrix,
+    UnboundedRegion,
+    _minus_one_classes,
     blowup5_minus_one_classes,
     contract,
+    cubic_minus_one_classes,
     divisor_relation_check,
     find_sixers,
     invariant_rank,
@@ -154,6 +157,67 @@ def test_five_point_blowup_carries_27_minus_one_classes():
     # the two E-classes f_a + 2 f_b - sum(g) are among them
     assert (1, 2, -1, -1, -1, -1, -1) in classes
     assert (2, 1, -1, -1, -1, -1, -1) in classes
+
+
+def _padded_box_minus_one_classes(gram, minus_k, head_range, tail_range):
+    """The former brute-force scan, kept as an independent oracle."""
+    lattice = IntLattice.from_gram(gram)
+    r = len(minus_k) - sum(1 for i in range(len(gram)) if gram[i][i] == -1)
+    out = []
+    for head in itertools.product(head_range, repeat=r):
+        for tail in itertools.product(tail_range, repeat=len(minus_k) - r):
+            v = list(head) + list(tail)
+            if lattice.pair(v, v) == -1 and lattice.pair(v, minus_k) == 1:
+                out.append(tuple(v))
+    return sorted(out)
+
+
+def _block_gram(head, m):
+    r = len(head)
+    return [list(row) + [0] * m for row in head] + [
+        [0] * (r + i) + [-1] + [0] * (m - 1 - i) for i in range(m)
+    ]
+
+
+def test_cubic_minus_one_enumeration_equals_the_padded_box_scan():
+    oracle = _padded_box_minus_one_classes(
+        _block_gram([[1]], 6), [3] + [-1] * 6, range(-1, 4), range(-2, 3))
+    assert cubic_minus_one_classes() == oracle
+    assert len(oracle) == 27
+
+
+def test_blowup5_minus_one_enumeration_equals_the_padded_box_scan():
+    oracle = _padded_box_minus_one_classes(
+        _block_gram([[0, 1], [1, 0]], 5), [2, 2] + [-1] * 5, range(-1, 4), range(-2, 3))
+    assert blowup5_minus_one_classes() == oracle
+    assert len(oracle) == 27
+
+
+@pytest.mark.parametrize("head, head_k, m", [
+    ([[1]], (3,), 2),
+    ([[1]], (3,), 4),
+    ([[0, 1], [1, 0]], (2, 2), 1),
+    ([[0, 1], [1, 0]], (2, 2), 3),
+])
+def test_minus_one_enumeration_equals_the_box_scan_on_smaller_lattices(head, head_k, m):
+    oracle = _padded_box_minus_one_classes(
+        _block_gram(head, m), list(head_k) + [-1] * m, range(-1, 4), range(-3, 4))
+    assert _minus_one_classes(head, head_k, m) == oracle
+
+
+# (-1)-classes of the plane blown up in n points: 1, 3, 6, 10, 16, 27, 56, 240;
+# the quadric blown up in n points is the plane blown up in n + 1
+@pytest.mark.parametrize("n, count", enumerate([1, 3, 6, 10, 16, 27, 56, 240], start=1))
+def test_minus_one_class_counts_of_every_del_pezzo_lattice(n, count):
+    assert len(_minus_one_classes([[1]], (3,), n)) == count
+    if n > 1:
+        assert len(_minus_one_classes([[0, 1], [1, 0]], (2, 2), n - 1)) == count
+
+
+def test_minus_one_enumeration_rejects_a_non_positive_anticanonical_square():
+    # degree 9 - 9 = 0: the Cauchy-Schwarz region is unbounded
+    with pytest.raises(UnboundedRegion):
+        _minus_one_classes([[1]], (3,), 9)
 
 
 def test_selfmap_degree_certificate(quadric, quadric_census, groups):

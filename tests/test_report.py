@@ -102,6 +102,14 @@ def test_cli_list_enumerates_exactly_the_catalog(capsys):
     assert main(["verify", "no-such-check"]) == 2
 
 
+def test_cli_rejects_all_mixed_with_check_ids(capsys):
+    assert main(["verify", "all", "lines-27"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'all' cannot be combined" in captured.err
+    assert main(["verify", "lines-27", "all"]) == 2
+
+
 def test_cli_verify_writes_output(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", "clebsch-smooth", "--format", "json", "--output", str(out)])
