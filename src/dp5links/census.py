@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cyclo import FieldElement, ONE, ZERO, ZETA5, rational
 from .groups import (
@@ -204,6 +205,11 @@ class LineConfiguration:
     def by_label(self, label: str) -> ProjLine:
         return self.lines[self.labels.index(label)]
 
+    @cached_property
+    def _permutations(self) -> dict[Permutation, tuple[int, ...]]:
+        """induced_line_permutation results, filled on first request."""
+        return {}
+
     def serialize(self) -> dict:
         return {
             "surface": self.surface,
@@ -335,16 +341,24 @@ def lines27(s: Surface, extra_seeds: list[ProjLine] | None = None) -> LineConfig
     return LineConfiguration(s.name, tuple(keyed), tuple(labels), tuple(tags[l] for l in keyed), incidence)
 
 
-def induced_line_permutation(cfg: LineConfiguration, g: Permutation) -> list[int]:
-    """Index permutation of the configuration under a coordinate permutation."""
-    out = []
-    for line in cfg.lines:
-        image = ProjLine.span(g.apply_vector(list(line.basis[0])),
-                              g.apply_vector(list(line.basis[1])))
-        if image not in cfg.lines:
-            raise ActionNotClosed(f"{g.to_cycles()} maps a line outside the configuration")
-        out.append(cfg.lines.index(image))
-    return out
+def induced_line_permutation(cfg: LineConfiguration, g: Permutation) -> tuple[int, ...]:
+    """Index permutation of the configuration under a coordinate permutation.
+
+    Computed once per (configuration, element) and kept on the configuration.
+    """
+    perm = cfg._permutations.get(g)
+    if perm is None:
+        index = {line: i for i, line in enumerate(cfg.lines)}
+        out = []
+        for line in cfg.lines:
+            image = ProjLine.span(g.apply_vector(list(line.basis[0])),
+                                  g.apply_vector(list(line.basis[1])))
+            k = index.get(image)
+            if k is None:
+                raise ActionNotClosed(f"{g.to_cycles()} maps a line outside the configuration")
+            out.append(k)
+        perm = cfg._permutations[g] = tuple(out)
+    return perm
 
 
 def line_orbits(cfg: LineConfiguration, g: FiniteGroup) -> list[list[int]]:

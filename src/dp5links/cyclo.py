@@ -36,6 +36,8 @@ Rat = Union[int, Fraction]
 Coercible = Union["FieldElement", int, Fraction]
 
 _ZERO_NUM = (0,) * DEGREE
+_ONE_NUM = (1,) + _ZERO_NUM[1:]
+_MINUS_ONE_NUM = (-1,) + _ZERO_NUM[1:]
 _FRACTION_ZERO = Fraction(0)
 
 
@@ -170,15 +172,31 @@ class FieldElement:
         return self._coerce(other) - self
 
     def __neg__(self) -> "FieldElement":
-        return _element([-x for x in self.num], self.den)
+        # negation keeps lowest terms, so no gcd is needed
+        e = _new(FieldElement)
+        _set_num(e, tuple([-x for x in self.num]))
+        _set_den(e, self.den)
+        return e
 
     def __mul__(self, other: Coercible) -> "FieldElement":
         o = other if other.__class__ is FieldElement else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.num == _ZERO_NUM or o.num == _ZERO_NUM:
+        a, b = self.num, o.num
+        if a == _ZERO_NUM or b == _ZERO_NUM:
             return ZERO
-        return _element(_mul(self.num, o.num), self.den * o.den)
+        # half of all products in a report have an operand of exactly +-1
+        if o.den == 1:
+            if b == _ONE_NUM:
+                return self
+            if b == _MINUS_ONE_NUM:
+                return -self
+        if self.den == 1:
+            if a == _ONE_NUM:
+                return o
+            if a == _MINUS_ONE_NUM:
+                return -o
+        return _element(_mul(a, b), self.den * o.den)
 
     __rmul__ = __mul__
 

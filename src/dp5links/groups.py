@@ -19,6 +19,10 @@ from .linalg import eigenspaces_of_permutation, intersect_spans, kernel_basis, r
 from .projgeo import ProjPoint
 
 
+class OrbitStabilizerViolation(RuntimeError):
+    """|orbit| * |stabilizer| != |group|: the point action is inconsistent."""
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection of {0,...,4} (coordinate indices)."""
@@ -71,8 +75,13 @@ class Permutation:
         return "".join("(" + "".join(str(k + 1) for k in cyc) + ")" for cyc in cycles)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        # (self * other)(j) = self(other(j)): other applied first
-        return Permutation(tuple(self.images[other.images[j]] for j in range(len(self.images))))
+        # (self * other)(j) = self(other(j)): other applied first.  A composite
+        # of two bijections of one set is a bijection, so __post_init__ is skipped.
+        if len(self.images) != len(other.images):
+            raise ValueError(f"cannot compose {self.images} with {other.images}")
+        product = object.__new__(Permutation)
+        object.__setattr__(product, "images", tuple([self.images[j] for j in other.images]))
+        return product
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -115,11 +124,15 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @functools.cached_property
+    def _members(self) -> frozenset[Permutation]:
+        return frozenset(self.elements)
+
     def __contains__(self, p: Permutation) -> bool:
-        return p in set(self.elements)
+        return p in self._members
 
     def element_set(self) -> frozenset[Permutation]:
-        return frozenset(self.elements)
+        return self._members
 
     def serialize(self) -> dict:
         return {
@@ -182,11 +195,15 @@ def subgroups_of_order(g: FiniteGroup, n: int) -> tuple[tuple[FiniteGroup, ...],
     candidates = [e for e in g.elements if n % e.order() == 0]
     if n == 1:
         found[frozenset([Permutation.identity()])] = subgroup_closure([])
+    cyclic = {}
     for a in candidates:
-        h = subgroup_closure([a])
+        h = cyclic[a] = subgroup_closure([a])
         if h.order() == n:
             found.setdefault(h.element_set(), h)
     for a, b in itertools.combinations(candidates, 2):
+        # then <a, b> is <a> or <b>, already found above
+        if b in cyclic[a] or a in cyclic[b]:
+            continue
         h = subgroup_closure([a, b])
         if h.order() == n:
             found.setdefault(h.element_set(), h)
@@ -209,12 +226,14 @@ def subgroups_of_order(g: FiniteGroup, n: int) -> tuple[tuple[FiniteGroup, ...],
 
 def orbit_and_stabilizer(g: FiniteGroup, p: ProjPoint) -> tuple[list[ProjPoint], FiniteGroup]:
     """Orbit (sorted) and stabilizer under the coordinate-permutation action."""
-    orbit = {p}
-    for el in g.elements:
-        orbit.add(el.apply_point(p))
-    stab_elements = [el for el in g.elements if el.apply_point(p) == p]
+    images = [el.apply_point(p) for el in g.elements]
+    orbit = set(images)
+    stab_elements = [el for el, q in zip(g.elements, images) if q == p]
     stab = FiniteGroup(tuple(stab_elements), tuple(sorted(stab_elements, key=Permutation.sort_key)))
-    assert len(orbit) * stab.order() == g.order(), "orbit-stabilizer identity violated"
+    if len(orbit) * stab.order() != g.order():
+        raise OrbitStabilizerViolation(
+            f"orbit of length {len(orbit)} and stabilizer of order {stab.order()} "
+            f"in a group of order {g.order()}")
     return sorted(orbit, key=ProjPoint.sort_key), stab
 
 

@@ -18,9 +18,10 @@ finite closure over canonicalized projective matrix classes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .cyclo import FieldElement, I_UNIT, ONE, ZERO, rational
+from .cyclo import FieldElement, I_UNIT, ZERO, rational
 from .groups import FiniteGroup, Permutation, subgroups_of_order
 from .linalg import MatrixK, determinant, identity_grid, mat_mul, mat_vec, solve
 from .projgeo import ProjPoint
@@ -34,6 +35,14 @@ class WrongGroup(ValueError):
 
 class ClosureExplosion(RuntimeError):
     """Projective closure exceeded the hard cap; should never happen."""
+
+
+class NotOnHyperplane(ValueError):
+    """A vector expected in {sum x_i = 0} has no coordinates in its basis."""
+
+
+class IntertwiningFailure(ArithmeticError):
+    """A seed average fails T rho(h) = lambda(h) rho(h) T (an arithmetic defect)."""
 
 
 # hyperplane basis: columns of B span {sum x_i = 0} in K^5
@@ -60,7 +69,8 @@ def restricted_representation(g: FiniteGroup) -> dict[Permutation, Grid]:
             col5 = [b[i][j] for i in range(5)]
             image = h.apply_vector(col5)
             coords = solve(b, image)
-            assert coords is not None
+            if coords is None:
+                raise NotOnHyperplane(f"{h.to_cycles()} moves basis vector {j} off the hyperplane")
             cols.append(coords)
         rep[h] = [[cols[j][i] for j in range(4)] for i in range(4)]
     return rep
@@ -76,11 +86,14 @@ def quadratic_gram_on_hyperplane() -> Grid:
 
 
 def canonical_projective(m: Grid) -> tuple:
-    """Scale so the first nonzero entry (row-major) is 1; hashable key."""
-    flat = [m[i][j] for i in range(len(m)) for j in range(len(m[0]))]
-    lead = next(x for x in flat if not x.is_zero())
+    """Scale so the first nonzero entry (row-major) is 1; hashable key.
+
+    Each entry of the key is its (numerators, denominator) pair, which is
+    canonical (see cyclo), so equal keys mean equal projective classes.
+    """
+    lead = next(x for row in m for x in row if not x.is_zero())
     inv = lead.inverse()
-    return tuple(tuple((x * inv).coeffs for x in row) for row in m)
+    return tuple(tuple((y.num, y.den) for y in (x * inv for x in row)) for row in m)
 
 
 @dataclass(frozen=True)
@@ -144,34 +157,44 @@ class Intertwiner:
         }
 
 
-def _seed_matrices():
-    for r in range(4):
-        for c in range(4):
-            seed = [[ZERO] * 4 for _ in range(4)]
-            seed[r][c] = ONE
-            yield seed
+def _group_tables(rep: dict[Permutation, Grid], g: FiniteGroup) -> tuple:
+    """What every character's intertwiner needs: rho(h^-1) for each h, the
+    projective classes of the represented group and the quadric's gram."""
+    inverses = {h: rep[h.inverse()] for h in g.elements}
+    group_classes = {canonical_projective(rep[h]) for h in g.elements}
+    return inverses, group_classes, quadratic_gram_on_hyperplane()
 
 
 def intertwiner(lam: Character, rep: dict[Permutation, Grid],
-                g: FiniteGroup) -> Intertwiner | None:
-    """Nonzero T with T rho(h) = lambda(h) rho(h) T, by seed averaging."""
-    inverses = {h: rep[h.inverse()] for h in g.elements}
-    group_classes = {canonical_projective(rep[h]) for h in g.elements}
-    gram = quadratic_gram_on_hyperplane()
-    for seed in _seed_matrices():
+                g: FiniteGroup, tables: tuple | None = None) -> Intertwiner | None:
+    """Nonzero T with T rho(h) = lambda(h) rho(h) T, by seed averaging.
+
+    The seeds are the matrix units E_rc in row-major order; the first nonzero
+    average is returned.  rho(h) E_rc rho(h^-1) is the outer product of column
+    r of rho(h) and row c of rho(h^-1).  ``tables`` is ``_group_tables(rep, g)``,
+    passed in when several characters share one representation.
+    """
+    inverses, group_classes, gram = tables or _group_tables(rep, g)
+    for r, c in itertools.product(range(4), repeat=2):
         total = [[ZERO] * 4 for _ in range(4)]
         for h in g.elements:
-            term = mat_mul(mat_mul(rep[h], seed), inverses[h])
             w = lam(h)
-            for i in range(4):
+            inv_row = inverses[h][c]
+            for i, row in enumerate(rep[h]):
+                if row[r].is_zero():
+                    continue
+                x = w * row[r]
+                acc = total[i]
                 for j in range(4):
-                    total[i][j] = total[i][j] + w * term[i][j]
+                    acc[j] = acc[j] + x * inv_row[j]
         if all(x.is_zero() for row in total for x in row):
             continue
         for h in g.elements:
             lhs = mat_mul(total, rep[h])
             rhs = [[lam(h) * x for x in row] for row in mat_mul(rep[h], total)]
-            assert lhs == rhs, "intertwining identity must hold exactly"
+            if lhs != rhs:
+                raise IntertwiningFailure(
+                    f"average for {lam.label} fails the identity at {h.to_cycles()}")
         det = determinant(total)
         invertible = not det.is_zero()
         transported = mat_mul(mat_mul(_transpose(total), gram), total)
@@ -231,7 +254,7 @@ def _hyperplane_coords(p: ProjPoint) -> list[FieldElement]:
     b = _basis_grid()
     coords = solve(b, list(p.coords))
     if coords is None:
-        raise ValueError(f"point {p!r} is not on the hyperplane")
+        raise NotOnHyperplane(f"point {p!r} is not on the hyperplane")
     return coords
 
 
@@ -247,9 +270,11 @@ def assemble_normalizer(g: FiniteGroup, cap: int = 400) -> NormalizerResult:
     """Quadric-preserving projective normalizer, with structure certificate."""
     rep = restricted_representation(g)
     chars = characters_of_g20(g)
+    tables = _group_tables(rep, g)
+    group_classes = tables[1]
     tws = []
     for lam in chars:
-        t = intertwiner(lam, rep, g)
+        t = intertwiner(lam, rep, g, tables)
         if t is not None:
             tws.append(t)
     preserving = [t for t in tws if t.quadric_preserving and t.invertible]
@@ -272,15 +297,14 @@ def assemble_normalizer(g: FiniteGroup, cap: int = 400) -> NormalizerResult:
                     new_boundary.append(prod)
         boundary = new_boundary
     order = len(elements)
-    group_classes = {canonical_projective(rep[h]) for h in g.elements}
+    ident_key = canonical_projective(ident)
     # central involution: projectively order 2, commutes with the whole
     # represented group, not itself a represented element
     involution = None
     for key, m in sorted(elements.items()):
         if key in group_classes:
             continue
-        sq = canonical_projective(mat_mul(m, m))
-        if sq != canonical_projective(ident):
+        if canonical_projective(mat_mul(m, m)) != ident_key:
             continue
         if all(
             canonical_projective(mat_mul(m, rep[h])) == canonical_projective(mat_mul(rep[h], m))

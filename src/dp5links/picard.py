@@ -93,12 +93,13 @@ class PicardLattice:
 
     def check_action_invariants(self) -> None:
         g = self.lattice.gram
-        n = self.rank
+        idx = range(self.rank)
         for m in self.actions:
-            for i in range(n):
-                for j in range(n):
-                    lhs = sum(m[a][i] * g[a][b] * m[b][j] for a in range(n) for b in range(n))
-                    if lhs != g[i][j]:
+            # M^T G M = G, as two integer matrix products
+            gm = [[sum(g[a][b] * m[b][j] for b in idx) for j in idx] for a in idx]
+            for i in idx:
+                for j in idx:
+                    if sum(m[a][i] * gm[a][j] for a in idx) != g[i][j]:
                         raise InconsistentIncidence("action matrix is not a gram isometry")
             img = apply_matrix(m, self.anticanonical)
             if img != tuple(self.anticanonical):

@@ -1,10 +1,14 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
 from dp5links.census import (
+    ActionNotClosed,
     DuplicatePoints,
     EnumerationIncomplete,
+    LineConfiguration,
     PositiveDimensionalFixedLocus,
     Surface,
     UnsupportedShape,
@@ -20,6 +24,7 @@ from dp5links.cyclo import I_UNIT, ONE, rational
 from dp5links.groups import fixed_locus, orbit_and_stabilizer, subgroups_of_order
 from dp5links.projgeo import (
     HomogeneousForm,
+    ProjLine,
     ProjPoint,
     line_in_surface,
     membership,
@@ -147,6 +152,37 @@ def test_lines27_group_action_closes(cfg, g20):
     for el in g20.elements:
         perm = induced_line_permutation(cfg, el)
         assert sorted(perm) == list(range(27))
+
+
+def test_induced_line_permutation_is_computed_once_per_configuration(cfg, g20, monkeypatch):
+    fresh = LineConfiguration(cfg.surface, cfg.lines, cfg.labels, cfg.tags, cfg.incidence)
+    spans = []
+    real_span = ProjLine.span
+    monkeypatch.setattr(ProjLine, "span", staticmethod(lambda *v: spans.append(v) or real_span(*v)))
+    for el in g20.generators:
+        perm = induced_line_permutation(fresh, el)
+        assert induced_line_permutation(fresh, el) is perm
+        expected = [
+            fresh.lines.index(real_span(el.apply_vector(list(l.basis[0])),
+                                        el.apply_vector(list(l.basis[1]))))
+            for l in fresh.lines
+        ]
+        assert list(perm) == expected
+    line_orbits(fresh, g20)
+    assert len(spans) == 27 * len(g20.generators)
+    # the cache lives on the configuration, so nothing else keeps it alive
+    ref = weakref.ref(fresh)
+    del fresh
+    gc.collect()
+    assert ref() is None
+
+
+def test_induced_line_permutation_rejects_an_unclosed_configuration(cfg, g20):
+    partial = LineConfiguration(cfg.surface, cfg.lines[:26], cfg.labels[:26], cfg.tags[:26],
+                                tuple(row[:26] for row in cfg.incidence[:26]))
+    with pytest.raises(ActionNotClosed):
+        for el in g20.elements:
+            induced_line_permutation(partial, el)
 
 
 def test_line_orbit_sizes(cfg, g20):

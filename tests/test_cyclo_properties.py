@@ -38,6 +38,10 @@ sparse = st.dictionaries(st.integers(0, DEGREE - 1), coefficient, max_size=3).ma
 dense = st.lists(coefficient, min_size=DEGREE, max_size=DEGREE)
 elements = st.one_of(sparse, dense).map(FieldElement)
 nonzero = elements.filter(lambda e: not e.is_zero())
+# random coefficients almost never give exactly +-1, which products short-cut
+units = st.sampled_from([ONE, -ONE])
+with_units = st.one_of(units, elements)
+nonzero_with_units = st.one_of(units, nonzero)
 
 checked = settings(deadline=timedelta(milliseconds=2000), max_examples=150)
 
@@ -57,21 +61,44 @@ def agrees(e: FieldElement, expected: sympy.Poly) -> bool:
 
 
 @checked
-@given(elements, elements)
+@given(with_units, with_units)
 def test_sum_difference_product_match_oracle(a, b):
     pa, pb = to_poly(a), to_poly(b)
     assert agrees(a + b, pa + pb)
     assert agrees(a - b, pa - pb)
     assert agrees(-a, -pa)
     assert agrees(a * b, pa * pb)
+    assert agrees(b * a, pb * pa)
 
 
 @checked
-@given(nonzero)
+@given(elements)
+def test_product_with_plus_minus_one_is_the_operand_or_its_negation(x):
+    assert x * ONE == x and ONE * x == x
+    assert x * -ONE == -x and -ONE * x == -x
+    for y in (x * ONE, ONE * x, x * -ONE, -ONE * x):
+        assert is_canonical(y)
+    assert agrees(x * -ONE, -to_poly(x))
+    assert agrees(-ONE * x, -to_poly(x))
+
+
+@checked
+@given(with_units, st.integers(-3, 4))
+def test_power_matches_oracle(a, n):
+    if n < 0 and a.is_zero():
+        with pytest.raises(DivisionByZero):
+            a ** n
+        return
+    pa = to_poly(a) if n >= 0 else to_poly(a).invert(PHI)
+    assert agrees(a ** n, pa ** abs(n))
+
+
+@checked
+@given(nonzero_with_units)
 def test_inverse_matches_oracle(a):
     inv = a.inverse()
     assert agrees(inv, to_poly(a).invert(PHI))
-    assert a * inv == ONE
+    assert a * inv == ONE and inv * a == ONE
 
 
 @checked

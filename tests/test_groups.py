@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from dp5links.cyclo import I_UNIT, ONE, ZERO, ZETA5
 from dp5links.groups import (
+    FiniteGroup,
+    OrbitStabilizerViolation,
     Permutation,
     conjugate_subgroup,
     fixed_locus,
@@ -33,6 +36,31 @@ def test_composition_applies_right_factor_first():
     assert (b * a).to_cycles() == "(132)"
 
 
+def test_composition_equals_the_checked_constructor_and_rejects_length_mismatch():
+    s5 = standard_groups()["S5"].elements
+    for a, b in itertools.product(s5, repeat=2):
+        ab = a * b
+        expected = Permutation(tuple(a.images[b.images[j]] for j in range(5)))
+        assert ab == expected and hash(ab) == hash(expected)
+    with pytest.raises(ValueError):
+        Permutation.identity(5) * Permutation.identity(4)
+    with pytest.raises(ValueError):
+        Permutation.from_cycles("(123)", n=3) * Permutation.from_cycles("(12345)")
+
+
+def test_membership_uses_one_cached_element_set():
+    gs = standard_groups()
+    g20, d10 = gs["G20"], gs["D10"]
+    assert all(p in g20 for p in g20.elements)
+    outside = [p for p in gs["S5"].elements if p not in g20]
+    assert len(outside) == 100
+    assert set(outside).isdisjoint(g20.elements)
+    assert Permutation.from_cycles("(2354)") in g20
+    assert Permutation.from_cycles("(2354)") not in d10
+    assert g20.element_set() is g20.element_set()
+    assert g20.element_set() == frozenset(g20.elements)
+
+
 def test_closure_orders():
     assert group_from_cycles("(12345)", "(2354)").order() == 20
     assert group_from_cycles("(12345)", "(25)(34)").order() == 10
@@ -51,6 +79,48 @@ def test_subgroups_of_g20_by_order():
     assert subgroups_of_order(g20, 3) == ()
     nonempty = [n for n in range(1, 21) if subgroups_of_order(g20, n)]
     assert nonempty == [1, 2, 4, 5, 10, 20]
+
+
+def _all_pairs_subgroups(g: FiniteGroup, n: int) -> tuple:
+    """The unpruned enumeration: close every candidate and every pair."""
+    if n <= 0 or g.order() % n != 0:
+        return ()
+    found = {}
+    candidates = [e for e in g.elements if n % e.order() == 0]
+    if n == 1:
+        found[frozenset([Permutation.identity()])] = subgroup_closure([])
+    for a in candidates:
+        h = subgroup_closure([a])
+        if h.order() == n:
+            found.setdefault(h.element_set(), h)
+    for a, b in itertools.combinations(candidates, 2):
+        h = subgroup_closure([a, b])
+        if h.order() == n:
+            found.setdefault(h.element_set(), h)
+    classes = []
+    assigned = set()
+    for key in sorted(found, key=lambda k: sorted(p.sort_key() for p in k)):
+        if key in assigned:
+            continue
+        cls = []
+        for g_el in g.elements:
+            conj = conjugate_subgroup(g_el, found[key])
+            if conj.element_set() not in assigned:
+                assigned.add(conj.element_set())
+                cls.append(found.get(conj.element_set(), conj))
+        classes.append(tuple(sorted(cls, key=lambda s: sorted(p.sort_key() for p in s.elements))))
+    return tuple(classes)
+
+
+@pytest.mark.parametrize("name", ["G20", "D10"])
+def test_subgroups_of_order_matches_all_pairs_closure(name):
+    g = standard_groups()[name]
+    for n in range(1, g.order() + 1):
+        if g.order() % n:
+            continue
+        got, expected = subgroups_of_order(g, n), _all_pairs_subgroups(g, n)
+        assert [[(h.generators, h.elements) for h in cls] for cls in got] == \
+            [[(h.generators, h.elements) for h in cls] for cls in expected]
 
 
 def test_subgroups_of_order_is_computed_once_and_immutable():
@@ -82,6 +152,17 @@ def test_orbit_stabilizer_product_on_random_points():
             coords[0] = 1
         orbit, stab = orbit_and_stabilizer(g20, ProjPoint.of(coords))
         assert len(orbit) * stab.order() == 20
+
+
+def test_orbit_stabilizer_violation_raises(monkeypatch):
+    # every non-identity element sends every point to one fixed point q:
+    # an orbit of 2 with a trivial stabilizer in a group of order 20
+    g20 = standard_groups()["G20"]
+    ident = Permutation.identity()
+    q = ProjPoint.of([1, -1, 0, 0, 0])
+    monkeypatch.setattr(Permutation, "apply_point", lambda self, p: p if self == ident else q)
+    with pytest.raises(OrbitStabilizerViolation):
+        orbit_and_stabilizer(g20, ProjPoint.of([1, 2, 3, 4, -10]))
 
 
 def test_classical_point_lists_come_out_verbatim():

@@ -5,8 +5,11 @@ import pytest
 from dp5links.census import length4_orbit_points
 from dp5links.cyclo import FieldElement, I_UNIT, ONE, ZERO
 from dp5links.linalg import mat_mul
+from dp5links import normalizer
 from dp5links.normalizer import (
     ClosureExplosion,
+    IntertwiningFailure,
+    NotOnHyperplane,
     WrongGroup,
     apply_on_hyperplane,
     assemble_normalizer,
@@ -117,6 +120,42 @@ def test_intertwiner_unique_up_to_scalar(g20):
             break
     assert len(averages) == 2
     assert canonical_projective(averages[0]) == canonical_projective(averages[1])
+
+
+def test_outer_product_average_equals_conjugated_seed_average(g20):
+    """The intertwiner is the first nonzero average of rho(h) E_rc rho(h^-1)."""
+    rep = restricted_representation(g20)
+    inverses = {h: rep[h.inverse()] for h in g20.elements}
+    for lam in characters_of_g20(g20):
+        for r, c in itertools.product(range(4), repeat=2):
+            seed = [[ONE if (i, j) == (r, c) else ZERO for j in range(4)] for i in range(4)]
+            total = [[ZERO] * 4 for _ in range(4)]
+            for h in g20.elements:
+                term = mat_mul(mat_mul(rep[h], seed), inverses[h])
+                for i in range(4):
+                    for j in range(4):
+                        total[i][j] = total[i][j] + lam(h) * term[i][j]
+            if any(not x.is_zero() for row in total for x in row):
+                break
+        assert intertwiner(lam, rep, g20).grid() == total
+
+
+def test_restricted_representation_refuses_a_vector_off_the_hyperplane(g20, monkeypatch):
+    monkeypatch.setattr(normalizer, "solve", lambda a, b: None)
+    with pytest.raises(NotOnHyperplane):
+        restricted_representation(g20)
+
+
+def test_intertwining_failure_raises(g20, monkeypatch):
+    # a product that adds 1 to every entry breaks T rho(h) = -rho(h) T
+    rep = restricted_representation(g20)
+    lam = [c for c in characters_of_g20(g20) if c.order() == 2][0]
+    real = normalizer.mat_mul
+    monkeypatch.setattr(normalizer, "mat_mul",
+                        lambda a, b: [[x + ONE for x in row] for row in real(a, b)])
+    with pytest.raises(IntertwiningFailure):
+        intertwiner(lam, rep, g20)
+    assert issubclass(IntertwiningFailure, ArithmeticError)
 
 
 def test_assembled_normalizer_order_and_structure(normalizer_result):

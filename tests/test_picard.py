@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from dp5links.picard import (
     NoSixer,
     NotContractible,
     OrbitsNotDisjoint,
+    PicardLattice,
     apply_matrix,
     UnboundedRegion,
     _minus_one_classes,
@@ -48,6 +50,33 @@ def test_action_matrices_are_isometries_fixing_anticanonical(pic):
     pic.check_action_invariants()
     for m in pic.actions:
         assert apply_matrix(m, pic.anticanonical) == pic.anticanonical
+
+
+def test_action_invariants_agree_with_the_entrywise_sum(pic):
+    """check_action_invariants raises exactly when sum_ab m_ai g_ab m_bj != g_ij
+    for some i, j or when the anticanonical class moves."""
+    g, n = pic.lattice.gram, pic.rank
+    rnd = random.Random(5)
+    shear = [[int(i == j) for j in range(n)] for i in range(n)]
+    shear[0][1] = 1
+    reflection = [[int(i == j) * (-1 if i == 1 else 1) for j in range(n)] for i in range(n)]
+    randoms = [[[rnd.randint(-1, 1) for _ in range(n)] for _ in range(n)] for _ in range(20)]
+    for m in list(pic.actions) + [shear, reflection] + randoms:
+        isometry = all(
+            sum(m[a][i] * g[a][b] * m[b][j] for a in range(n) for b in range(n)) == g[i][j]
+            for i in range(n) for j in range(n)
+        )
+        fixes_k = apply_matrix(m, pic.anticanonical) == pic.anticanonical
+        candidate = PicardLattice(pic.lattice, pic.anticanonical, (), (m,), ("m",))
+        if isometry and fixes_k:
+            candidate.check_action_invariants()
+        else:
+            with pytest.raises(InconsistentIncidence) as err:
+                candidate.check_action_invariants()
+            word = "isometry" if not isometry else "anticanonical"
+            assert word in str(err.value)
+    # the reflection in e1 is an isometry that moves -K
+    assert apply_matrix(reflection, pic.anticanonical) != pic.anticanonical
 
 
 def test_invariant_ranks_along_the_link(pic):
