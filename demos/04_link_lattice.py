@@ -35,7 +35,7 @@ t8, _ = contract(pic, ["L1", "L2", "L3", "L4", "L5"])
 print("contract {L1..L5}:  rank", t8.rank, " degree", t8.degree(),
       " invariant rank", invariant_rank(t8), " gram", t8.lattice.gram)
 
-rel = divisor_relation_check(cfg, g20, pic)
+rel = divisor_relation_check(pic)
 print("\ndivisor relations verified:")
 print("  ", rel["relation_sigma_H"])
 print("  ", rel["relation_sum_F"])

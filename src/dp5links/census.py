@@ -29,11 +29,12 @@ from .groups import (
     orbit_and_stabilizer,
     subgroups_of_order,
 )
-from .linalg import rank
+from .linalg import mat_mul, rank, transpose
 from .projgeo import (
     HomogeneousForm,
     ProjLine,
     ProjPoint,
+    hyperplane_basis_grid,
     line_in_surface,
     line_through,
     membership,
@@ -60,6 +61,10 @@ class DuplicatePoints(ValueError):
 
 class UnsupportedShape(ValueError):
     """Smoothness certificate only covers the shapes it can decide exactly."""
+
+
+class NormNotConstant(ArithmeticError):
+    """The sign-pattern norm kept a square-root term (an arithmetic defect)."""
 
 
 @dataclass(frozen=True)
@@ -244,7 +249,7 @@ def _contraction_line_label(single: int, pairs) -> str | None:
     return f"L{single + 1}" if want == have else None
 
 
-def lines27(s: Surface, extra_seeds: list[ProjLine] | None = None) -> LineConfiguration:
+def lines27(s: Surface) -> LineConfiguration:
     """All 27 lines by seeded residuation closure, with exact incidence.
 
     Seeds are the 15 coordinate lines plus those pair-lines of the length-4
@@ -267,9 +272,6 @@ def lines27(s: Surface, extra_seeds: list[ProjLine] | None = None) -> LineConfig
             if line_in_surface(line, s.form) and line_in_surface(line, s.hyperplane):
                 seeds.append((line, "pair-line"))
                 pair_line_points[line] = (i, j)
-    for line in extra_seeds or []:
-        if line_in_surface(line, s.form) and line_in_surface(line, s.hyperplane):
-            seeds.append((line, "seed"))
     tags: dict[ProjLine, str] = {}
     for line, tag in seeds:
         tags.setdefault(line, tag)
@@ -484,6 +486,10 @@ def _quadratic_gram(f: HomogeneousForm) -> list[list[FieldElement]]:
     return gram
 
 
+# the sign choices (eps_1..eps_4) of the square roots s_i in smoothness_check
+_SIGN_PATTERNS = tuple(itertools.product((1, -1), repeat=4))
+
+
 def smoothness_check(s: Surface) -> dict:
     """Exact smoothness certificate for the quadric and diagonal cubics.
 
@@ -498,24 +504,8 @@ def smoothness_check(s: Surface) -> dict:
     """
     if s.degree == 2:
         gram5 = _quadratic_gram(s.form)
-        hyper = [
-            [ONE, ZERO, ZERO, ZERO],
-            [-ONE, ONE, ZERO, ZERO],
-            [ZERO, -ONE, ONE, ZERO],
-            [ZERO, ZERO, -ONE, ONE],
-            [ZERO, ZERO, ZERO, -ONE],
-        ]
-        restricted = [
-            [
-                sum(
-                    (hyper[a][i] * gram5[a][b] * hyper[b][j] for a in range(5) for b in range(5)),
-                    ZERO,
-                )
-                for j in range(4)
-            ]
-            for i in range(4)
-        ]
-        r = rank(restricted)
+        hyper = hyperplane_basis_grid()
+        r = rank(mat_mul(transpose(hyper), mat_mul(gram5, hyper)))
         return {
             "surface": s.name,
             "method": "restricted-quadratic-rank",
@@ -542,14 +532,13 @@ def smoothness_check(s: Surface) -> dict:
             return {k: v for k, v in out.items() if not v.is_zero()}
 
         product: dict[int, FieldElement] = {0: ONE}
-        factors = []
-        for signs in itertools.product((1, -1), repeat=4):
+        for signs in _SIGN_PATTERNS:
             factor = {0: ONE}
             for bit, sign in enumerate(signs):
                 factor[1 << bit] = ONE if sign == 1 else -ONE
-            factors.append(signs)
             product = ring_mul(product, factor)
-        assert set(product) <= {0}, "sign-pattern norm must be invariant, hence constant"
+        if not set(product) <= {0}:
+            raise NormNotConstant("the product over all sign patterns must lie in K")
         norm = product.get(0, ZERO)
         cert = {
             "surface": s.name,
@@ -558,6 +547,6 @@ def smoothness_check(s: Surface) -> dict:
             "smooth": not norm.is_zero(),
         }
         if all(r == ONE for r in ratios):
-            cert["sign_pattern_sums"] = [1 + sum(sg) for sg in factors]
+            cert["sign_pattern_sums"] = [1 + sum(sg) for sg in _SIGN_PATTERNS]
         return cert
     raise UnsupportedShape(f"degree {s.degree} surfaces are not supported")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .report import CATALOG, UnknownCheckId, run_checks
+from .report import STATEMENTS, UnknownCheckId, run_checks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,8 +22,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=("json", "markdown"), default="markdown")
     verify.add_argument("--output", default=None,
                         help="output path (default: standard output)")
-    verify.add_argument("--jobs", type=int, default=1,
-                        help="number of concurrent check workers")
     verify.add_argument("--timings", action="store_true",
                         help="print per-check wall times to standard error")
     return parser
@@ -32,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        for cid, statement in CATALOG:
+        for cid, statement in STATEMENTS.items():
             print(f"{cid}: {statement}")
         return 0
     if "all" in args.ids and len(args.ids) > 1:
@@ -40,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     selection = None if args.ids == ["all"] else args.ids
     try:
-        report = run_checks(selection, jobs=max(1, args.jobs))
+        report = run_checks(selection)
     except UnknownCheckId as exc:
         print(f"unknown check id(s): {exc}", file=sys.stderr)
         return 2

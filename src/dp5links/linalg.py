@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
-from .cyclo import FieldElement, ONE, ZERO, root_of_unity
+from .cyclo import FieldElement, ONE, ZERO, rational, root_of_unity
 
 Vector = list[FieldElement]
 Grid = list[Vector]
@@ -25,6 +24,10 @@ class UnsupportedEigenvalue(ValueError):
 
 class DependentClasses(ValueError):
     """Input classes were expected to be linearly independent."""
+
+
+class IncompleteEigenspaces(ArithmeticError):
+    """Eigenspace dimensions of a permutation matrix do not sum to its size."""
 
 
 @dataclass(frozen=True)
@@ -282,7 +285,8 @@ def eigenspaces_of_permutation(p) -> dict[FieldElement, list[Vector]]:
         if ker:
             spaces[lam] = ker
             total += len(ker)
-    assert total == n, "eigenspace dimensions must sum to the matrix size"
+    if total != n:
+        raise IncompleteEigenspaces(f"eigenspace dimensions sum to {total}, not {n}")
     return spaces
 
 
@@ -498,40 +502,11 @@ def orthogonal_complement(
 
 def coordinates_in_basis(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> list[int] | None:
     """Integer coordinates of vector in the given saturated basis, else None."""
-    cols = [[Fraction(b[i]) for b in basis] for i in range(len(vector))]
-    sol = _solve_rational(cols, [Fraction(x) for x in vector])
-    if sol is None:
+    cols = [[rational(b[i]) for b in basis] for i in range(len(vector))]
+    sol = solve(cols, [rational(x) for x in vector])
+    if sol is None or any(x.den != 1 for x in sol):
         return None
-    if any(s.denominator != 1 for s in sol):
-        return None
-    return [int(s) for s in sol]
-
-
-def _solve_rational(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [row[:] + [bv] for row, bv in zip(a, b)]
-    r = 0
-    pivots = []
-    for c in range(ncols + 1):
-        pr = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        if c == ncols:
-            return None
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = aug[i][ncols]
-    return x
+    return [x.num[0] for x in sol]
 
 
 def hyperbolic_basis(lattice: IntLattice, positive_against: Sequence[int] | None = None

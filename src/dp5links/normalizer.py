@@ -21,10 +21,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cyclo import FieldElement, I_UNIT, ZERO, rational
+from .cyclo import FieldElement, I_UNIT, ZERO
 from .groups import FiniteGroup, Permutation, subgroups_of_order
-from .linalg import MatrixK, determinant, identity_grid, mat_mul, mat_vec, solve
-from .projgeo import ProjPoint
+from .linalg import MatrixK, determinant, identity_grid, mat_mul, mat_vec, solve, transpose
+from .projgeo import HYPERPLANE_BASIS, ProjPoint, hyperplane_basis_grid
 
 Grid = list[list[FieldElement]]
 
@@ -45,23 +45,9 @@ class IntertwiningFailure(ArithmeticError):
     """A seed average fails T rho(h) = lambda(h) rho(h) T (an arithmetic defect)."""
 
 
-# hyperplane basis: columns of B span {sum x_i = 0} in K^5
-HYPERPLANE_BASIS: tuple[tuple[int, ...], ...] = (
-    (1, 0, 0, 0),
-    (-1, 1, 0, 0),
-    (0, -1, 1, 0),
-    (0, 0, -1, 1),
-    (0, 0, 0, -1),
-)
-
-
-def _basis_grid() -> Grid:
-    return [[rational(x) for x in row] for row in HYPERPLANE_BASIS]
-
-
 def restricted_representation(g: FiniteGroup) -> dict[Permutation, Grid]:
     """4x4 matrices of the permutation action on the hyperplane basis."""
-    b = _basis_grid()
+    b = hyperplane_basis_grid()
     rep = {}
     for h in g.elements:
         cols = []
@@ -78,11 +64,8 @@ def restricted_representation(g: FiniteGroup) -> dict[Permutation, Grid]:
 
 def quadratic_gram_on_hyperplane() -> Grid:
     """Gram matrix of sum x_i^2 restricted to the hyperplane basis."""
-    b = _basis_grid()
-    return [
-        [sum((b[r][i] * b[r][j] for r in range(5)), ZERO) for j in range(4)]
-        for i in range(4)
-    ]
+    b = hyperplane_basis_grid()
+    return mat_mul(transpose(b), b)
 
 
 def canonical_projective(m: Grid) -> tuple:
@@ -197,7 +180,7 @@ def intertwiner(lam: Character, rep: dict[Permutation, Grid],
                     f"average for {lam.label} fails the identity at {h.to_cycles()}")
         det = determinant(total)
         invertible = not det.is_zero()
-        transported = mat_mul(mat_mul(_transpose(total), gram), total)
+        transported = mat_mul(mat_mul(transpose(total), gram), total)
         scale = None
         preserving = True
         for i in range(4):
@@ -227,10 +210,6 @@ def intertwiner(lam: Character, rep: dict[Permutation, Grid],
     return None
 
 
-def _transpose(m: Grid) -> Grid:
-    return [list(r) for r in zip(*m)]
-
-
 @dataclass(frozen=True)
 class NormalizerResult:
     order: int
@@ -251,7 +230,7 @@ class NormalizerResult:
 
 
 def _hyperplane_coords(p: ProjPoint) -> list[FieldElement]:
-    b = _basis_grid()
+    b = hyperplane_basis_grid()
     coords = solve(b, list(p.coords))
     if coords is None:
         raise NotOnHyperplane(f"point {p!r} is not on the hyperplane")
@@ -261,7 +240,7 @@ def _hyperplane_coords(p: ProjPoint) -> list[FieldElement]:
 def apply_on_hyperplane(m: Grid, p: ProjPoint) -> ProjPoint:
     """Image of a hyperplane point of P^4 under a 4x4 matrix in basis coords."""
     c = mat_vec(m, _hyperplane_coords(p))
-    b = _basis_grid()
+    b = hyperplane_basis_grid()
     out = [sum((b[i][j] * c[j] for j in range(4)), ZERO) for i in range(5)]
     return ProjPoint.of(out)
 

@@ -130,6 +130,22 @@ def apply_matrix(m, v) -> IntVec:
     return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
 
 
+# heads of the lattices head + <-1>^m below: <1> (the cubic's h) and the
+# hyperbolic plane U (the quadric's rulings f1, f2)
+_H_HEAD = ((1,),)
+_U_HEAD = ((0, 1), (1, 0))
+
+
+def _minus_one_extension(head_gram, m: int, labels) -> IntLattice:
+    """The lattice head + <-1>^m, basis labelled in order."""
+    r = len(head_gram)
+    gram = [list(row) + [0] * m for row in head_gram]
+    gram += [[0] * (r + m) for _ in range(m)]
+    for i in range(r, r + m):
+        gram[i][i] = -1
+    return IntLattice.from_gram(gram, labels)
+
+
 # -- reconstruction -----------------------------------------------------------
 
 
@@ -164,12 +180,7 @@ def reconstruct_picard(cfg: LineConfiguration, g: FiniteGroup,
             raise NoSixer("no six pairwise disjoint lines in the configuration")
         sixer = sixers[0]
     n = len(cfg.lines)
-    gram = [[0] * 7 for _ in range(7)]
-    gram[0][0] = 1
-    for i in range(1, 7):
-        gram[i][i] = -1
-    labels = ("h",) + tuple(f"e{i}" for i in range(1, 7))
-    lattice = IntLattice.from_gram(gram, labels)
+    lattice = _minus_one_extension(_H_HEAD, 6, ("h",) + tuple(f"e{i}" for i in range(1, 7)))
     classes: list[IntVec] = []
     for idx in range(n):
         if idx in sixer:
@@ -283,14 +294,16 @@ def contract(pic: PicardLattice, family: list[str]) -> tuple[PicardLattice, Latt
     src_k = list(pic.anticanonical)
     shifted = [a + sum(v[i] for v in vectors) for i, a in enumerate(src_k)]
     k_coords = coordinates_in_basis(basis, shifted)
-    assert k_coords is not None, "-K + sum(family) must lie in the complement"
+    if k_coords is None:
+        raise NotContractible("-K + sum(family) does not lie in the complement")
     target_actions = []
     for m in pic.actions:
         cols = []
         for b in basis:
             img = apply_matrix(m, b)
             c = coordinates_in_basis(basis, list(img))
-            assert c is not None, "action must preserve the complement"
+            if c is None:
+                raise NotContractible("the group action does not preserve the complement")
             cols.append(c)
         target_actions.append(tuple(
             tuple(cols[j][i] for j in range(len(basis))) for i in range(len(basis))
@@ -323,23 +336,22 @@ def pushforward(pic: PicardLattice, family: list[str], basis: IntMat, vector) ->
         t = pic.pair(v, c)
         v = [x + t * y for x, y in zip(v, c)]
     coords = coordinates_in_basis([list(b) for b in basis], v)
-    assert coords is not None
+    if coords is None:
+        raise NotContractible("the projected class does not lie in the complement")
     return tuple(coords)
 
 
 # -- link calculus ---------------------------------------------------------------
 
 
-def divisor_relation_check(cfg: LineConfiguration, g: FiniteGroup,
-                           pic: PicardLattice | None = None) -> dict:
+def divisor_relation_check(pic: PicardLattice) -> dict:
     """The two exact divisor identities of the link, plus pushforward data."""
-    if pic is None:
-        pic = reconstruct_picard(cfg, g)
     e_labels = ["E1", "E2"]
     f_labels = ["L1", "L2", "L3", "L4", "L5"]
     rank2, emb = contract(pic, f_labels)
     hb = hyperbolic_basis(rank2.lattice, positive_against=list(rank2.anticanonical))
-    assert hb is not None, "rank-2 contraction target must be hyperbolic"
+    if hb is None:
+        raise RelationFailed("the rank-2 contraction target is not hyperbolic")
     f1, f2 = hb
     minus_k2 = tuple(2 * a + 2 * b for a, b in zip(f1, f2))
     if minus_k2 != tuple(rank2.anticanonical):
@@ -416,11 +428,7 @@ def ruling_blowup_check(quadric: Surface) -> dict:
     pts, rulings = _ruling_data(quadric)
     if len(rulings) != 4:
         raise InconsistentIncidence(f"expected 4 on-quadric pair lines, found {len(rulings)}")
-    gram = [[0] * 6 for _ in range(6)]
-    gram[0][1] = gram[1][0] = 1
-    for i in range(2, 6):
-        gram[i][i] = -1
-    lattice = IntLattice.from_gram(gram, ("f1", "f2", "g1", "g2", "g3", "g4"))
+    lattice = _minus_one_extension(_U_HEAD, 4, ("f1", "f2", "g1", "g2", "g3", "g4"))
     # split the rulings into the two families: same family iff disjoint
     first = rulings[0]
     family_of = []
@@ -466,7 +474,7 @@ def cubic_minus_one_classes() -> list[IntVec]:
     classes of a smooth cubic exhaust this set, which certifies that the 27
     geometric lines realize every numerical (-1)-class.
     """
-    return _minus_one_classes(((1,),), (3,), 6)
+    return _minus_one_classes(_H_HEAD, (3,), 6)
 
 
 def blowup5_minus_one_classes() -> list[IntVec]:
@@ -476,7 +484,7 @@ def blowup5_minus_one_classes() -> list[IntVec]:
     -K = (2, 2, -1, ..., -1); the enumeration is exact (see
     _minus_one_classes) and finds (f1, f2) coefficients in [0, 2].
     """
-    return _minus_one_classes(((0, 1), (1, 0)), (2, 2), 5)
+    return _minus_one_classes(_U_HEAD, (2, 2), 5)
 
 
 class UnboundedRegion(ArithmeticError):
@@ -560,6 +568,11 @@ def _norm_sum_vectors(m: int, norm: int, total: int) -> list[IntVec]:
     ]
 
 
+# the E-classes over the first orbit of the resolution: the pair f_a + 2 f_b - sum(g)
+_E_BLOCK = ((1, 2, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0),
+           (2, 1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0))
+
+
 def selfmap_degree(quadric: Surface, g: FiniteGroup,
                    orbit_k1: list[ProjPoint], orbit_k2: list[ProjPoint],
                    d10: FiniteGroup) -> dict:
@@ -572,12 +585,8 @@ def selfmap_degree(quadric: Surface, g: FiniteGroup,
     if set(orbit_k1) & set(orbit_k2):
         raise OrbitsNotDisjoint("the two length-5 orbits intersect")
     rank = 12
-    gram = [[0] * rank for _ in range(rank)]
-    gram[0][1] = gram[1][0] = 1
-    for i in range(2, rank):
-        gram[i][i] = -1
     labels = ("f1", "f2") + tuple(f"g{i}" for i in range(1, 6)) + tuple(f"g'{i}" for i in range(1, 6))
-    lattice = IntLattice.from_gram(gram, labels)
+    lattice = _minus_one_extension(_U_HEAD, 10, labels)
     _, rulings = _ruling_data(quadric)
     first_line = rulings[0]["line"]
     partition = [0 if (r is rulings[0] or not first_line.meets(r["line"])) else 1
@@ -616,20 +625,15 @@ def selfmap_degree(quadric: Surface, g: FiniteGroup,
     pic = PicardLattice(lattice, minus_k_res, (), tuple(actions),
                         tuple(gen.to_cycles() for gen in g.generators))
     pic.check_action_invariants()
-    # E-classes over each orbit: the unique pair f_a + 2 f_b - sum(g)
-    e_block = [(1, 2, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0),
-               (2, 1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0)]
-    for v in e_block:
-        assert lattice.pair(v, v) == -1
-    for m, swaps in zip(actions, swap_flags):
-        imgs = {apply_matrix(m, v) for v in e_block}
-        assert imgs == set(e_block), "E-classes must form a size-2 orbit in the lattice"
+    if any(lattice.pair(v, v) != -1 for v in _E_BLOCK):
+        raise NotContractible("E-class with self-intersection != -1")
+    for m in actions:
+        if {apply_matrix(m, v) for v in _E_BLOCK} != set(_E_BLOCK):
+            raise NotContractible("the E-classes do not form a size-2 orbit")
     minus_k_cubic_left = (2, 2, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0)
-    left = tuple(
-        k + e_block[0][i] + e_block[1][i]
-        for i, k in enumerate(minus_k_cubic_left)
-    )
-    assert left == (5, 5, -3, -3, -3, -3, -3, 0, 0, 0, 0, 0)
+    left = tuple(k + a + b for k, a, b in zip(minus_k_cubic_left, *_E_BLOCK))
+    if left != (5, 5, -3, -3, -3, -3, -3, 0, 0, 0, 0, 0):
+        raise RelationFailed(f"left pullback {left} != (5, 5, -3^5, 0^5)")
     right = (5, 5, 0, 0, 0, 0, 0, -3, -3, -3, -3, -3)
     pairing = lattice.pair(left, right)
     identity_pairing = lattice.pair(left, left)

@@ -182,6 +182,21 @@ def power_sum_form(nvars: int, degree: int) -> HomogeneousForm:
     return HomogeneousForm.of(nvars, degree, terms)
 
 
+# hyperplane basis: columns of B span {sum x_i = 0} in K^5
+HYPERPLANE_BASIS: tuple[tuple[int, ...], ...] = (
+    (1, 0, 0, 0),
+    (-1, 1, 0, 0),
+    (0, -1, 1, 0),
+    (0, 0, -1, 1),
+    (0, 0, 0, -1),
+)
+
+
+def hyperplane_basis_grid() -> list[list[FieldElement]]:
+    """HYPERPLANE_BASIS as a 5x4 matrix over K."""
+    return [[rational(x) for x in row] for row in HYPERPLANE_BASIS]
+
+
 # sparse polynomial helpers on exponent-tuple dicts
 
 def _poly_add(a: dict, b: dict) -> dict:

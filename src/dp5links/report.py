@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from . import __version__
 from .census import (
@@ -175,6 +175,24 @@ def _points_equal(a, b) -> bool:
 
 # -- the checks -------------------------------------------------------------------
 
+# The catalog: id -> claim and id -> function, in definition order.  The
+# functions stay a plain dict read at run time so callers can replace entries.
+STATEMENTS: dict[str, str] = {}
+CHECK_FUNCTIONS: dict[str, Callable[[Context], dict]] = {}
+
+
+def check(cid: str, statement: str):
+    """Register the decorated function as the check `cid` certifying `statement`."""
+    def register(fn):
+        STATEMENTS[cid] = statement
+        CHECK_FUNCTIONS[cid] = fn
+        return fn
+    return register
+
+
+@check("clebsch-smooth",
+       "the diagonal cubic {sum x_i = sum x_i^3 = 0} and the quadric "
+       "{sum x_i = sum x_i^2 = 0} are smooth")
 def check_clebsch_smooth(ctx: Context) -> dict:
     cert = smoothness_check(ctx.clebsch)
     _require(cert["smooth"], "cubic smoothness certificate failed")
@@ -183,6 +201,9 @@ def check_clebsch_smooth(ctx: Context) -> dict:
     return {"cubic": cert, "quadric": cert_q}
 
 
+@check("clebsch-orbit-4",
+       "unique length-4 orbit on the cubic: the four eigenpoints "
+       "(1 : z^a : z^2a : z^3a : z^4a) of the 5-cycle")
 def check_clebsch_orbit4(ctx: Context) -> dict:
     orbits = ctx.clebsch_census.orbits_by_length.get(4, [])
     _require(len(orbits) == 1, f"expected one length-4 orbit, found {len(orbits)}")
@@ -198,6 +219,9 @@ def check_clebsch_orbit4(ctx: Context) -> dict:
     }
 
 
+@check("clebsch-orbit-5",
+       "exactly three length-5 orbits on the cubic (the V, U, W point lists); "
+       "(-4:1:1:1:1) is fixed by the order-4 subgroup but is not on the cubic")
 def check_clebsch_orbit5(ctx: Context) -> dict:
     orbits = ctx.clebsch_census.orbits_by_length.get(5, [])
     _require(len(orbits) == 3, f"expected three length-5 orbits, found {len(orbits)}")
@@ -222,12 +246,18 @@ def check_clebsch_orbit5(ctx: Context) -> dict:
     }
 
 
+@check("clebsch-census-lt8",
+       "complete orbit census of length < 8 on the cubic: one orbit of length 4, "
+       "three of length 5, none of length 1 or 2")
 def check_clebsch_census(ctx: Context) -> dict:
     lengths = {r: len(v) for r, v in ctx.clebsch_census.orbits_by_length.items()}
     _require(lengths == {4: 1, 5: 3}, f"census lengths {lengths} != {{4: 1, 5: 3}}")
     return ctx.clebsch_census.serialize()
 
 
+@check("lines-27",
+       "the cubic carries exactly 27 lines, each meeting 10 others; L1..L5 have "
+       "their closed-form equations, pass through U_i and W_i, and are disjoint")
 def check_lines27(ctx: Context) -> dict:
     cfg = ctx.cfg
     _require(len(cfg.lines) == 27, f"found {len(cfg.lines)} lines")
@@ -267,6 +297,9 @@ def check_lines27(ctx: Context) -> dict:
     }
 
 
+@check("skew-families",
+       "exactly two maximal invariant skew families of lines: {E1, E2} and "
+       "{L1..L5} (the two extremal contractions)")
 def check_skew_families(ctx: Context) -> dict:
     maximal = [f for f in ctx.families if f.maximal]
     sizes = sorted(f.size() for f in maximal)
@@ -286,6 +319,9 @@ def check_skew_families(ctx: Context) -> dict:
     }
 
 
+@check("quadric-census-lt8",
+       "complete orbit census of length < 8 on the quadric: one orbit of length 4 "
+       "(the same eigenpoints) and exactly two of length 5 (K1, K2)")
 def check_quadric_census(ctx: Context) -> dict:
     lengths = {r: len(v) for r, v in ctx.quadric_census.orbits_by_length.items()}
     _require(lengths == {4: 1, 5: 2}, f"census lengths {lengths} != {{4: 1, 5: 2}}")
@@ -304,6 +340,9 @@ def check_quadric_census(ctx: Context) -> dict:
     return ctx.quadric_census.serialize()
 
 
+@check("general-position-k1-k2",
+       "K1 and K2 are in general position on the quadric (no 2 points on a line "
+       "in the quadric, no 4 coplanar); the length-4 orbit is not")
 def check_general_position(ctx: Context) -> dict:
     k1, k2 = ctx.quadric_orbits5()
     cert1 = general_position_on_quadric(k1, ctx.quadric)
@@ -319,6 +358,9 @@ def check_general_position(ctx: Context) -> dict:
     return {"K1": cert1, "K2": cert2, "length4_orbit": cert_k}
 
 
+@check("ruling-minus2",
+       "blowing up the length-4 orbit on the quadric creates four (-2)-classes "
+       "(one per ruling through two points): not a del Pezzo surface")
 def check_ruling_minus2(ctx: Context) -> dict:
     cert = ruling_blowup_check(ctx.quadric)
     _require(cert["minus_two_count"] == 4, "expected exactly four (-2)-classes")
@@ -329,6 +371,9 @@ def check_ruling_minus2(ctx: Context) -> dict:
     return cert
 
 
+@check("picard-reconstruct",
+       "the cubic's Picard lattice has rank 7 and (-K)^2 = 3, rebuilt from line "
+       "incidence alone and stable across sixer choices")
 def check_picard_reconstruct(ctx: Context) -> dict:
     pic = ctx.pic
     _require(pic.rank == 7, f"rank {pic.rank} != 7")
@@ -360,6 +405,9 @@ def check_picard_reconstruct(ctx: Context) -> dict:
     }
 
 
+@check("invariant-ranks",
+       "invariant Picard ranks: 2 on the cubic, 1 after contracting {E1, E2}, "
+       "1 after contracting {L1..L5}")
 def check_invariant_ranks(ctx: Context) -> dict:
     pic = ctx.pic
     r_cubic = invariant_rank(pic)
@@ -376,6 +424,9 @@ def check_invariant_ranks(ctx: Context) -> dict:
     }
 
 
+@check("contractions-two",
+       "the two families contract to surfaces of degree 5 (rank 5) and degree 8 "
+       "(rank 2, hyperbolic intersection form)")
 def check_contractions_two(ctx: Context) -> dict:
     maximal = [f for f in ctx.families if f.maximal]
     _require(len(maximal) == 2, f"{len(maximal)} maximal families, expected 2")
@@ -398,10 +449,16 @@ def check_contractions_two(ctx: Context) -> dict:
     }
 
 
+@check("divisor-relations",
+       "sigma*(H) = 2 pi*(-K) - 3(E1+E2) and F1+...+F5 = 3 pi*(-K) - 5(E1+E2) "
+       "hold exactly; E1, E2 push forward with bidegrees (2,1) and (1,2)")
 def check_divisor_relations(ctx: Context) -> dict:
-    return divisor_relation_check(ctx.cfg, ctx.g20, ctx.pic)
+    return divisor_relation_check(ctx.pic)
 
 
+@check("selfmap-degree",
+       "the composite self-map pairs the two anticanonical pullbacks to 50 in "
+       "the rank-12 resolution lattice: degree 10, hence not biregular")
 def check_selfmap_degree(ctx: Context) -> dict:
     k1, k2 = ctx.quadric_orbits5()
     cert = selfmap_degree(ctx.quadric, ctx.g20, k1, k2, ctx.d10)
@@ -413,6 +470,9 @@ def check_selfmap_degree(ctx: Context) -> dict:
     return cert
 
 
+@check("dp5-orbit-descent",
+       "descent to the quintic surface: the unique orbit of length < 5 is the "
+       "length-2 image of the contracted pair of lines")
 def check_dp5_orbit_descent(ctx: Context) -> dict:
     lengths = set(ctx.clebsch_census.orbits_by_length)
     _require(1 not in lengths and 2 not in lengths,
@@ -443,6 +503,9 @@ def check_dp5_orbit_descent(ctx: Context) -> dict:
     }
 
 
+@check("thm-g40",
+       "the quadric-preserving projective normalizer of the represented group "
+       "has order 40 and structure C2 x G20; its extra involution swaps K1 and K2")
 def check_thm_g40(ctx: Context) -> dict:
     res = ctx.normalizer
     _require(res.order == 40, f"normalizer order {res.order} != 40")
@@ -458,77 +521,6 @@ def check_thm_g40(ctx: Context) -> dict:
         "intertwiners": [t.serialize() for t in res.intertwiners],
         "result": res.serialize(),
     }
-
-
-CATALOG: list[tuple[str, str]] = [
-    ("clebsch-smooth",
-     "the diagonal cubic {sum x_i = sum x_i^3 = 0} and the quadric "
-     "{sum x_i = sum x_i^2 = 0} are smooth"),
-    ("clebsch-orbit-4",
-     "unique length-4 orbit on the cubic: the four eigenpoints "
-     "(1 : z^a : z^2a : z^3a : z^4a) of the 5-cycle"),
-    ("clebsch-orbit-5",
-     "exactly three length-5 orbits on the cubic (the V, U, W point lists); "
-     "(-4:1:1:1:1) is fixed by the order-4 subgroup but is not on the cubic"),
-    ("clebsch-census-lt8",
-     "complete orbit census of length < 8 on the cubic: one orbit of length 4, "
-     "three of length 5, none of length 1 or 2"),
-    ("lines-27",
-     "the cubic carries exactly 27 lines, each meeting 10 others; L1..L5 have "
-     "their closed-form equations, pass through U_i and W_i, and are disjoint"),
-    ("skew-families",
-     "exactly two maximal invariant skew families of lines: {E1, E2} and "
-     "{L1..L5} (the two extremal contractions)"),
-    ("quadric-census-lt8",
-     "complete orbit census of length < 8 on the quadric: one orbit of length 4 "
-     "(the same eigenpoints) and exactly two of length 5 (K1, K2)"),
-    ("general-position-k1-k2",
-     "K1 and K2 are in general position on the quadric (no 2 points on a line "
-     "in the quadric, no 4 coplanar); the length-4 orbit is not"),
-    ("ruling-minus2",
-     "blowing up the length-4 orbit on the quadric creates four (-2)-classes "
-     "(one per ruling through two points): not a del Pezzo surface"),
-    ("picard-reconstruct",
-     "the cubic's Picard lattice has rank 7 and (-K)^2 = 3, rebuilt from line "
-     "incidence alone and stable across sixer choices"),
-    ("invariant-ranks",
-     "invariant Picard ranks: 2 on the cubic, 1 after contracting {E1, E2}, "
-     "1 after contracting {L1..L5}"),
-    ("contractions-two",
-     "the two families contract to surfaces of degree 5 (rank 5) and degree 8 "
-     "(rank 2, hyperbolic intersection form)"),
-    ("divisor-relations",
-     "sigma*(H) = 2 pi*(-K) - 3(E1+E2) and F1+...+F5 = 3 pi*(-K) - 5(E1+E2) "
-     "hold exactly; E1, E2 push forward with bidegrees (2,1) and (1,2)"),
-    ("selfmap-degree",
-     "the composite self-map pairs the two anticanonical pullbacks to 50 in "
-     "the rank-12 resolution lattice: degree 10, hence not biregular"),
-    ("dp5-orbit-descent",
-     "descent to the quintic surface: the unique orbit of length < 5 is the "
-     "length-2 image of the contracted pair of lines"),
-    ("thm-g40",
-     "the quadric-preserving projective normalizer of the represented group "
-     "has order 40 and structure C2 x G20; its extra involution swaps K1 and K2"),
-]
-
-CHECK_FUNCTIONS = {
-    "clebsch-smooth": check_clebsch_smooth,
-    "clebsch-orbit-4": check_clebsch_orbit4,
-    "clebsch-orbit-5": check_clebsch_orbit5,
-    "clebsch-census-lt8": check_clebsch_census,
-    "lines-27": check_lines27,
-    "skew-families": check_skew_families,
-    "quadric-census-lt8": check_quadric_census,
-    "general-position-k1-k2": check_general_position,
-    "ruling-minus2": check_ruling_minus2,
-    "picard-reconstruct": check_picard_reconstruct,
-    "invariant-ranks": check_invariant_ranks,
-    "contractions-two": check_contractions_two,
-    "divisor-relations": check_divisor_relations,
-    "selfmap-degree": check_selfmap_degree,
-    "dp5-orbit-descent": check_dp5_orbit_descent,
-    "thm-g40": check_thm_g40,
-}
 
 
 @dataclass
@@ -598,23 +590,18 @@ class Report:
         return "\n".join(lines)
 
 
-def catalog_ids() -> list[str]:
-    return [cid for cid, _ in CATALOG]
-
-
-def run_checks(selection: list[str] | None = None, jobs: int = 1,
+def run_checks(selection: list[str] | None = None,
                context: Context | None = None) -> Report:
     """Run the selected checks (all by default) and assemble the report."""
-    ids = catalog_ids()
+    ids = list(STATEMENTS)
     if selection:
-        unknown = [s for s in selection if s not in ids]
+        unknown = [s for s in selection if s not in STATEMENTS]
         if unknown:
             raise UnknownCheckId(", ".join(unknown))
         ids = [cid for cid in ids if cid in set(selection)]
     ctx = context if context is not None else Context()
-    statements = dict(CATALOG)
-
-    def run_one(cid: str) -> CheckResult:
+    results = []
+    for cid in ids:
         start = time.perf_counter()
         try:
             certificate = CHECK_FUNCTIONS[cid](ctx)
@@ -626,12 +613,6 @@ def run_checks(selection: list[str] | None = None, jobs: int = 1,
             certificate = {"error": f"{type(exc).__name__}: {exc}"}
             status = "error"
         elapsed = (time.perf_counter() - start) * 1000.0
-        return CheckResult(cid, statements[cid], status, certificate, elapsed)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, ids))
-    else:
-        results = [run_one(cid) for cid in ids]
+        results.append(CheckResult(cid, STATEMENTS[cid], status, certificate, elapsed))
     results.sort(key=lambda r: r.check_id)
     return Report(__version__, dict(CONVENTIONS), results)

@@ -142,8 +142,8 @@ def test_criterion_05_picard_reconstruction_and_invariant_ranks(pic):
     _ok(5, "rank 7, (-K)^2 = 3; invariant ranks 2 / 1 / 1 along the link")
 
 
-def test_criterion_06_divisor_relations(cfg, g20, pic):
-    cert = divisor_relation_check(cfg, g20, pic)
+def test_criterion_06_divisor_relations(pic):
+    cert = divisor_relation_check(pic)
     e_sum = tuple(a + b for a, b in zip(pic.marked_vector("E1"), pic.marked_vector("E2")))
     pullback = tuple(a + b for a, b in zip(pic.anticanonical, e_sum))
     sigma_h = tuple(int(x) for x in cert["sigma_star_H"])

@@ -4,11 +4,13 @@ import weakref
 
 import pytest
 
+from dp5links import census
 from dp5links.census import (
     ActionNotClosed,
     DuplicatePoints,
     EnumerationIncomplete,
     LineConfiguration,
+    NormNotConstant,
     PositiveDimensionalFixedLocus,
     Surface,
     UnsupportedShape,
@@ -276,6 +278,13 @@ def test_smoothness_detects_singular_diagonal_cubic():
     witness = ProjPoint.of([rational(1), rational(-1), rational(-1),
                             rational(1) / 2, rational(1) / 2])
     assert membership(witness, [singular.hyperplane, singular.form])
+
+
+def test_smoothness_rejects_a_norm_left_with_square_root_terms(clebsch, monkeypatch):
+    # one factor 1 + s1 + ... + s4 alone is not invariant under the sign flips
+    monkeypatch.setattr(census, "_SIGN_PATTERNS", census._SIGN_PATTERNS[:1])
+    with pytest.raises(NormNotConstant):
+        smoothness_check(clebsch)
 
 
 def test_smoothness_unsupported_shapes():

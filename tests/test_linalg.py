@@ -3,9 +3,11 @@ import random
 import pytest
 
 from dp5links.cyclo import I_UNIT, ONE, ZERO, ZETA5, rational
+from dp5links import linalg
 from dp5links.groups import Permutation
 from dp5links.linalg import (
     DependentClasses,
+    IncompleteEigenspaces,
     IntLattice,
     MatrixK,
     UnsupportedEigenvalue,
@@ -88,6 +90,13 @@ def test_eigenspaces_identity_and_unsupported_order_three():
         eigenspaces_of_permutation(Permutation.from_cycles("(123)"))
     with pytest.raises(UnsupportedEigenvalue):
         eigenspaces_of_permutation(Permutation.from_cycles("(123)(45)"))
+
+
+def test_eigenspaces_raise_when_dimensions_fall_short(monkeypatch):
+    real = linalg.kernel_basis
+    monkeypatch.setattr(linalg, "kernel_basis", lambda m: real(m)[1:])
+    with pytest.raises(IncompleteEigenspaces):
+        eigenspaces_of_permutation(Permutation.from_cycles("(12345)"))
 
 
 def test_eigenspace_dimensions_match_cycle_structure():

@@ -1,0 +1,75 @@
+"""Property tests of integer coordinates in a lattice basis against sympy over QQ.
+
+Bases are the first k rows of a random unimodular matrix, so they are
+saturated, and the remaining rows give vectors outside their span.
+"""
+
+from datetime import timedelta
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dp5links.linalg import coordinates_in_basis
+
+checked = settings(deadline=timedelta(milliseconds=2000), max_examples=100)
+
+
+@st.composite
+def saturated_bases(draw):
+    """(basis, complement, coefficients): rows of a unimodular n x n matrix split at k."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, f in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.integers(-3, 3)), max_size=20)):
+        if i != j:
+            u[i] = [a + f * b for a, b in zip(u[i], u[j])]
+    coeffs = draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k))
+    return u[:k], u[k:], coeffs
+
+
+def combination(coeffs, rows) -> list[int]:
+    return [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(len(rows[0]))]
+
+
+def oracle(basis, vector):
+    """Coordinates of vector in basis from sympy over QQ: a list of Rationals or None."""
+    try:
+        sol, params = sympy.Matrix(basis).T.gauss_jordan_solve(sympy.Matrix(vector))
+    except ValueError:  # inconsistent: outside the span
+        return None
+    assert params.shape[0] == 0, "a basis has unique coordinates"
+    return list(sol)
+
+
+@checked
+@given(saturated_bases())
+def test_integer_combinations_get_their_coordinates(data):
+    basis, _, coeffs = data
+    v = combination(coeffs, basis)
+    assert coordinates_in_basis(basis, v) == coeffs
+    assert oracle(basis, v) == coeffs
+
+
+@checked
+@given(saturated_bases(), st.data())
+def test_non_integral_combinations_give_none(data, draw):
+    basis, _, coeffs = data
+    j = draw.draw(st.integers(0, len(basis) - 1))
+    d = draw.draw(st.integers(2, 5))
+    coeffs[j] = d * coeffs[j] + draw.draw(st.integers(1, d - 1))
+    v = combination(coeffs, basis)
+    scaled = [[d * x for x in row] if i == j else row for i, row in enumerate(basis)]
+    assert coordinates_in_basis(scaled, v) is None
+    expected = oracle(scaled, v)
+    assert expected is not None and not expected[j].is_integer
+
+
+@checked
+@given(saturated_bases(), st.integers(1, 5))
+def test_vectors_outside_the_span_give_none(data, m):
+    basis, complement, coeffs = data
+    v = [a + m * b for a, b in zip(combination(coeffs, basis), complement[0])]
+    assert coordinates_in_basis(basis, v) is None
+    assert oracle(basis, v) is None

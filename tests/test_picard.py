@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dp5links import picard
 from dp5links.census import LineConfiguration
 from dp5links.linalg import IntLattice
 from dp5links.picard import (
@@ -11,6 +12,7 @@ from dp5links.picard import (
     NotContractible,
     OrbitsNotDisjoint,
     PicardLattice,
+    RelationFailed,
     apply_matrix,
     UnboundedRegion,
     _minus_one_classes,
@@ -20,6 +22,7 @@ from dp5links.picard import (
     divisor_relation_check,
     find_sixers,
     invariant_rank,
+    pushforward,
     reconstruct_picard,
     ruling_blowup_check,
     selfmap_degree,
@@ -143,8 +146,8 @@ def test_inconsistent_incidence_detected(cfg, g20):
         reconstruct_picard(bad, g20)
 
 
-def test_divisor_relations(cfg, g20, pic):
-    cert = divisor_relation_check(cfg, g20, pic)
+def test_divisor_relations(pic):
+    cert = divisor_relation_check(pic)
     assert sorted(cert["pushforward_bidegrees"].values()) == [[1, 2], [2, 1]]
     assert cert["F_degree_downstairs"] == [3, 3, 3, 3, 3]
     # sigma*(H) = 2 pi*(-K) - 3(E1+E2) re-checked through the serialized vectors
@@ -152,6 +155,58 @@ def test_divisor_relations(cfg, g20, pic):
     e_sum = [a + b for a, b in zip(pic.marked_vector("E1"), pic.marked_vector("E2"))]
     expected = [2 * a - 3 * b for a, b in zip(pullback, e_sum)]
     assert [int(x) for x in cert["sigma_star_H"]] == expected
+
+
+def test_contract_raises_when_the_anticanonical_shift_has_no_coordinates(pic, monkeypatch):
+    monkeypatch.setattr(picard, "coordinates_in_basis", lambda basis, v: None)
+    with pytest.raises(NotContractible, match="-K"):
+        contract(pic, ["E1", "E2"])
+
+
+def test_contract_raises_when_the_action_leaves_the_complement(pic, monkeypatch):
+    real = picard.coordinates_in_basis
+    calls = []
+
+    def only_the_first(basis, v):
+        calls.append(v)
+        return real(basis, v) if len(calls) == 1 else None
+
+    monkeypatch.setattr(picard, "coordinates_in_basis", only_the_first)
+    with pytest.raises(NotContractible, match="group action"):
+        contract(pic, ["E1", "E2"])
+
+
+def test_pushforward_raises_when_the_class_has_no_coordinates(pic, monkeypatch):
+    monkeypatch.setattr(picard, "coordinates_in_basis", lambda basis, v: None)
+    with pytest.raises(NotContractible, match="projected class"):
+        pushforward(pic, ["L1", "L2", "L3", "L4", "L5"], ((1,) * 7,), pic.marked_vector("E1"))
+
+
+def test_divisor_relations_raise_without_a_hyperbolic_basis(pic, monkeypatch):
+    monkeypatch.setattr(picard, "hyperbolic_basis", lambda lattice, positive_against: None)
+    with pytest.raises(RelationFailed, match="not hyperbolic"):
+        divisor_relation_check(pic)
+
+
+def _g(k: int) -> tuple[int, ...]:
+    """The exceptional class with index k (0-based) in the rank-12 resolution."""
+    return tuple(-1 if i == k else 0 for i in range(12))
+
+
+@pytest.mark.parametrize("e_block, error, message", [
+    # f1 and f2 are isotropic, not (-1)-classes
+    (((1,) + (0,) * 11, (0, 1) + (0,) * 10), NotContractible, "self-intersection"),
+    # one exceptional class over each orbit: squares -1, but the 5-cycle moves them
+    ((_g(2), _g(7)), NotContractible, "size-2 orbit"),
+    # f_a + 2 f_b + sum(g): a stable pair of (-1)-classes with the wrong pullback
+    (((1, 2) + (1,) * 5 + (0,) * 5, (2, 1) + (1,) * 5 + (0,) * 5), RelationFailed, "left pullback"),
+])
+def test_selfmap_degree_raises_on_wrong_e_classes(quadric, quadric_census, groups, monkeypatch,
+                                                  e_block, error, message):
+    k1, k2 = quadric_census.orbits_by_length[5]
+    monkeypatch.setattr(picard, "_E_BLOCK", e_block)
+    with pytest.raises(error, match=message):
+        selfmap_degree(quadric, groups["G20"], list(k1), list(k2), groups["D10"])
 
 
 def test_ruling_blowup_minus_two_classes(quadric):

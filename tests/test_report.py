@@ -1,17 +1,28 @@
+import ast
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import dp5links
 from dp5links.cli import main
 from dp5links.report import (
-    CATALOG,
     CHECK_FUNCTIONS,
+    STATEMENTS,
     CheckFailure,
     Context,
     UnknownCheckId,
-    catalog_ids,
     run_checks,
 )
+
+# the catalog in definition order
+CHECK_IDS = [
+    "clebsch-smooth", "clebsch-orbit-4", "clebsch-orbit-5", "clebsch-census-lt8",
+    "lines-27", "skew-families", "quadric-census-lt8", "general-position-k1-k2",
+    "ruling-minus2", "picard-reconstruct", "invariant-ranks", "contractions-two",
+    "divisor-relations", "selfmap-degree", "dp5-orbit-descent", "thm-g40",
+]
 
 
 @pytest.fixture(scope="module")
@@ -20,20 +31,24 @@ def ctx():
 
 
 def test_catalog_is_large_enough_and_well_formed():
-    ids = catalog_ids()
-    assert len(ids) >= 15
-    assert len(set(ids)) == len(ids)
-    for cid in ids:
+    assert list(STATEMENTS) == CHECK_IDS
+    assert list(CHECK_FUNCTIONS) == CHECK_IDS
+    for cid in CHECK_IDS:
         assert cid == cid.lower()
         assert " " not in cid
-        assert cid in CHECK_FUNCTIONS
-    required = {
-        "clebsch-smooth", "clebsch-orbit-4", "clebsch-orbit-5", "clebsch-census-lt8",
-        "lines-27", "skew-families", "quadric-census-lt8", "general-position-k1-k2",
-        "ruling-minus2", "picard-reconstruct", "invariant-ranks", "contractions-two",
-        "divisor-relations", "selfmap-degree", "dp5-orbit-descent", "thm-g40",
-    }
-    assert required <= set(ids)
+        assert STATEMENTS[cid].strip()
+        assert callable(CHECK_FUNCTIONS[cid])
+
+
+def test_each_check_id_is_written_once_in_the_package():
+    package = Path(dp5links.__file__).parent
+    literals = Counter(
+        node.value
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+    assert {cid: literals[cid] for cid in CHECK_IDS} == {cid: 1 for cid in CHECK_IDS}
 
 
 def test_run_checks_subset_and_unknown_id(ctx):
@@ -76,11 +91,11 @@ def test_errors_are_reported_not_raised(ctx, monkeypatch):
     assert report.overall == "fail"
 
 
-def test_parallel_jobs_match_sequential(ctx):
-    selection = ["clebsch-smooth", "clebsch-orbit-4", "clebsch-orbit-5"]
-    seq = run_checks(selection, jobs=1, context=ctx)
-    par = run_checks(selection, jobs=3, context=ctx)
-    assert seq.serialize() == par.serialize()
+def test_cli_rejects_the_removed_jobs_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_markdown_contains_statements(ctx):
@@ -95,10 +110,7 @@ def test_markdown_contains_statements(ctx):
 def test_cli_list_enumerates_exactly_the_catalog(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    lines = [ln for ln in out.splitlines() if ln.strip()]
-    assert len(lines) == len(CATALOG)
-    for line, (cid, statement) in zip(lines, CATALOG):
-        assert line.startswith(f"{cid}: ")
+    assert out.splitlines() == [f"{cid}: {STATEMENTS[cid]}" for cid in CHECK_IDS]
     assert main(["verify", "no-such-check"]) == 2
 
 
