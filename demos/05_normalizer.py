@@ -35,4 +35,4 @@ k1, k2 = census.orbits_by_length[5]
 print("\nextra involution maps K1 onto K2:",
       involution_swaps_orbits(result, list(k1), list(k2)))
 print("sample: first point of K1 maps to",
-      apply_on_hyperplane(result.involution.to_grid(), list(k1)[0]))
+      apply_on_hyperplane(result.involution, list(k1)[0]))

@@ -15,7 +15,6 @@ from .cyclo import (  # noqa: F401
     ZERO,
     ZETA,
     ZETA5,
-    field_arith,
     galois_apply,
     rational,
     root_of_unity,
@@ -41,7 +40,7 @@ from .groups import (  # noqa: F401
     subgroup_closure,
     subgroups_of_order,
 )
-from .linalg import IntLattice, MatrixK, kernel_basis, orthogonal_complement  # noqa: F401
+from .linalg import IntLattice, kernel_basis, orthogonal_complement  # noqa: F401
 from .normalizer import assemble_normalizer, characters_of_g20, intertwiner  # noqa: F401
 from .picard import (  # noqa: F401
     PicardLattice,

@@ -82,13 +82,6 @@ class Surface:
     def contains(self, p: ProjPoint) -> bool:
         return membership(p, [self.hyperplane, self.form])
 
-    def serialize(self) -> dict:
-        return {
-            "name": self.name,
-            "hyperplane": self.hyperplane.serialize(),
-            "form": self.form.serialize(),
-        }
-
 
 def clebsch_surface() -> Surface:
     return Surface("clebsch-cubic", power_sum_form(5, 1), power_sum_form(5, 3))
@@ -155,7 +148,7 @@ def orbit_census(s: Surface, g: FiniteGroup, bound: int, strict: bool = True) ->
         for cls in classes:
             h = cls[0]
             gens = [p.to_cycles() for p in h.generators]
-            components = fixed_locus(h, restrict_to_hyperplane=True)
+            components = fixed_locus(h)
             entry = {
                 "length": r,
                 "stabilizer_order": q,

@@ -320,23 +320,6 @@ def galois_apply(k: int, a: FieldElement) -> FieldElement:
     return _element(_galois(k, a.num), a.den)
 
 
-def field_arith(op: str, a: Coercible, b: Coercible) -> FieldElement:
-    """Named dispatch over the four field operations."""
-    a = FieldElement._coerce(a)
-    b = FieldElement._coerce(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b.is_zero():
-            raise DivisionByZero("division by the zero element")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def root_of_unity(n: int, j: int = 1) -> FieldElement:
     """zeta_n^j for n dividing 20."""
     if 20 % n != 0:
@@ -350,8 +333,6 @@ ZETA = FieldElement.zeta_power(1)      # zeta_20
 ZETA5 = FieldElement.zeta_power(4)     # primitive fifth root of unity
 I_UNIT = FieldElement.zeta_power(5)    # imaginary unit
 SQRT5 = ONE + 2 * (ZETA5 + ZETA5 ** 4)
-
-MINUS_ONE = -ONE
 
 
 def rational(q: Rat) -> FieldElement:

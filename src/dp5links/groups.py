@@ -252,14 +252,12 @@ class FixedLocusComponent:
         return ProjPoint.of(list(self.basis[0]))
 
 
-def fixed_locus(h: FiniteGroup, restrict_to_hyperplane: bool = True
-                ) -> list[FixedLocusComponent]:
-    """Fixed points of h in P^4 as projectivized simultaneous eigenspaces.
+def fixed_locus(h: FiniteGroup) -> list[FixedLocusComponent]:
+    """Fixed points of h in the hyperplane {sum x_i = 0} of P^4.
 
     A vector fixed projectively by every element of h is a common eigenvector
     of the generators, so it suffices to intersect per-generator eigenspaces
-    over all tuples of candidate eigenvalues.  With the hyperplane restriction
-    the spaces are intersected with {sum x_i = 0}.
+    over all tuples of candidate eigenvalues, then with {sum x_i = 0}.
     """
     n = 5
     gens = h.generators
@@ -277,16 +275,12 @@ def fixed_locus(h: FiniteGroup, restrict_to_hyperplane: bool = True
                     break
             if basis:
                 spaces.append(([tuple(v) for v in basis], tuple(combo)))
-    hyper_kernel = None
-    if restrict_to_hyperplane:
-        hyper_kernel = kernel_basis([[ONE] * n])
+    hyper_kernel = kernel_basis([[ONE] * n])
     components = []
     for basis, character in spaces:
-        vecs = [list(v) for v in basis]
-        if restrict_to_hyperplane:
-            vecs = intersect_spans(vecs, hyper_kernel)
-            if not vecs:
-                continue
+        vecs = intersect_spans([list(v) for v in basis], hyper_kernel)
+        if not vecs:
+            continue
         red, pivots = rref(vecs)
         vecs = [tuple(red[i]) for i in range(len(pivots))]
         dim = len(vecs) - 1

@@ -1,14 +1,15 @@
 """Exact dense linear algebra over Q(zeta_20) and integer-lattice routines.
 
-Matrices here are tiny (at most 12x12), so everything is fraction-preserving
-Gaussian elimination with first-nonzero pivoting: deterministic, no pivot
-heuristics.  Integer lattice work (kernels, saturation, orthogonal
-complements) goes through Smith normal form with arbitrary-precision ints.
+Matrices are plain row grids, and they are tiny (at most 12x12), so one
+routine, ``rref``, does every elimination over K: fraction-preserving Gaussian
+elimination with first-nonzero pivoting, deterministic, no pivot heuristics.
+Integer ranks and coordinates are taken over the rationals inside K; Smith
+normal form with arbitrary-precision ints serves only saturated kernels.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -30,39 +31,12 @@ class IncompleteEigenspaces(ArithmeticError):
     """Eigenspace dimensions of a permutation matrix do not sum to its size."""
 
 
-@dataclass(frozen=True)
-class MatrixK:
-    """Rectangular matrix over K, entries row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[FieldElement, ...]
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[FieldElement]]) -> "MatrixK":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged matrix")
-            flat.extend(row)
-        return MatrixK(r, c, tuple(flat))
-
-    def row(self, i: int) -> Vector:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def to_grid(self) -> Grid:
-        return [self.row(i) for i in range(self.rows)]
-
-    def serialize(self) -> list[list[list[str]]]:
-        return [[e.serialize() for e in self.row(i)] for i in range(self.rows)]
-
-
 def _as_grid(m) -> Grid:
-    if isinstance(m, MatrixK):
-        return m.to_grid()
     return [list(row) for row in m]
+
+
+def serialize_grid(m) -> list[list[list[str]]]:
+    return [[e.serialize() for e in row] for row in m]
 
 
 # -- elimination over K -----------------------------------------------------
@@ -163,36 +137,6 @@ def identity_grid(n: int) -> Grid:
 def transpose(a) -> Grid:
     g = _as_grid(a)
     return [list(col) for col in zip(*g)]
-
-
-def determinant(a) -> FieldElement:
-    g = _as_grid(a)
-    n = len(g)
-    det = ONE
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if not g[i][c].is_zero()), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            g[c], g[pivot_row] = g[pivot_row], g[c]
-            det = -det
-        det = det * g[c][c]
-        inv = g[c][c].inverse()
-        for i in range(c + 1, n):
-            if not g[i][c].is_zero():
-                f = g[i][c] * inv
-                g[i] = [x - f * y for x, y in zip(g[i], g[c])]
-    return det
-
-
-def inverse_grid(a) -> Grid:
-    g = _as_grid(a)
-    n = len(g)
-    aug = [row + ident_row for row, ident_row in zip(g, identity_grid(n))]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
 
 
 def intersect_spans(basis_a: list[Vector], basis_b: list[Vector]) -> list[Vector]:
@@ -470,10 +414,8 @@ def int_kernel(m: Sequence[Sequence[int]]) -> IntGrid:
 
 
 def int_rank(m: Sequence[Sequence[int]]) -> int:
-    if not m:
-        return 0
-    _, d, _ = smith_normal_form(m)
-    return sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
+    """Rank over Q, by elimination over K on rational entries."""
+    return rank([[rational(x) for x in row] for row in m])
 
 
 def orthogonal_complement(
@@ -518,16 +460,20 @@ def hyperbolic_basis(lattice: IntLattice, positive_against: Sequence[int] | None
     """
     if lattice.rank != 2:
         raise ValueError("hyperbolic reduction expects a rank-2 lattice")
-    bound = 12
-    isotropic = []
-    for a, b in itertools.product(range(-bound, bound + 1), repeat=2):
-        if (a, b) == (0, 0):
-            continue
-        v = [a, b]
-        if lattice.pair(v, v) == 0:
-            from math import gcd
-            if gcd(a, b) == 1:
-                isotropic.append(v)
+    (a, b), (_, c) = lattice.gram
+    # isotropic vectors exist iff b^2 - ac is a square; the primitive ones are
+    # the roots (t - b, a) and (c, t - b) of a x^2 + 2b xy + c y^2, t = +-sqrt
+    d = b * b - a * c
+    s = math.isqrt(d) if d >= 0 else -1
+    if s * s != d:
+        return None
+    roots = set()
+    for t in (s, -s):
+        for x, y in ((t - b, a), (c, t - b)):
+            g = math.gcd(x, y)
+            if g:
+                roots.update(((x // g, y // g), (-x // g, -y // g)))
+    isotropic = [list(v) for v in sorted(roots)]
     for u in isotropic:
         for v in isotropic:
             if lattice.pair(u, v) == 1:

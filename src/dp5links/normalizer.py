@@ -23,10 +23,17 @@ from dataclasses import dataclass
 
 from .cyclo import FieldElement, I_UNIT, ZERO
 from .groups import FiniteGroup, Permutation, subgroups_of_order
-from .linalg import MatrixK, determinant, identity_grid, mat_mul, mat_vec, solve, transpose
+from .linalg import (
+    Grid,
+    identity_grid,
+    mat_mul,
+    mat_vec,
+    rank,
+    serialize_grid,
+    solve,
+    transpose,
+)
 from .projgeo import HYPERPLANE_BASIS, ProjPoint, hyperplane_basis_grid
-
-Grid = list[list[FieldElement]]
 
 
 class WrongGroup(ValueError):
@@ -122,18 +129,15 @@ def characters_of_g20(g: FiniteGroup) -> list[Character]:
 @dataclass(frozen=True)
 class Intertwiner:
     character: str
-    matrix: MatrixK
+    matrix: Grid
     invertible: bool
     quadric_preserving: bool
     square_in_group: bool
 
-    def grid(self) -> Grid:
-        return self.matrix.to_grid()
-
     def serialize(self) -> dict:
         return {
             "character": self.character,
-            "matrix": self.matrix.serialize(),
+            "matrix": serialize_grid(self.matrix),
             "invertible": self.invertible,
             "quadric_preserving": self.quadric_preserving,
             "square_in_group": self.square_in_group,
@@ -178,8 +182,6 @@ def intertwiner(lam: Character, rep: dict[Permutation, Grid],
             if lhs != rhs:
                 raise IntertwiningFailure(
                     f"average for {lam.label} fails the identity at {h.to_cycles()}")
-        det = determinant(total)
-        invertible = not det.is_zero()
         transported = mat_mul(mat_mul(transpose(total), gram), total)
         scale = None
         preserving = True
@@ -202,8 +204,8 @@ def intertwiner(lam: Character, rep: dict[Permutation, Grid],
         )
         return Intertwiner(
             character=lam.label,
-            matrix=MatrixK.from_rows(total),
-            invertible=invertible,
+            matrix=total,
+            invertible=rank(total) == 4,
             quadric_preserving=preserving,
             square_in_group=square_in_group,
         )
@@ -213,18 +215,18 @@ def intertwiner(lam: Character, rep: dict[Permutation, Grid],
 @dataclass(frozen=True)
 class NormalizerResult:
     order: int
-    generator_matrices: tuple[MatrixK, ...]
+    generator_matrices: tuple[Grid, ...]
     structure: dict
-    involution: MatrixK
+    involution: Grid
     intertwiners: tuple[Intertwiner, ...]
 
     def serialize(self) -> dict:
         return {
             "order": self.order,
             "hyperplane_basis": [list(r) for r in HYPERPLANE_BASIS],
-            "generators": [m.serialize() for m in self.generator_matrices],
+            "generators": [serialize_grid(m) for m in self.generator_matrices],
             "structure": self.structure,
-            "involution": self.involution.serialize(),
+            "involution": serialize_grid(self.involution),
             "intertwiners": [t.serialize() for t in self.intertwiners],
         }
 
@@ -258,7 +260,7 @@ def assemble_normalizer(g: FiniteGroup, cap: int = 400) -> NormalizerResult:
             tws.append(t)
     preserving = [t for t in tws if t.quadric_preserving and t.invertible]
     generators: list[Grid] = [rep[h] for h in g.generators]
-    generators += [t.grid() for t in preserving]
+    generators += [t.matrix for t in preserving]
     elements: dict[tuple, Grid] = {}
     ident = identity_grid(4)
     elements[canonical_projective(ident)] = ident
@@ -304,12 +306,11 @@ def assemble_normalizer(g: FiniteGroup, cap: int = 400) -> NormalizerResult:
     else:
         structure["central_involution"] = False
         structure["direct_product_c2_x_g20"] = False
-    inv_matrix = MatrixK.from_rows(involution if involution is not None else ident)
     return NormalizerResult(
         order=order,
-        generator_matrices=tuple(MatrixK.from_rows(m) for m in generators),
+        generator_matrices=tuple(generators),
         structure=structure,
-        involution=inv_matrix,
+        involution=involution if involution is not None else ident,
         intertwiners=tuple(tws),
     )
 
@@ -318,6 +319,5 @@ def involution_swaps_orbits(result: NormalizerResult,
                             orbit_a: list[ProjPoint],
                             orbit_b: list[ProjPoint]) -> bool:
     """Does the extra involution map the first point set onto the second?"""
-    m = result.involution.to_grid()
-    images = {apply_on_hyperplane(m, p) for p in orbit_a}
+    images = {apply_on_hyperplane(result.involution, p) for p in orbit_a}
     return images == set(orbit_b)

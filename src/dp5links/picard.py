@@ -25,14 +25,13 @@ from .census import (
     induced_line_permutation,
     length4_orbit_points,
 )
-from .cyclo import FieldElement, ZERO, rational
 from .groups import FiniteGroup
 from .linalg import (
+    IntGrid,
     IntLattice,
     coordinates_in_basis,
     hyperbolic_basis,
     int_rank,
-    inverse_grid,
     orthogonal_complement,
 )
 from .projgeo import ProjPoint, line_in_surface, line_through
@@ -115,15 +114,6 @@ class PicardLattice:
                 for name, m in zip(self.action_names, self.actions)
             },
         }
-
-
-@dataclass(frozen=True)
-class LatticeMorphism:
-    kind: str  # pullback | pushforward | contraction-complement
-    matrix: IntMat  # maps target coordinates into source coordinates (columns)
-
-    def apply(self, v) -> IntVec:
-        return apply_matrix(self.matrix, v)
 
 
 def apply_matrix(m, v) -> IntVec:
@@ -225,22 +215,22 @@ def reconstruct_picard(cfg: LineConfiguration, g: FiniteGroup,
             if len(meets) == 2:
                 basis_idx.append(idx)
                 break
-    v_cols = [[rational(classes[idx][r]) for idx in basis_idx] for r in range(7)]
-    v_inv = inverse_grid(v_cols)
+    basis = [classes[idx] for idx in basis_idx]
+    # column j of the inverse of the basis matrix: the coordinates of e_j
+    v_inv_cols = []
+    for j in range(7):
+        col = coordinates_in_basis(basis, [int(i == j) for i in range(7)])
+        if col is None:
+            raise InconsistentIncidence("the chosen line classes are not a lattice basis")
+        v_inv_cols.append(col)
     actions = []
     names = []
     for gen in g.generators:
         perm = induced_line_permutation(cfg, gen)
-        w_cols = [[rational(classes[perm[idx]][r]) for idx in basis_idx] for r in range(7)]
-        m_field = [
-            [
-                sum((w_cols[i][k] * v_inv[k][j] for k in range(7)), ZERO)
-                for j in range(7)
-            ]
-            for i in range(7)
-        ]
+        images = [classes[perm[idx]] for idx in basis_idx]
         m = tuple(
-            tuple(_to_int(m_field[i][j]) for j in range(7)) for i in range(7)
+            tuple(sum(img[i] * c for img, c in zip(images, col)) for col in v_inv_cols)
+            for i in range(7)
         )
         for idx in range(n):
             if apply_matrix(m, classes[idx]) != classes[perm[idx]]:
@@ -251,13 +241,6 @@ def reconstruct_picard(cfg: LineConfiguration, g: FiniteGroup,
     pic = PicardLattice(lattice, anticanonical, marked, tuple(actions), tuple(names))
     pic.check_action_invariants()
     return pic
-
-
-def _to_int(x: FieldElement) -> int:
-    q = x.as_rational()
-    if q.denominator != 1:
-        raise InconsistentIncidence(f"expected an integer, got {q}")
-    return int(q)
 
 
 # -- invariant rank and contraction --------------------------------------------
@@ -275,8 +258,12 @@ def invariant_rank(pic: PicardLattice) -> int:
     return n - int_rank(stacked)
 
 
-def contract(pic: PicardLattice, family: list[str]) -> tuple[PicardLattice, LatticeMorphism]:
-    """Blow down a g-stable orthogonal family of marked (-1)-classes."""
+def contract(pic: PicardLattice, family: list[str]) -> tuple[PicardLattice, IntGrid]:
+    """Blow down a g-stable orthogonal family of marked (-1)-classes.
+
+    Returns the target lattice and the embedding of its basis into the
+    source, one row of source coordinates per target basis vector.
+    """
     vectors = [pic.marked_vector(lab) for lab in family]
     for v in vectors:
         if pic.pair(v, v) != -1:
@@ -316,26 +303,22 @@ def contract(pic: PicardLattice, family: list[str]) -> tuple[PicardLattice, Latt
         pic.action_names,
     )
     target.check_action_invariants()
-    embedding = LatticeMorphism(
-        "contraction-complement",
-        tuple(tuple(b[i] for b in basis) for i in range(pic.rank)),
-    )
     # the embedding must be an isometry onto the complement
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
             if pic.pair(u, v) != target_lattice.gram[i][j]:
                 raise NotContractible("complement embedding is not isometric")
-    return target, embedding
+    return target, basis
 
 
-def pushforward(pic: PicardLattice, family: list[str], basis: IntMat, vector) -> IntVec:
+def pushforward(pic: PicardLattice, family: list[str], basis: IntGrid, vector) -> IntVec:
     """Image of a class under the blow-down: project along the family."""
     vectors = [pic.marked_vector(lab) for lab in family]
     v = list(vector)
     for c in vectors:
         t = pic.pair(v, c)
         v = [x + t * y for x, y in zip(v, c)]
-    coords = coordinates_in_basis([list(b) for b in basis], v)
+    coords = coordinates_in_basis(basis, v)
     if coords is None:
         raise NotContractible("the projected class does not lie in the complement")
     return tuple(coords)
@@ -348,7 +331,7 @@ def divisor_relation_check(pic: PicardLattice) -> dict:
     """The two exact divisor identities of the link, plus pushforward data."""
     e_labels = ["E1", "E2"]
     f_labels = ["L1", "L2", "L3", "L4", "L5"]
-    rank2, emb = contract(pic, f_labels)
+    rank2, basis = contract(pic, f_labels)
     hb = hyperbolic_basis(rank2.lattice, positive_against=list(rank2.anticanonical))
     if hb is None:
         raise RelationFailed("the rank-2 contraction target is not hyperbolic")
@@ -357,13 +340,13 @@ def divisor_relation_check(pic: PicardLattice) -> dict:
     if minus_k2 != tuple(rank2.anticanonical):
         raise RelationFailed("anticanonical class is not 2f1 + 2f2 in the ruling basis")
     h_down = [a + b for a, b in zip(f1, f2)]
-    sigma_h = emb.apply(h_down)
+    sigma_h = tuple(sum(c * b[i] for c, b in zip(h_down, basis)) for i in range(pic.rank))
     e1 = pic.marked_vector("E1")
     e2 = pic.marked_vector("E2")
     e_sum = tuple(a + b for a, b in zip(e1, e2))
     pullback_k5 = tuple(a + b for a, b in zip(pic.anticanonical, e_sum))
     rhs1 = tuple(2 * a - 3 * b for a, b in zip(pullback_k5, e_sum))
-    if tuple(sigma_h) != rhs1:
+    if sigma_h != rhs1:
         raise RelationFailed(
             f"sigma*(H) relation failed, difference {tuple(x - y for x, y in zip(sigma_h, rhs1))}"
         )
@@ -375,11 +358,9 @@ def divisor_relation_check(pic: PicardLattice) -> dict:
         raise RelationFailed(
             f"sum(F) relation failed, difference {tuple(x - y for x, y in zip(f_sum, rhs2))}"
         )
-    basis_rows = tuple(tuple(emb.matrix[i][j] for i in range(pic.rank))
-                       for j in range(rank2.rank))
     push_e = {}
     for lab in e_labels:
-        coords = pushforward(pic, f_labels, basis_rows, pic.marked_vector(lab))
+        coords = pushforward(pic, f_labels, basis, pic.marked_vector(lab))
         a = rank2.pair(coords, f2)  # coefficient of f1
         b = rank2.pair(coords, f1)  # coefficient of f2
         push_e[lab] = (a, b)
@@ -416,6 +397,12 @@ def _ruling_data(quadric: Surface) -> tuple[list[ProjPoint], list[dict]]:
     return pts, rulings
 
 
+def _ruling_family(rulings: list[dict], line) -> int:
+    """0 for the first ruling's family, 1 for the other: same family iff disjoint."""
+    first = rulings[0]["line"]
+    return 0 if line == first or not first.meets(line) else 1
+
+
 def ruling_blowup_check(quadric: Surface) -> dict:
     """Blowing up the length-4 orbit creates four (-2)-classes.
 
@@ -429,14 +416,7 @@ def ruling_blowup_check(quadric: Surface) -> dict:
     if len(rulings) != 4:
         raise InconsistentIncidence(f"expected 4 on-quadric pair lines, found {len(rulings)}")
     lattice = _minus_one_extension(_U_HEAD, 4, ("f1", "f2", "g1", "g2", "g3", "g4"))
-    # split the rulings into the two families: same family iff disjoint
-    first = rulings[0]
-    family_of = []
-    for r in rulings:
-        if r is first:
-            family_of.append(0)
-        else:
-            family_of.append(1 if first["line"].meets(r["line"]) else 0)
+    family_of = [_ruling_family(rulings, r["line"]) for r in rulings]
     minus_k = (2, 2, -1, -1, -1, -1)
     transforms = []
     for r, fam in zip(rulings, family_of):
@@ -587,21 +567,17 @@ def selfmap_degree(quadric: Surface, g: FiniteGroup,
     rank = 12
     labels = ("f1", "f2") + tuple(f"g{i}" for i in range(1, 6)) + tuple(f"g'{i}" for i in range(1, 6))
     lattice = _minus_one_extension(_U_HEAD, 10, labels)
-    _, rulings = _ruling_data(quadric)
-    first_line = rulings[0]["line"]
-    partition = [0 if (r is rulings[0] or not first_line.meets(r["line"])) else 1
-                 for r in rulings]
+    pts, rulings = _ruling_data(quadric)
+    partition = [_ruling_family(rulings, r["line"]) for r in rulings]
     actions = []
     swap_flags = []
     for gen in g.generators:
         # does the generator preserve the two ruling families?
-        images = []
+        img_partition = []
         for r in rulings:
-            img = line_through(gen.apply_point(length4_orbit_points()[r["points"][0]]),
-                               gen.apply_point(length4_orbit_points()[r["points"][1]]))
-            images.append(img)
-        img_partition = [0 if (img == rulings[0]["line"] or not rulings[0]["line"].meets(img)) else 1
-                         for img in images]
+            i, j = r["points"]
+            img = line_through(gen.apply_point(pts[i]), gen.apply_point(pts[j]))
+            img_partition.append(_ruling_family(rulings, img))
         swaps = img_partition != partition
         in_d10 = gen in d10
         if swaps == in_d10:

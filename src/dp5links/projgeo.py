@@ -321,7 +321,7 @@ def _line_coordinates_in_plane(line: ProjLine, plane_rows: list[list[FieldElemen
 
 
 def residual_line(cubic: HomogeneousForm, a: ProjLine, b: ProjLine,
-                  hyperplane: HomogeneousForm | None = None) -> ProjLine:
+                  hyperplane: HomogeneousForm) -> ProjLine:
     """Third line of the plane section spanned by two meeting lines.
 
     The plane through a and b cuts the cubic surface in a, b and one residual
@@ -330,9 +330,8 @@ def residual_line(cubic: HomogeneousForm, a: ProjLine, b: ProjLine,
     """
     if a == b:
         raise ValueError("the two lines must be distinct")
-    checks = [cubic] if hyperplane is None else [cubic, hyperplane]
     for line in (a, b):
-        if not all(line_in_surface(line, f) for f in checks):
+        if not (line_in_surface(line, cubic) and line_in_surface(line, hyperplane)):
             raise NotOnSurface(f"line {line!r} is not on the surface")
     stacked = [list(r) for r in a.basis] + [list(r) for r in b.basis]
     red, pivots = rref(stacked)

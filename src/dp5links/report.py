@@ -121,10 +121,6 @@ class Context:
 
 # -- verbatim point lists -------------------------------------------------------
 
-def _verbatim_orbit4() -> list[ProjPoint]:
-    return length4_orbit_points()
-
-
 def _verbatim_orbit5() -> dict[str, list[ProjPoint]]:
     i = I_UNIT
     o1 = [
@@ -208,7 +204,7 @@ def check_clebsch_orbit4(ctx: Context) -> dict:
     orbits = ctx.clebsch_census.orbits_by_length.get(4, [])
     _require(len(orbits) == 1, f"expected one length-4 orbit, found {len(orbits)}")
     _require(
-        _points_equal(orbits[0], _verbatim_orbit4()),
+        _points_equal(orbits[0], length4_orbit_points()),
         "length-4 orbit does not match the verbatim eigenpoint list",
     )
     _, stab = orbit_and_stabilizer(ctx.g20, orbits[0][0])
@@ -327,7 +323,7 @@ def check_quadric_census(ctx: Context) -> dict:
     _require(lengths == {4: 1, 5: 2}, f"census lengths {lengths} != {{4: 1, 5: 2}}")
     orbit4 = ctx.quadric_census.orbits_by_length[4][0]
     _require(
-        _points_equal(orbit4, _verbatim_orbit4()),
+        _points_equal(orbit4, length4_orbit_points()),
         "the length-4 orbit on the quadric must reuse the cubic's eigenpoint orbit",
     )
     k1, k2 = ctx.quadric_orbits5()
@@ -486,8 +482,8 @@ def check_dp5_orbit_descent(ctx: Context) -> dict:
     on_e2 = [a + 1 for a, p in enumerate(pts) if e2.contains(p)]
     _require(on_e1 == [1, 4], f"E1 contains orbit points {on_e1}, expected [1, 4]")
     _require(on_e2 == [2, 3], f"E2 contains orbit points {on_e2}, expected [2, 3]")
-    orbit_sizes = {len(o) for o in line_orbits(ctx.cfg, ctx.g20)}
-    two_orbit = [o for o in line_orbits(ctx.cfg, ctx.g20) if len(o) == 2]
+    orbits = line_orbits(ctx.cfg, ctx.g20)
+    two_orbit = [o for o in orbits if len(o) == 2]
     _require(len(two_orbit) == 1, "the E-lines must form the unique size-2 line orbit")
     labels = sorted(ctx.cfg.labels[i] for i in two_orbit[0])
     _require(labels == ["E1", "E2"], f"size-2 line orbit is {labels}")
@@ -499,7 +495,7 @@ def check_dp5_orbit_descent(ctx: Context) -> dict:
         "length_three_excluded": "3 does not divide 20",
         "conclusion": "the unique orbit of length < 5 downstairs is the length-2 "
                       "image of the contracted pair",
-        "line_orbit_sizes": sorted(orbit_sizes),
+        "line_orbit_sizes": sorted({len(o) for o in orbits}),
     }
 
 

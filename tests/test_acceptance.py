@@ -17,7 +17,6 @@ from dp5links.cyclo import (
     ONE,
     ZERO,
     ZETA5,
-    field_arith,
     galois_apply,
     rational,
 )
@@ -217,7 +216,7 @@ def test_criterion_10a_field_axioms_thousand_samples():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         if not a.is_zero():
-            assert a * field_arith("div", ONE, a) == ONE
+            assert a * (ONE / a) == ONE
         for k in (3, 19):
             assert galois_apply(k, a * b) == galois_apply(k, a) * galois_apply(k, b)
             assert galois_apply(k, a + b) == galois_apply(k, a) + galois_apply(k, b)

@@ -92,7 +92,7 @@ def test_census_completeness_against_raw_fixed_loci(clebsch, clebsch_census, g20
     for q in (4, 5, 10, 20):
         for cls in subgroups_of_order(g20, q):
             for h in cls:
-                for comp in fixed_locus(h, restrict_to_hyperplane=True):
+                for comp in fixed_locus(h):
                     if comp.projective_dimension != 0:
                         continue
                     p = comp.point()

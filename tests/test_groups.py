@@ -183,7 +183,7 @@ def test_classical_point_lists_come_out_verbatim():
 
 def test_fixed_locus_of_the_order4_subgroup_is_r1_to_r4():
     c4 = standard_groups()["C4"]
-    comps = fixed_locus(c4, restrict_to_hyperplane=True)
+    comps = fixed_locus(c4)
     assert len(comps) == 4
     assert all(c.projective_dimension == 0 for c in comps)
     points = sorted((c.point() for c in comps), key=ProjPoint.sort_key)
@@ -199,8 +199,8 @@ def test_fixed_locus_of_the_order4_subgroup_is_r1_to_r4():
 
 def test_fixed_locus_d10_empty_and_trivial_group_full():
     gs = standard_groups()
-    assert fixed_locus(gs["D10"], restrict_to_hyperplane=True) == []
-    comps = fixed_locus(subgroup_closure([]), restrict_to_hyperplane=True)
+    assert fixed_locus(gs["D10"]) == []
+    comps = fixed_locus(subgroup_closure([]))
     assert len(comps) == 1
     assert comps[0].projective_dimension == 3
     assert comps[0].positive_dimensional
@@ -210,7 +210,7 @@ def test_fixed_locus_points_are_genuinely_fixed():
     gs = standard_groups()
     for name in ("C4", "C5"):
         h = gs[name]
-        for comp in fixed_locus(h, restrict_to_hyperplane=True):
+        for comp in fixed_locus(h):
             vectors = [list(v) for v in comp.basis]
             generic = [sum(col, ZERO) for col in zip(*vectors)]
             for v in vectors + [generic]:
@@ -222,20 +222,11 @@ def test_fixed_locus_points_are_genuinely_fixed():
 def test_conjugation_permutes_fixed_loci():
     gs = standard_groups()
     g20, c4 = gs["G20"], gs["C4"]
-    base_points = {c.point() for c in fixed_locus(c4, True)}
+    base_points = {c.point() for c in fixed_locus(c4)}
     for el in g20.elements:
         conj = conjugate_subgroup(el, c4)
-        conj_points = {c.point() for c in fixed_locus(conj, True)}
+        conj_points = {c.point() for c in fixed_locus(conj)}
         assert conj_points == {el.apply_point(p) for p in base_points}
-
-
-def test_unrestricted_fixed_locus_of_five_cycle():
-    c5 = standard_groups()["C5"]
-    comps = fixed_locus(c5, restrict_to_hyperplane=False)
-    assert len(comps) == 5
-    assert all(c.projective_dimension == 0 for c in comps)
-    restricted = fixed_locus(c5, restrict_to_hyperplane=True)
-    assert len(restricted) == 4  # the all-ones eigenvector is cut away
 
 
 def test_group_serialization():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 
 from dp5links.cyclo import I_UNIT, ONE, ZERO, ZETA5, rational
 from dp5links import linalg
@@ -9,16 +10,13 @@ from dp5links.linalg import (
     DependentClasses,
     IncompleteEigenspaces,
     IntLattice,
-    MatrixK,
     UnsupportedEigenvalue,
     coordinates_in_basis,
-    determinant,
     eigenspaces_of_permutation,
     hyperbolic_basis,
     int_kernel,
     int_rank,
     intersect_spans,
-    inverse_grid,
     kernel_basis,
     orthogonal_complement,
     permutation_matrix,
@@ -146,10 +144,9 @@ def test_smith_normal_form_properties():
         for a, b in zip(diag, diag[1:]):
             if a and b:
                 assert b % a == 0
-        # unimodularity via exact rational determinant
+        # unimodularity via sympy's exact determinant
         for sq in (u, v):
-            g = [[rational(x) for x in row] for row in sq]
-            assert determinant(g).as_rational() in (1, -1)
+            assert sympy.Matrix(sq).det() in (1, -1)
         for k in int_kernel(m):
             assert all(sum(m[i][j] * k[j] for j in range(nc)) == 0 for i in range(nr))
 
@@ -212,13 +209,26 @@ def test_intlattice_serialization_round_trip():
         IntLattice.from_gram([[0, 1], [2, 0]])
 
 
-def test_matrixk_round_trip_and_inverse():
-    m = MatrixK.from_rows([[ONE, ZETA5], [ZERO, ONE]])
-    grid = m.to_grid()
-    inv = inverse_grid(grid)
-    prod = [[sum((grid[i][k] * inv[k][j] for k in range(2)), ZERO) for j in range(2)]
-            for i in range(2)]
-    assert prod == [[ONE, ZERO], [ZERO, ONE]]
+def test_unit_vector_coordinates_invert_a_lattice_basis():
+    basis = [[1, 2, 0], [0, 1, 3], [1, 0, -5]]  # rows, determinant 1
+    cols = [coordinates_in_basis(basis, unit(j, 3)) for j in range(3)]
+    # column j of the inverse holds the coordinates of e_j: B^T C = I
+    for i in range(3):
+        for j in range(3):
+            assert sum(b[i] * c for b, c in zip(basis, cols[j])) == int(i == j)
+    # a basis of index 2 leaves some e_j without integer coordinates
+    doubled = [[2 * x for x in basis[0]]] + basis[1:]
+    assert None in [coordinates_in_basis(doubled, unit(j, 3)) for j in range(3)]
+
+
+def test_hyperbolic_basis_outside_the_old_search_box():
+    # the isotropic vector (13, 1) has a coordinate beyond |x| <= 12
+    lat = IntLattice.from_gram([[0, 1], [1, -26]])
+    u, v = hyperbolic_basis(lat)
+    assert lat.pair(u, u) == 0 and lat.pair(v, v) == 0 and lat.pair(u, v) == 1
+    assert sorted(map(abs, u + v)) == [0, 1, 1, 13]
+    assert hyperbolic_basis(IntLattice.from_gram([[1, 0], [0, -2]])) is None  # 2 not a square
+    assert hyperbolic_basis(IntLattice.from_gram([[0, 0], [0, 0]])) is None
 
 
 def test_intersect_spans():

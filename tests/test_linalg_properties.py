@@ -1,16 +1,20 @@
-"""Property tests of integer coordinates in a lattice basis against sympy over QQ.
+"""Property tests of the integer-lattice routines against independent oracles.
 
-Bases are the first k rows of a random unimodular matrix, so they are
-saturated, and the remaining rows give vectors outside their span.
+Coordinates in a lattice basis and integer ranks are checked against sympy
+over QQ.  Bases are the first k rows of a random unimodular matrix, so they
+are saturated, and the remaining rows give vectors outside their span.  The
+hyperbolic basis is checked against a brute-force search over a box.
 """
 
+import itertools
+import math
 from datetime import timedelta
 
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dp5links.linalg import coordinates_in_basis
+from dp5links.linalg import IntLattice, coordinates_in_basis, hyperbolic_basis, int_rank
 
 checked = settings(deadline=timedelta(milliseconds=2000), max_examples=100)
 
@@ -73,3 +77,36 @@ def test_vectors_outside_the_span_give_none(data, m):
     v = [a + m * b for a, b in zip(combination(coeffs, basis), complement[0])]
     assert coordinates_in_basis(basis, v) is None
     assert oracle(basis, v) is None
+
+
+@checked
+@given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), min_size=1, max_size=6)))
+def test_int_rank_matches_sympy(m):
+    assert int_rank(m) == sympy.Matrix(m).rank()
+
+
+def box_hyperbolic_basis(lattice, positive_against=None, bound=12):
+    """Search every primitive vector with coordinates in [-bound, bound]."""
+    isotropic = [list(v) for v in itertools.product(range(-bound, bound + 1), repeat=2)
+                 if math.gcd(*v) == 1 and lattice.pair(v, v) == 0]
+    for u in isotropic:
+        for v in isotropic:
+            if lattice.pair(u, v) == 1:
+                if positive_against is not None and (
+                        lattice.pair(u, positive_against) <= 0
+                        or lattice.pair(v, positive_against) <= 0):
+                    continue
+                return u, v
+    return None
+
+
+small = st.integers(-6, 6)
+
+
+@checked
+@given(small, small, small, st.none() | st.lists(small, min_size=2, max_size=2))
+def test_hyperbolic_basis_matches_the_box_search(a, b, c, positive_against):
+    lattice = IntLattice.from_gram([[a, b], [b, c]])
+    assert hyperbolic_basis(lattice, positive_against) == box_hyperbolic_basis(
+        lattice, positive_against)

@@ -69,11 +69,11 @@ def test_intertwiners_for_all_four_characters(g20):
     # trivial character: projectively the identity (Schur)
     trivial = by_order[1][0]
     ident = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
-    assert canonical_projective(trivial.grid()) == canonical_projective(ident)
+    assert canonical_projective(trivial.matrix) == canonical_projective(ident)
     # order-2 character: T^2 scalar, preserves the quadratic form
     invol = by_order[2][0]
     assert invol.quadric_preserving
-    square = mat_mul(invol.grid(), invol.grid())
+    square = mat_mul(invol.matrix, invol.matrix)
     scalar = square[0][0]
     assert not scalar.is_zero()
     for i in range(4):
@@ -88,7 +88,7 @@ def test_intertwiners_for_all_four_characters(g20):
 def test_intertwining_identity_holds_for_every_element(g20):
     rep = restricted_representation(g20)
     lam = [c for c in characters_of_g20(g20) if c.order() == 2][0]
-    t = intertwiner(lam, rep, g20).grid()
+    t = intertwiner(lam, rep, g20).matrix
     for h in g20.elements:
         lhs = mat_mul(t, rep[h])
         rhs = [[lam(h) * x for x in row] for row in mat_mul(rep[h], t)]
@@ -137,7 +137,7 @@ def test_outer_product_average_equals_conjugated_seed_average(g20):
                         total[i][j] = total[i][j] + lam(h) * term[i][j]
             if any(not x.is_zero() for row in total for x in row):
                 break
-        assert intertwiner(lam, rep, g20).grid() == total
+        assert intertwiner(lam, rep, g20).matrix == total
 
 
 def test_restricted_representation_refuses_a_vector_off_the_hyperplane(g20, monkeypatch):
@@ -179,12 +179,12 @@ def test_involution_swaps_the_two_length5_orbits(normalizer_result, quadric_cens
 def test_involution_is_not_a_represented_element(normalizer_result, g20):
     rep = restricted_representation(g20)
     group_classes = {canonical_projective(rep[h]) for h in g20.elements}
-    assert canonical_projective(normalizer_result.involution.to_grid()) not in group_classes
+    assert canonical_projective(normalizer_result.involution) not in group_classes
 
 
 def test_involution_preserves_the_quadric_pointwise_sample(
         normalizer_result, quadric, quadric_census):
-    m = normalizer_result.involution.to_grid()
+    m = normalizer_result.involution
     samples = [p for orbits in quadric_census.orbits_by_length.values()
                for orbit in orbits for p in orbit]
     # extend the sample to 20 quadric points using the rulings
