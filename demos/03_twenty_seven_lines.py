@@ -3,8 +3,9 @@
 Fifteen lines have closed-form equations x_a + x_b = x_c + x_d = 0.  Two more
 join opposite points of the length-4 orbit.  Every further line is the third
 component of a plane section through two known meeting lines, an exact
-polynomial division.  The invariant skew families of the result are the two
-extremal contractions of the surface.
+polynomial division, or the image of such a line under the group.  The
+invariant skew families of the result are the two extremal contractions of
+the surface.
 """
 
 from dp5links import (
@@ -16,7 +17,8 @@ from dp5links import (
 from dp5links.census import line_orbits
 
 clebsch = clebsch_surface()
-cfg = lines27(clebsch)
+g20 = standard_groups()["G20"]
+cfg = lines27(clebsch, g20)
 print("lines found:", len(cfg.lines))
 print("provenance: ",
       {tag: cfg.tags.count(tag) for tag in ("coordinate", "pair-line", "residuation")})
@@ -28,7 +30,6 @@ for k in range(1, 6):
     line = cfg.by_label(lab)
     print(f"  {lab}: reduced echelon basis {line.basis[0]} / {line.basis[1]}")
 
-g20 = standard_groups()["G20"]
 orbits = line_orbits(cfg, g20)
 print("\nline orbit sizes under the group:", sorted(len(o) for o in orbits))
 

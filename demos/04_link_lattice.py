@@ -23,7 +23,7 @@ from dp5links import (
 
 groups = standard_groups()
 g20, d10 = groups["G20"], groups["D10"]
-cfg = lines27(clebsch_surface())
+cfg = lines27(clebsch_surface(), g20)
 pic = reconstruct_picard(cfg, g20)
 print("cubic lattice: rank", pic.rank, " (-K)^2 =", pic.degree(),
       " invariant rank =", invariant_rank(pic))

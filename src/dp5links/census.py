@@ -9,9 +9,10 @@ so enumerating subgroups and their fixed loci is exhaustive over the complex
 numbers, not merely over the field of definition.
 
 The 27-line enumeration is seeded with closed-form lines and completed by
-tritangent-plane residuation, which is exact polynomial division; no
-polynomial system is ever solved, and each of the 45 tritangent planes is
-residuated once.
+tritangent-plane residuation, which is exact polynomial division, and by
+transport under the coordinate permutations that fix the surface; no
+polynomial system is ever solved.  A tritangent plane is residuated at most
+once, and the closure stops at 27 lines, all a smooth cubic surface carries.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ class LineConfiguration:
 
     @cached_property
     def _permutations(self) -> dict[Permutation, tuple[int, ...]]:
-        """induced_line_permutation results, filled on first request."""
+        """induced_line_permutation results, filled by lines27 and on request."""
         return {}
 
     def serialize(self) -> dict:
@@ -242,12 +243,36 @@ def _contraction_line_label(single: int, pairs) -> str | None:
     return f"L{single + 1}" if want == have else None
 
 
-def lines27(s: Surface) -> LineConfiguration:
+def _preserving_generators(s: Surface, g: FiniteGroup) -> tuple[Permutation, ...]:
+    """The generators of g whose coordinate permutation fixes both forms of s."""
+    def fixes(p: Permutation, f: HomogeneousForm) -> bool:
+        return {tuple(p.apply_vector(m)): c for m, c in f.coeffs} == dict(f.coeffs)
+
+    return tuple(p for p in g.generators if fixes(p, s.hyperplane) and fixes(p, s.form))
+
+
+def _transport(line: ProjLine, p: Permutation) -> ProjLine:
+    """Image of a line under a coordinate permutation."""
+    return ProjLine.span(p.apply_vector(line.basis[0]), p.apply_vector(line.basis[1]))
+
+
+def lines27(s: Surface, g: FiniteGroup) -> LineConfiguration:
     """All 27 lines by seeded residuation closure, with exact incidence.
 
     Seeds are the 15 coordinate lines plus those pair-lines of the length-4
     orbit that actually lie on the cubic (exactly two do; the other four lie
-    on the quadric instead and are rejected by the on-surface filter).
+    on the quadric instead and are rejected by the on-surface filter).  Every
+    other line is tagged "residuation": it is the residual line of a
+    tritangent plane, or its image under a generator of g that fixes both
+    forms of s (such a permutation maps lines of s to lines of s).  The
+    closure stops at 27 lines, which is sound because a smooth cubic surface
+    carries exactly 27 (Cayley-Salmon) and the smoothness of the cubic is
+    certified separately: 27 distinct lines on s are all of them.
+
+    The incidence is decided once per orbit of line pairs under those
+    generators: a coordinate permutation is a linear automorphism of P^4, so
+    it maps meeting pairs to meeting pairs.  The generators' permutations of
+    the lines are kept on the returned configuration.
     """
     if s.degree != 3:
         raise UnsupportedShape("line enumeration expects a cubic surface")
@@ -271,16 +296,26 @@ def lines27(s: Surface) -> LineConfiguration:
     lines = list(tags)
     if len(lines) < 2:
         raise EnumerationIncomplete("need at least two starting lines on the surface")
+    gens = _preserving_generators(s, g)
+    index = {line: k for k, line in enumerate(lines)}
+    # images[a][i]: index of the image of line i under gens[a], once known
+    images: list[dict[int, int]] = [{} for _ in gens]
+
+    def add(line: ProjLine) -> int:
+        index[line] = len(lines)
+        lines.append(line)
+        tags[line] = "residuation"
+        return index[line]
+
     # residuation closure: each unordered pair (i, j), i < j, is decided once.
     # A meeting pair spans a tritangent plane holding its residual k, so the
     # pairs (i, k) and (j, k) meet too, and their residuals j and i are known.
-    index = {line: k for k, line in enumerate(lines)}
     meets: dict[tuple[int, int], bool] = {}
 
     def pair(a: int, b: int) -> tuple[int, int]:
         return (a, b) if a < b else (b, a)
 
-    while len(lines) <= 27:
+    while len(lines) < 27:
         todo = [
             ij for ij in itertools.combinations(range(len(lines)), 2)
             if ij not in meets
@@ -294,13 +329,44 @@ def lines27(s: Surface) -> LineConfiguration:
             if not meets[(i, j)]:
                 continue
             c = residual_line(s.form, lines[i], lines[j], s.hyperplane)
-            k = index.setdefault(c, len(lines))
-            if k == len(lines):
-                lines.append(c)
-                tags[c] = "residuation"
+            k = index.get(c)
+            if k is None:
+                # a new line brings its orbit under gens, in discovery order
+                k = t = add(c)
+                while t < len(lines):
+                    for a, p in enumerate(gens):
+                        image = _transport(lines[t], p)
+                        images[a][t] = index[image] if image in index else add(image)
+                    t += 1
             meets[pair(i, k)] = meets[pair(j, k)] = True
+            if len(lines) >= 27:
+                break
     if len(lines) != 27:
-        raise EnumerationIncomplete(f"closure stabilized at {len(lines)} lines, expected 27")
+        raise EnumerationIncomplete(f"closure stopped at {len(lines)} lines, expected 27")
+    for p, perm in zip(gens, images):
+        for t in range(27):
+            if t not in perm:
+                k = index.get(_transport(lines[t], p))
+                if k is None:
+                    raise ActionNotClosed(f"{p.to_cycles()} maps a line outside the configuration")
+                perm[t] = k
+    # one decision per orbit of pairs: a pair the closure decided, else a meets call
+    for i, j in itertools.combinations(range(27), 2):
+        if (i, j) in meets:
+            continue
+        orbit = {(i, j)}
+        queue = [(i, j)]
+        while queue:
+            a, b = queue.pop()
+            for perm in images:
+                q = pair(perm[a], perm[b])
+                if q not in orbit:
+                    orbit.add(q)
+                    queue.append(q)
+        known = next((meets[q] for q in orbit if q in meets), None)
+        value = lines[i].meets(lines[j]) if known is None else known
+        for q in orbit:
+            meets[q] = value
     # canonical order: the five contraction lines, other coordinate lines, pair lines, residuals
     def label_for(line: ProjLine) -> tuple[int, str]:
         tag = tags[line]
@@ -328,12 +394,16 @@ def lines27(s: Surface) -> LineConfiguration:
         else:
             r_count += 1
             labels.append(f"R{r_count}")
-    # every pair of the 27 lines was decided by the closure
     pos = [index[line] for line in keyed]
     incidence = tuple(
         tuple(int(a != b and meets[pair(a, b)]) for b in pos) for a in pos
     )
-    return LineConfiguration(s.name, tuple(keyed), tuple(labels), tuple(tags[l] for l in keyed), incidence)
+    cfg = LineConfiguration(s.name, tuple(keyed), tuple(labels), tuple(tags[l] for l in keyed),
+                            incidence)
+    where = {k: c for c, k in enumerate(pos)}
+    for p, perm in zip(gens, images):
+        cfg._permutations[p] = tuple(where[perm[k]] for k in pos)
+    return cfg
 
 
 def induced_line_permutation(cfg: LineConfiguration, g: Permutation) -> tuple[int, ...]:
@@ -346,9 +416,7 @@ def induced_line_permutation(cfg: LineConfiguration, g: Permutation) -> tuple[in
         index = {line: i for i, line in enumerate(cfg.lines)}
         out = []
         for line in cfg.lines:
-            image = ProjLine.span(g.apply_vector(list(line.basis[0])),
-                                  g.apply_vector(list(line.basis[1])))
-            k = index.get(image)
+            k = index.get(_transport(line, g))
             if k is None:
                 raise ActionNotClosed(f"{g.to_cycles()} maps a line outside the configuration")
             out.append(k)

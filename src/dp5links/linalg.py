@@ -442,13 +442,32 @@ def orthogonal_complement(
     return IntLattice.from_gram(gram, labels), basis
 
 
-def coordinates_in_basis(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> list[int] | None:
-    """Integer coordinates of vector in the given saturated basis, else None."""
-    cols = [[rational(b[i]) for b in basis] for i in range(len(vector))]
-    sol = solve(cols, [rational(x) for x in vector])
-    if sol is None or any(x.den != 1 for x in sol):
-        return None
-    return [x.num[0] for x in sol]
+def coordinates_in_basis(basis: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]
+                         ) -> list[list[int] | None]:
+    """Integer coordinates of each vector in the given saturated basis, or None.
+
+    One elimination serves the whole batch: the basis vectors are the first
+    columns and each vector one more column.  The rows without a basis pivot
+    hold the part of a vector outside the span.  Row operations among them
+    leave a column that is zero there unchanged, so a vector in the span
+    keeps its coordinates whatever the other vectors are.
+    """
+    m = len(basis)
+    grid = [[rational(b[i]) for b in basis] + [rational(v[i]) for v in vectors]
+            for i in range(len(basis[0]))]
+    red, pivots = rref(grid)
+    r = sum(1 for p in pivots if p < m)
+    out: list[list[int] | None] = []
+    for k in range(m, m + len(vectors)):
+        column = [row[k] for row in red]
+        if any(not c.is_zero() for c in column[r:]) or any(c.den != 1 for c in column[:r]):
+            out.append(None)
+            continue
+        x = [0] * m
+        for i, p in enumerate(pivots[:r]):
+            x[p] = column[i].num[0]
+        out.append(x)
+    return out
 
 
 def hyperbolic_basis(lattice: IntLattice, positive_against: Sequence[int] | None = None

@@ -280,7 +280,9 @@ def assemble_normalizer(g: FiniteGroup, cap: int = 400) -> NormalizerResult:
     order = len(elements)
     ident_key = canonical_projective(ident)
     # central involution: projectively order 2, commutes with the whole
-    # represented group, not itself a represented element
+    # represented group, not itself a represented element.  Commuting with
+    # rep(a) and rep(b) projectively implies commuting with rep(ab), so the
+    # generators suffice.
     involution = None
     for key, m in sorted(elements.items()):
         if key in group_classes:
@@ -289,7 +291,7 @@ def assemble_normalizer(g: FiniteGroup, cap: int = 400) -> NormalizerResult:
             continue
         if all(
             canonical_projective(mat_mul(m, rep[h])) == canonical_projective(mat_mul(rep[h], m))
-            for h in g.elements
+            for h in g.generators
         ):
             involution = m
             break

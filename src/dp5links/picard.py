@@ -217,12 +217,9 @@ def reconstruct_picard(cfg: LineConfiguration, g: FiniteGroup,
                 break
     basis = [classes[idx] for idx in basis_idx]
     # column j of the inverse of the basis matrix: the coordinates of e_j
-    v_inv_cols = []
-    for j in range(7):
-        col = coordinates_in_basis(basis, [int(i == j) for i in range(7)])
-        if col is None:
-            raise InconsistentIncidence("the chosen line classes are not a lattice basis")
-        v_inv_cols.append(col)
+    v_inv_cols = coordinates_in_basis(basis, [[int(i == j) for i in range(7)] for j in range(7)])
+    if None in v_inv_cols:
+        raise InconsistentIncidence("the chosen line classes are not a lattice basis")
     actions = []
     names = []
     for gen in g.generators:
@@ -280,18 +277,14 @@ def contract(pic: PicardLattice, family: list[str]) -> tuple[PicardLattice, IntG
     target_lattice, basis = orthogonal_complement(pic.lattice, vectors, comp_labels)
     src_k = list(pic.anticanonical)
     shifted = [a + sum(v[i] for v in vectors) for i, a in enumerate(src_k)]
-    k_coords = coordinates_in_basis(basis, shifted)
+    k_coords = coordinates_in_basis(basis, [shifted])[0]
     if k_coords is None:
         raise NotContractible("-K + sum(family) does not lie in the complement")
     target_actions = []
     for m in pic.actions:
-        cols = []
-        for b in basis:
-            img = apply_matrix(m, b)
-            c = coordinates_in_basis(basis, list(img))
-            if c is None:
-                raise NotContractible("the group action does not preserve the complement")
-            cols.append(c)
+        cols = coordinates_in_basis(basis, [apply_matrix(m, b) for b in basis])
+        if None in cols:
+            raise NotContractible("the group action does not preserve the complement")
         target_actions.append(tuple(
             tuple(cols[j][i] for j in range(len(basis))) for i in range(len(basis))
         ))
@@ -318,7 +311,7 @@ def pushforward(pic: PicardLattice, family: list[str], basis: IntGrid, vector) -
     for c in vectors:
         t = pic.pair(v, c)
         v = [x + t * y for x, y in zip(v, c)]
-    coords = coordinates_in_basis(basis, v)
+    coords = coordinates_in_basis(basis, [v])[0]
     if coords is None:
         raise NotContractible("the projected class does not lie in the complement")
     return tuple(coords)

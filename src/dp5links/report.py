@@ -97,7 +97,7 @@ class Context:
 
     @cached_property
     def cfg(self):
-        return lines27(self.clebsch)
+        return lines27(self.clebsch, self.g20)
 
     @cached_property
     def pic(self):

@@ -33,8 +33,8 @@ def quadric():
 
 
 @pytest.fixture(scope="session")
-def cfg(clebsch):
-    return lines27(clebsch)
+def cfg(clebsch, g20):
+    return lines27(clebsch, g20)
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,13 @@ from dp5links.census import (
     smoothness_check,
 )
 from dp5links.cyclo import I_UNIT, ONE, rational
-from dp5links.groups import fixed_locus, orbit_and_stabilizer, subgroups_of_order
+from dp5links.groups import (
+    Permutation,
+    fixed_locus,
+    orbit_and_stabilizer,
+    subgroup_closure,
+    subgroups_of_order,
+)
 from dp5links.projgeo import (
     HomogeneousForm,
     ProjLine,
@@ -120,7 +126,7 @@ def test_lines27_basics(cfg, clebsch):
     assert cfg.tags.count("residuation") == 10
 
 
-def test_lines27_residuates_once_per_tritangent_plane(clebsch, cfg, monkeypatch):
+def test_lines27_residuates_once_per_tritangent_plane(clebsch, cfg, g20, monkeypatch):
     import dp5links.census as census
     from dp5links.projgeo import ProjLine
 
@@ -138,16 +144,49 @@ def test_lines27_residuates_once_per_tritangent_plane(clebsch, cfg, monkeypatch)
 
     monkeypatch.setattr(census, "residual_line", residual)
     monkeypatch.setattr(ProjLine, "meets", meets)
-    fresh = lines27(clebsch)
+    fresh = lines27(clebsch, g20)
     monkeypatch.undo()
-    # a smooth cubic has 45 tritangent planes; each is residuated once, and
-    # its other two meeting pairs are decided without a meets call
-    assert len(planes) == 45 and len(set(planes)) == 45
-    assert len(meets_calls) == len(set(meets_calls)) == 27 * 26 // 2 - 2 * 45
+    # the seeds are G20-stable, and the first new residual brings its orbit of
+    # 10 lines; the incidence costs one meets call per undecided pair orbit
+    assert len(planes) == len(set(planes)) == 8
+    assert len(meets_calls) == len(set(meets_calls)) == 50
     # the closure-built incidence equals a fresh pairwise recomputation
     assert fresh == cfg
     for i, j in itertools.combinations(range(27), 2):
         assert fresh.incidence[i][j] == int(fresh.lines[i].meets(fresh.lines[j]))
+    # the generators' permutations it keeps are those a bare configuration computes
+    bare = LineConfiguration(cfg.surface, cfg.lines, cfg.labels, cfg.tags, cfg.incidence)
+    assert set(fresh._permutations) == set(g20.generators)
+    for el in g20.generators:
+        assert fresh._permutations[el] == induced_line_permutation(bare, el)
+
+
+def test_lines27_under_the_trivial_group_is_pure_residuation(clebsch, cfg, g20, monkeypatch):
+    residuals = []
+    real = census.residual_line
+    monkeypatch.setattr(census, "residual_line", lambda *a: residuals.append(a) or real(*a))
+    trivial = subgroup_closure([])
+    assert census._preserving_generators(clebsch, trivial) == ()
+    plain = lines27(clebsch, trivial)
+    assert plain == cfg
+    assert plain._permutations == {}
+    assert len(residuals) == 25
+
+
+def test_lines27_skips_a_generator_that_moves_a_form(clebsch, cfg, g20):
+    # sum x_i^3 + x_0^2 * sum x_i is the Clebsch cubic on the hyperplane, so
+    # the lines are the same; but of the two generators only (2354), which
+    # fixes x_0, fixes the form itself
+    extra = [(tuple(2 * (k == 0) + (k == i) for k in range(5)), ONE) for i in range(5)]
+    form = HomogeneousForm.of(5, 3, list(clebsch.form.coeffs) + extra)
+    tilted = Surface(clebsch.name, clebsch.hyperplane, form)
+    c4 = Permutation.from_cycles("(2354)")
+    assert census._preserving_generators(clebsch, g20) == g20.generators
+    assert census._preserving_generators(tilted, g20) == (c4,)
+    fresh = lines27(tilted, g20)
+    assert fresh == cfg
+    assert set(fresh._permutations) == {c4}
+    assert fresh._permutations[c4] == cfg._permutations[c4]
 
 
 def test_lines27_group_action_closes(cfg, g20):
@@ -209,14 +248,15 @@ def test_skew_families(families, cfg):
         assert cfg.incidence[e2][lk] == 1
 
 
-def test_lines27_closure_failure_reports():
+def test_lines27_closure_failure_reports(g20):
     # x0^3 + x1^3 + x2^3 + x3^3 + 2 x4^3: only three coordinate lines survive,
     # they are coplanar, and residuation cannot escape the plane
     terms = {tuple(3 if i == j else 0 for i in range(5)): (rational(2) if j == 4 else ONE)
              for j in range(5)}
     lopsided = Surface("lopsided", power_sum_form(5, 1), HomogeneousForm.of(5, 3, terms))
+    assert census._preserving_generators(lopsided, g20) == ()
     with pytest.raises(EnumerationIncomplete):
-        lines27(lopsided)
+        lines27(lopsided, g20)
 
 
 def test_general_position_of_k1(quadric, quadric_census):

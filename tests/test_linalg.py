@@ -169,7 +169,7 @@ def test_orthogonal_complement_of_quintuple_is_hyperbolic():
     assert comp.rank == 2
     minus_k = [3, -1, -1, -1, -1, -1, -1]
     shifted = [k + sum(c[i] for c in classes) for i, k in enumerate(minus_k)]
-    coords = coordinates_in_basis(basis, shifted)
+    [coords] = coordinates_in_basis(basis, [shifted])
     assert coords is not None
     assert comp.pair(coords, coords) == 8
     hb = hyperbolic_basis(comp, positive_against=coords)
@@ -211,14 +211,14 @@ def test_intlattice_serialization_round_trip():
 
 def test_unit_vector_coordinates_invert_a_lattice_basis():
     basis = [[1, 2, 0], [0, 1, 3], [1, 0, -5]]  # rows, determinant 1
-    cols = [coordinates_in_basis(basis, unit(j, 3)) for j in range(3)]
+    cols = coordinates_in_basis(basis, [unit(j, 3) for j in range(3)])
     # column j of the inverse holds the coordinates of e_j: B^T C = I
     for i in range(3):
         for j in range(3):
             assert sum(b[i] * c for b, c in zip(basis, cols[j])) == int(i == j)
     # a basis of index 2 leaves some e_j without integer coordinates
     doubled = [[2 * x for x in basis[0]]] + basis[1:]
-    assert None in [coordinates_in_basis(doubled, unit(j, 3)) for j in range(3)]
+    assert None in coordinates_in_basis(doubled, [unit(j, 3) for j in range(3)])
 
 
 def test_hyperbolic_basis_outside_the_old_search_box():

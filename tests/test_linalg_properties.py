@@ -1,7 +1,7 @@
 """Property tests of the integer-lattice routines against independent oracles.
 
-Coordinates in a lattice basis and integer ranks are checked against sympy
-over QQ.  Bases are the first k rows of a random unimodular matrix, so they
+Coordinates in a lattice basis, one vector or a mixed batch at a time, and
+integer ranks are checked against sympy over QQ.  Bases are the first k rows of a random unimodular matrix, so they
 are saturated, and the remaining rows give vectors outside their span.  The
 hyperbolic basis is checked against a brute-force search over a box.
 """
@@ -52,7 +52,7 @@ def oracle(basis, vector):
 def test_integer_combinations_get_their_coordinates(data):
     basis, _, coeffs = data
     v = combination(coeffs, basis)
-    assert coordinates_in_basis(basis, v) == coeffs
+    assert coordinates_in_basis(basis, [v]) == [coeffs]
     assert oracle(basis, v) == coeffs
 
 
@@ -65,7 +65,7 @@ def test_non_integral_combinations_give_none(data, draw):
     coeffs[j] = d * coeffs[j] + draw.draw(st.integers(1, d - 1))
     v = combination(coeffs, basis)
     scaled = [[d * x for x in row] if i == j else row for i, row in enumerate(basis)]
-    assert coordinates_in_basis(scaled, v) is None
+    assert coordinates_in_basis(scaled, [v]) == [None]
     expected = oracle(scaled, v)
     assert expected is not None and not expected[j].is_integer
 
@@ -75,8 +75,35 @@ def test_non_integral_combinations_give_none(data, draw):
 def test_vectors_outside_the_span_give_none(data, m):
     basis, complement, coeffs = data
     v = [a + m * b for a, b in zip(combination(coeffs, basis), complement[0])]
-    assert coordinates_in_basis(basis, v) is None
+    assert coordinates_in_basis(basis, [v]) == [None]
     assert oracle(basis, v) is None
+
+
+@checked
+@given(saturated_bases(), st.integers(2, 5),
+       st.lists(st.tuples(st.sampled_from(["integral", "non-integral", "outside"]),
+                          st.lists(st.integers(-20, 20), min_size=7, max_size=7)),
+                min_size=1, max_size=6))
+def test_a_mixed_batch_matches_the_oracle_vector_by_vector(data, d, specs):
+    basis, complement, _ = data
+    k = len(basis)
+    # the first basis row scaled by d: coordinates are integral iff d divides coefficient 0
+    scaled = [[d * x for x in basis[0]]] + basis[1:]
+    vectors = []
+    for kind, raw in specs:
+        coeffs = raw[:k]
+        coeffs[0] = d * coeffs[0] + (1 if kind == "non-integral" else 0)
+        v = combination(coeffs, basis)
+        if kind == "outside":
+            v = [a + b for a, b in zip(v, complement[0])]
+        vectors.append(v)
+    expected = []
+    for v in vectors:
+        sol = oracle(scaled, v)
+        expected.append(None if sol is None or not all(x.is_integer for x in sol)
+                        else [int(x) for x in sol])
+    assert coordinates_in_basis(scaled, vectors) == expected
+    assert [e is None for e in expected] == [kind != "integral" for kind, _ in specs]
 
 
 @checked

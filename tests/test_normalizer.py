@@ -182,6 +182,39 @@ def test_involution_is_not_a_represented_element(normalizer_result, g20):
     assert canonical_projective(normalizer_result.involution) not in group_classes
 
 
+def test_involution_search_on_generators_agrees_with_all_elements(normalizer_result, g20):
+    rep = restricted_representation(g20)
+    group_classes = {canonical_projective(rep[h]) for h in g20.elements}
+    ident = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
+    ident_key = canonical_projective(ident)
+    elements = {ident_key: ident}
+    boundary = [ident]
+    while boundary:
+        new_boundary = []
+        for gen in normalizer_result.generator_matrices:
+            for b in boundary:
+                p = mat_mul(gen, b)
+                key = canonical_projective(p)
+                if key not in elements:
+                    elements[key] = p
+                    new_boundary.append(p)
+        boundary = new_boundary
+    assert len(elements) == 40
+
+    def central(m, hs):
+        return all(canonical_projective(mat_mul(m, rep[h]))
+                   == canonical_projective(mat_mul(rep[h], m)) for h in hs)
+
+    involutions = [key for key, m in sorted(elements.items())
+                   if key not in group_classes
+                   and canonical_projective(mat_mul(m, m)) == ident_key]
+    for key in involutions:
+        assert central(elements[key], g20.generators) == central(elements[key], g20.elements)
+    # the oracle: the first candidate, in sorted order, central against every element
+    oracle = next(key for key in involutions if central(elements[key], g20.elements))
+    assert canonical_projective(normalizer_result.involution) == oracle
+
+
 def test_involution_preserves_the_quadric_pointwise_sample(
         normalizer_result, quadric, quadric_census):
     m = normalizer_result.involution

@@ -156,7 +156,7 @@ def test_divisor_relations(pic):
 
 
 def test_contract_raises_when_the_anticanonical_shift_has_no_coordinates(pic, monkeypatch):
-    monkeypatch.setattr(picard, "coordinates_in_basis", lambda basis, v: None)
+    monkeypatch.setattr(picard, "coordinates_in_basis", lambda basis, vs: [None] * len(vs))
     with pytest.raises(NotContractible, match="-K"):
         contract(pic, ["E1", "E2"])
 
@@ -165,9 +165,9 @@ def test_contract_raises_when_the_action_leaves_the_complement(pic, monkeypatch)
     real = picard.coordinates_in_basis
     calls = []
 
-    def only_the_first(basis, v):
-        calls.append(v)
-        return real(basis, v) if len(calls) == 1 else None
+    def only_the_first(basis, vs):
+        calls.append(vs)
+        return real(basis, vs) if len(calls) == 1 else [None] * len(vs)
 
     monkeypatch.setattr(picard, "coordinates_in_basis", only_the_first)
     with pytest.raises(NotContractible, match="group action"):
@@ -175,7 +175,7 @@ def test_contract_raises_when_the_action_leaves_the_complement(pic, monkeypatch)
 
 
 def test_pushforward_raises_when_the_class_has_no_coordinates(pic, monkeypatch):
-    monkeypatch.setattr(picard, "coordinates_in_basis", lambda basis, v: None)
+    monkeypatch.setattr(picard, "coordinates_in_basis", lambda basis, vs: [None] * len(vs))
     with pytest.raises(NotContractible, match="projected class"):
         pushforward(pic, ["L1", "L2", "L3", "L4", "L5"], ((1,) * 7,), pic.marked_vector("E1"))
 
