@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .cyclo import FieldElement, ONE, ZERO, ZETA5, rational
 from .groups import (
@@ -127,13 +127,38 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+@cache
+def _fixed_point_orbits(g: FiniteGroup, q: int) -> tuple:
+    """The surface-independent part of a census, once per (group, order).
+
+    For each conjugacy class of order-q subgroups: the class, and for each
+    fixed-locus component of its first member the component with, when it
+    is a point, the point with its orbit and stabilizer under g.
+    """
+    out = []
+    for cls in subgroups_of_order(g, q):
+        components = []
+        for comp in fixed_locus(cls[0]):
+            if comp.positive_dimensional:
+                components.append((comp, None, None, None))
+                continue
+            p = comp.point()
+            orbit, stab = orbit_and_stabilizer(g, p)
+            components.append((comp, p, tuple(orbit), stab))
+        out.append((cls, tuple(components)))
+    return tuple(out)
+
+
 def orbit_census(s: Surface, g: FiniteGroup, bound: int, strict: bool = True) -> OrbitCensus:
     """All orbits of length r < bound on the surface, with proof artifacts.
 
     strict=True raises PositiveDimensionalFixedLocus if some stabilizer
     subgroup fixes a positive-dimensional locus after restriction (its
     surface points could then fail to be enumerable in K); strict=False
-    records the incident and omits that subgroup.
+    records the incident and omits that subgroup.  Only the membership of
+    each fixed point depends on the surface: the subgroup classes, their
+    fixed loci and the fixed points' orbits are computed once per group and
+    order, and shared by every census over that group.
     """
     if bound > g.order():
         raise ValueError("bound must not exceed the group order")
@@ -145,11 +170,9 @@ def orbit_census(s: Surface, g: FiniteGroup, bound: int, strict: bool = True) ->
         if r >= bound:
             continue
         q = g.order() // r
-        classes = subgroups_of_order(g, q)
-        for cls in classes:
+        for cls, components in _fixed_point_orbits(g, q):
             h = cls[0]
             gens = [p.to_cycles() for p in h.generators]
-            components = fixed_locus(h)
             entry = {
                 "length": r,
                 "stabilizer_order": q,
@@ -157,7 +180,7 @@ def orbit_census(s: Surface, g: FiniteGroup, bound: int, strict: bool = True) ->
                 "class_size": len(cls),
                 "fixed_points": [],
             }
-            for comp in components:
+            for comp, p, orbit, stab in components:
                 if comp.positive_dimensional:
                     incident = {
                         "stabilizer_generators": gens,
@@ -170,9 +193,7 @@ def orbit_census(s: Surface, g: FiniteGroup, bound: int, strict: bool = True) ->
                             f"dimension {comp.projective_dimension}"
                         )
                     continue
-                p = comp.point()
                 on_surface = s.contains(p)
-                orbit, stab = orbit_and_stabilizer(g, p)
                 entry["fixed_points"].append({
                     "point": p.serialize(),
                     "on_surface": on_surface,
@@ -183,7 +204,7 @@ def orbit_census(s: Surface, g: FiniteGroup, bound: int, strict: bool = True) ->
                 key = tuple(pt.sort_key() for pt in orbit)
                 if key not in seen:
                     seen.add(key)
-                    orbits_by_length.setdefault(len(orbit), []).append(tuple(orbit))
+                    orbits_by_length.setdefault(len(orbit), []).append(orbit)
             artifacts.append(entry)
     for r in orbits_by_length:
         orbits_by_length[r].sort(key=lambda orb: tuple(p.sort_key() for p in orb))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,6 +22,10 @@ from .projgeo import ProjPoint
 
 class OrbitStabilizerViolation(RuntimeError):
     """|orbit| * |stabilizer| != |group|: the point action is inconsistent."""
+
+
+class ConjugateNotFound(RuntimeError):
+    """A conjugate of a found subgroup is missing from the enumeration (a defect)."""
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,8 @@ class Permutation:
                 images[a] = b
         return Permutation(tuple(images))
 
-    def to_cycles(self) -> str:
-        """Canonical cycle string; identity prints as "()"."""
+    def _cycles(self) -> list[list[int]]:
+        """The cycles of length > 1, each starting at its least index."""
         seen = [False] * len(self.images)
         cycles = []
         for start in range(len(self.images)):
@@ -70,6 +75,11 @@ class Permutation:
                 j = self.images[j]
             if len(cyc) > 1:
                 cycles.append(cyc)
+        return cycles
+
+    def to_cycles(self) -> str:
+        """Canonical cycle string; identity prints as "()"."""
+        cycles = self._cycles()
         if not cycles:
             return "()"
         return "".join("(" + "".join(str(k + 1) for k in cyc) + ")" for cyc in cycles)
@@ -90,13 +100,8 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def order(self) -> int:
-        n = 1
-        p = self
-        e = Permutation.identity(len(self.images))
-        while p != e:
-            p = p * self
-            n += 1
-        return n
+        """The lcm of the cycle lengths."""
+        return math.lcm(*(len(cyc) for cyc in self._cycles()))
 
     def apply_point(self, p: ProjPoint) -> ProjPoint:
         new = [ZERO] * len(self.images)
@@ -174,20 +179,20 @@ def standard_groups() -> dict[str, FiniteGroup]:
     }
 
 
-def conjugate_subgroup(g: Permutation, h: FiniteGroup) -> FiniteGroup:
-    gi = g.inverse()
-    gens = tuple(g * x * gi for x in h.generators)
-    return subgroup_closure(gens)
-
-
 @functools.cache
 def subgroups_of_order(g: FiniteGroup, n: int) -> tuple[tuple[FiniteGroup, ...], ...]:
     """All order-n subgroups, grouped into conjugacy classes.
 
     Found by closing generator subsets of size <= 2; every subgroup of the
     symmetric group on 5 letters is 2-generated, so this is exhaustive here.
-    Computed once per (group, order) and returned as immutable tuples, since
-    both censuses and the normalizer ask for the same classes.
+    A pair lying in an order-n subgroup K already found is not closed: it
+    generates a subgroup of K, which is K itself (kept from its first pair)
+    or too small.  So the pruned enumeration keeps the same subgroups with
+    the same generators.  Conjugates are element sets g x g^-1, each looked
+    up among the found subgroups; the enumeration is exhaustive, so a miss
+    raises ConjugateNotFound.  Computed once per (group, order) and returned
+    as immutable tuples, since both censuses and the normalizer ask for the
+    same classes.
     """
     if n <= 0 or g.order() % n != 0:
         return ()
@@ -204,22 +209,27 @@ def subgroups_of_order(g: FiniteGroup, n: int) -> tuple[tuple[FiniteGroup, ...],
         # then <a, b> is <a> or <b>, already found above
         if b in cyclic[a] or a in cyclic[b]:
             continue
+        if any(a in k and b in k for k in found):
+            continue
         h = subgroup_closure([a, b])
         if h.order() == n:
             found.setdefault(h.element_set(), h)
+    inverses = {x: x.inverse() for x in g.elements}
     classes: list[tuple[FiniteGroup, ...]] = []
     assigned: set[frozenset[Permutation]] = set()
     for key in sorted(found, key=lambda k: sorted(p.sort_key() for p in k)):
         if key in assigned:
             continue
-        h = found[key]
         cls = []
         for g_el in g.elements:
-            conj = conjugate_subgroup(g_el, h)
-            ck = conj.element_set()
+            ck = frozenset(g_el * x * inverses[g_el] for x in key)
+            if ck not in found:
+                raise ConjugateNotFound(
+                    f"a conjugate by {g_el.to_cycles()} of an order-{n} subgroup "
+                    f"was not enumerated")
             if ck not in assigned:
                 assigned.add(ck)
-                cls.append(found.get(ck, conj))
+                cls.append(found[ck])
         classes.append(tuple(sorted(cls, key=lambda s: sorted(p.sort_key() for p in s.elements))))
     return tuple(classes)
 

@@ -14,17 +14,28 @@ produces the intertwiners exactly; the ones preserving the quadratic form
 (up to scalar) generate, together with the represented group, the
 quadric-preserving normalizer.  Its order and structure are certified by
 finite closure over canonicalized projective matrix classes.
+
+Identities over the whole group are tested on its generators only: rho is a
+homomorphism and lambda a character, so T rho(a) = lambda(a) rho(a) T and
+T rho(b) = lambda(b) rho(b) T give
+
+    T rho(ab) = lambda(a) rho(a) T rho(b) = lambda(ab) rho(ab) T,
+
+and the identity holds at every product of generators.  The same argument
+lets the central involution be tested for commutation with the generators.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
-from .cyclo import FieldElement, I_UNIT, ZERO
+from .cyclo import FieldElement, I_UNIT, ZERO, rational
 from .groups import FiniteGroup, Permutation, subgroups_of_order
 from .linalg import (
     Grid,
+    coordinates_in_basis,
     identity_grid,
     mat_mul,
     mat_vec,
@@ -49,23 +60,25 @@ class NotOnHyperplane(ValueError):
 
 
 class IntertwiningFailure(ArithmeticError):
-    """A seed average fails T rho(h) = lambda(h) rho(h) T (an arithmetic defect)."""
+    """A matrix fails T rho(h) = lambda(h) rho(h) T; for a seed average, an arithmetic defect."""
 
 
 def restricted_representation(g: FiniteGroup) -> dict[Permutation, Grid]:
-    """4x4 matrices of the permutation action on the hyperplane basis."""
-    b = hyperplane_basis_grid()
+    """4x4 matrices of the permutation action on the hyperplane basis.
+
+    The images of the basis vectors are integer vectors, so one batched
+    elimination gives the coordinates of all of them.
+    """
+    basis = [[row[j] for row in HYPERPLANE_BASIS] for j in range(4)]
+    images = [h.apply_vector(v) for h in g.elements for v in basis]
+    coords = coordinates_in_basis(basis, images)
     rep = {}
-    for h in g.elements:
-        cols = []
-        for j in range(4):
-            col5 = [b[i][j] for i in range(5)]
-            image = h.apply_vector(col5)
-            coords = solve(b, image)
-            if coords is None:
+    for k, h in enumerate(g.elements):
+        cols = coords[4 * k:4 * k + 4]
+        for j, col in enumerate(cols):
+            if col is None:
                 raise NotOnHyperplane(f"{h.to_cycles()} moves basis vector {j} off the hyperplane")
-            cols.append(coords)
-        rep[h] = [[cols[j][i] for j in range(4)] for i in range(4)]
+        rep[h] = [[rational(cols[j][i]) for j in range(4)] for i in range(4)]
     return rep
 
 
@@ -152,14 +165,30 @@ def _group_tables(rep: dict[Permutation, Grid], g: FiniteGroup) -> tuple:
     return inverses, group_classes, quadratic_gram_on_hyperplane()
 
 
+def require_intertwining(t: Grid, lam: Character, rep: dict[Permutation, Grid],
+                         hs: Iterable[Permutation]) -> None:
+    """Raise IntertwiningFailure unless T rho(h) = lambda(h) rho(h) T for each h in hs.
+
+    Passing the generators of the group decides the identity on the whole
+    group (see the module docstring).
+    """
+    for h in hs:
+        lhs = mat_mul(t, rep[h])
+        rhs = [[lam(h) * x for x in row] for row in mat_mul(rep[h], t)]
+        if lhs != rhs:
+            raise IntertwiningFailure(f"{lam.label} intertwining fails at {h.to_cycles()}")
+
+
 def intertwiner(lam: Character, rep: dict[Permutation, Grid],
                 g: FiniteGroup, tables: tuple | None = None) -> Intertwiner | None:
     """Nonzero T with T rho(h) = lambda(h) rho(h) T, by seed averaging.
 
     The seeds are the matrix units E_rc in row-major order; the first nonzero
-    average is returned.  rho(h) E_rc rho(h^-1) is the outer product of column
-    r of rho(h) and row c of rho(h^-1).  ``tables`` is ``_group_tables(rep, g)``,
-    passed in when several characters share one representation.
+    average is returned, after the identity is checked at the generators of
+    g, which decides it at every element.  rho(h) E_rc rho(h^-1) is the outer
+    product of column r of rho(h) and row c of rho(h^-1).  ``tables`` is
+    ``_group_tables(rep, g)``, passed in when several characters share one
+    representation.
     """
     inverses, group_classes, gram = tables or _group_tables(rep, g)
     for r, c in itertools.product(range(4), repeat=2):
@@ -176,12 +205,7 @@ def intertwiner(lam: Character, rep: dict[Permutation, Grid],
                     acc[j] = acc[j] + x * inv_row[j]
         if all(x.is_zero() for row in total for x in row):
             continue
-        for h in g.elements:
-            lhs = mat_mul(total, rep[h])
-            rhs = [[lam(h) * x for x in row] for row in mat_mul(rep[h], total)]
-            if lhs != rhs:
-                raise IntertwiningFailure(
-                    f"average for {lam.label} fails the identity at {h.to_cycles()}")
+        require_intertwining(total, lam, rep, g.generators)
         transported = mat_mul(mat_mul(transpose(total), gram), total)
         scale = None
         preserving = True

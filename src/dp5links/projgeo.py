@@ -80,9 +80,6 @@ class ProjLine:
     def contains(self, p: ProjPoint) -> bool:
         return rank([list(self.basis[0]), list(self.basis[1]), list(p.coords)]) == 2
 
-    def point_at(self, s: FieldElement, t: FieldElement) -> ProjPoint:
-        return ProjPoint.of([s * a + t * b for a, b in zip(self.basis[0], self.basis[1])])
-
     def meets(self, other: "ProjLine") -> bool:
         stacked = [list(r) for r in self.basis] + [list(r) for r in other.basis]
         return rank(stacked) <= 3
@@ -250,12 +247,6 @@ def pullback(form: HomogeneousForm, matrix: Sequence[Sequence[FieldElement]]) ->
                 term = _poly_mul(term, lin[i])
         total = _poly_add(total, _poly_scale(term, c))
     return HomogeneousForm.of(m, form.degree, total)
-
-
-def restrict_to_line(form: HomogeneousForm, line: ProjLine) -> HomogeneousForm:
-    """Binary form in the line parameters (s, t)."""
-    matrix = [[a, b] for a, b in zip(line.basis[0], line.basis[1])]
-    return pullback(form, matrix)
 
 
 def line_in_surface(line: ProjLine, form: HomogeneousForm) -> bool:

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from dp5links.cyclo import I_UNIT, ONE, ZERO, ZETA5
+from dp5links import groups
 from dp5links.groups import (
+    ConjugateNotFound,
     FiniteGroup,
     OrbitStabilizerViolation,
     Permutation,
-    conjugate_subgroup,
     fixed_locus,
     group_from_cycles,
     orbit_and_stabilizer,
@@ -17,6 +18,12 @@ from dp5links.groups import (
     subgroups_of_order,
 )
 from dp5links.projgeo import ProjPoint
+
+
+def conjugate_subgroup(g: Permutation, h: FiniteGroup) -> FiniteGroup:
+    """g h g^-1, closed from the conjugated generators."""
+    gi = g.inverse()
+    return subgroup_closure(g * x * gi for x in h.generators)
 
 
 def test_cycle_notation_round_trips():
@@ -59,6 +66,24 @@ def test_membership_uses_one_cached_element_set():
     assert Permutation.from_cycles("(2354)") not in d10
     assert g20.element_set() is g20.element_set()
     assert g20.element_set() == frozenset(g20.elements)
+
+
+def _order_by_powers(p: Permutation) -> int:
+    """The order as the least n with p^n = e, by repeated multiplication."""
+    n, power, e = 1, p, Permutation.identity(len(p.images))
+    while power != e:
+        power = power * p
+        n += 1
+    return n
+
+
+def test_order_from_cycle_lengths_matches_repeated_multiplication():
+    s5 = standard_groups()["S5"].elements
+    assert len(s5) == 120
+    for p in s5:
+        assert p.order() == _order_by_powers(p)
+    assert sorted({p.order() for p in s5}) == [1, 2, 3, 4, 5, 6]
+    assert Permutation.from_cycles("(12)(345)").order() == 6
 
 
 def test_closure_orders():
@@ -112,15 +137,38 @@ def _all_pairs_subgroups(g: FiniteGroup, n: int) -> tuple:
     return tuple(classes)
 
 
-@pytest.mark.parametrize("name", ["G20", "D10"])
+def _s4_fixing_letter_5() -> FiniteGroup:
+    return group_from_cycles("(1234)", "(12)")
+
+
+@pytest.mark.parametrize("name", ["G20", "D10", "C4", "C5", "S4"])
 def test_subgroups_of_order_matches_all_pairs_closure(name):
-    g = standard_groups()[name]
+    g = _s4_fixing_letter_5() if name == "S4" else standard_groups()[name]
+    assert g.order() == {"G20": 20, "D10": 10, "C4": 4, "C5": 5, "S4": 24}[name]
     for n in range(1, g.order() + 1):
         if g.order() % n:
             continue
         got, expected = subgroups_of_order(g, n), _all_pairs_subgroups(g, n)
         assert [[(h.generators, h.elements) for h in cls] for cls in got] == \
             [[(h.generators, h.elements) for h in cls] for cls in expected]
+
+
+def test_a_conjugate_missing_from_the_enumeration_raises(monkeypatch):
+    # hide one of the three cyclic subgroups of order 4 in S4: the closure
+    # that would produce it returns the trivial group instead
+    s4 = _s4_fixing_letter_5()
+    hidden = group_from_cycles("(1324)").element_set()
+    real = groups.subgroup_closure
+
+    def hiding(gens, n=5):
+        h = real(gens, n)
+        return real([], n) if h.element_set() == hidden else h
+
+    monkeypatch.setattr(groups, "subgroup_closure", hiding)
+    enumerate_uncached = subgroups_of_order.__wrapped__
+    assert len(enumerate_uncached(s4, 3)) == 1  # nothing hidden at order 3
+    with pytest.raises(ConjugateNotFound):
+        enumerate_uncached(s4, 4)
 
 
 def test_subgroups_of_order_is_computed_once_and_immutable():

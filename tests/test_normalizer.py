@@ -18,9 +18,12 @@ from dp5links.normalizer import (
     intertwiner,
     involution_swaps_orbits,
     quadratic_gram_on_hyperplane,
+    require_intertwining,
     restricted_representation,
 )
 from dp5links.projgeo import membership
+
+from geometry_oracles import point_at
 
 
 def test_characters_exist_and_take_fourth_roots_on_the_generator(g20):
@@ -95,6 +98,60 @@ def test_intertwining_identity_holds_for_every_element(g20):
         assert lhs == rhs
 
 
+def _intertwines(t, lam, rep, hs) -> bool:
+    try:
+        require_intertwining(t, lam, rep, hs)
+    except IntertwiningFailure:
+        return False
+    return True
+
+
+def test_intertwining_on_generators_agrees_with_all_elements(g20):
+    rep = restricted_representation(g20)
+    chars = characters_of_g20(g20)
+    tws = [intertwiner(lam, rep, g20).matrix for lam in chars]
+    units = [[[ONE if (i, j) == (r, c) else ZERO for j in range(4)] for i in range(4)]
+             for r, c in itertools.product(range(4), repeat=2)]
+    candidates = tws + [rep[h] for h in g20.elements] + units
+    for k, lam in enumerate(chars):
+        verdicts = [_intertwines(t, lam, rep, g20.elements) for t in candidates]
+        assert verdicts == [_intertwines(t, lam, rep, g20.generators) for t in candidates]
+        # each character's own intertwiner passes and none of the others does
+        assert verdicts[:4] == [j == k for j in range(4)]
+        assert not all(verdicts[4:])
+
+
+def test_a_matrix_intertwining_only_the_first_generator_is_refused(g20):
+    rep = restricted_representation(g20)
+    trivial = next(c for c in characters_of_g20(g20) if c.order() == 1)
+    a, b = g20.generators
+    assert (a.to_cycles(), b.to_cycles()) == ("(12345)", "(2354)")
+    # rho(a) commutes with itself but not with rho(b): G20 is not abelian
+    require_intertwining(rep[a], trivial, rep, [a])
+    with pytest.raises(IntertwiningFailure, match=r"\(2354\)"):
+        require_intertwining(rep[a], trivial, rep, g20.generators)
+
+
+def test_each_intertwiner_is_checked_at_the_two_generators(g20, monkeypatch):
+    rep = restricted_representation(g20)
+    real_check, real_mul = normalizer.require_intertwining, normalizer.mat_mul
+    checks = []
+
+    def spy(t, lam, rep_, hs):
+        products = []
+        monkeypatch.setattr(normalizer, "mat_mul",
+                            lambda a, b: products.append(1) or real_mul(a, b))
+        real_check(t, lam, rep_, hs)
+        monkeypatch.setattr(normalizer, "mat_mul", real_mul)
+        checks.append((lam.label, tuple(hs), len(products)))
+
+    monkeypatch.setattr(normalizer, "require_intertwining", spy)
+    chars = characters_of_g20(g20)
+    for lam in chars:
+        intertwiner(lam, rep, g20)
+    assert checks == [(lam.label, g20.generators, 4) for lam in chars]
+
+
 def test_intertwiner_unique_up_to_scalar(g20):
     """A second nonzero seed average is a scalar multiple of the first."""
     rep = restricted_representation(g20)
@@ -141,7 +198,7 @@ def test_outer_product_average_equals_conjugated_seed_average(g20):
 
 
 def test_restricted_representation_refuses_a_vector_off_the_hyperplane(g20, monkeypatch):
-    monkeypatch.setattr(normalizer, "solve", lambda a, b: None)
+    monkeypatch.setattr(normalizer, "coordinates_in_basis", lambda basis, vs: [None] * len(vs))
     with pytest.raises(NotOnHyperplane):
         restricted_representation(g20)
 
@@ -230,7 +287,7 @@ def test_involution_preserves_the_quadric_pointwise_sample(
         from dp5links.projgeo import line_in_surface
         if line_in_surface(line, quadric.form):
             for s, t in [(ONE, rational_two()), (ONE, -rational_two()), (rational_two(), ONE)]:
-                candidate = line.point_at(s, t)
+                candidate = point_at(line, s, t)
                 if candidate not in samples:
                     samples.append(candidate)
     assert len(samples) >= 20

@@ -19,8 +19,9 @@ from dp5links.projgeo import (
     _poly_add,
     _poly_mul,
     line_in_surface,
-    restrict_to_line,
 )
+
+from geometry_oracles import restrict_to_line
 
 NVARS = 5
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import dp5links
+from dp5links import census, groups
 from dp5links.cli import main
 from dp5links.report import (
     CHECK_FUNCTIONS,
@@ -89,6 +90,33 @@ def test_errors_are_reported_not_raised(ctx, monkeypatch):
     report = run_checks(["clebsch-smooth"], context=ctx)
     assert report.checks[0].status == "error"
     assert report.overall == "fail"
+
+
+def _cold_report_counting(monkeypatch, module, name: str) -> list:
+    """Run a full report with empty group-side caches, recording the
+    arguments of every call to ``module.name``."""
+    groups.subgroups_of_order.cache_clear()
+    census._fixed_point_orbits.cache_clear()
+    real = getattr(module, name)
+    calls = []
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    run_checks()
+    return calls
+
+
+def test_a_full_report_pins_the_subgroup_closures(monkeypatch):
+    # 5 for the standard groups, the rest for the subgroup classes of the
+    # order-20 group at orders 20, 10, 5 and 4; a pair inside a subgroup
+    # already found is not closed, and conjugates take no closure
+    assert len(_cold_report_counting(monkeypatch, groups, "subgroup_closure")) == 148
+
+
+def test_a_full_report_takes_each_fixed_locus_once(monkeypatch):
+    calls = _cold_report_counting(monkeypatch, census, "fixed_locus")
+    g20 = Context().g20
+    classes = [cls for q in (20, 10, 5, 4) for cls in groups.subgroups_of_order(g20, q)]
+    assert len(classes) == 4
+    assert [h for (h,) in calls] == [cls[0] for cls in classes]
 
 
 def test_cli_rejects_the_removed_jobs_option(capsys):
