@@ -2,10 +2,10 @@
 
 Fifteen lines have closed-form equations x_a + x_b = x_c + x_d = 0.  Two more
 join opposite points of the length-4 orbit.  Every further line is the third
-component of a plane section through two known meeting lines, an exact
-polynomial division, or the image of such a line under the group.  The
-invariant skew families of the result are the two extremal contractions of
-the surface.
+component of a plane section through two known meeting lines, read off
+three exact values of the cubic on that plane, or the image of such a line
+under the group.  The invariant skew families of the result are the two
+extremal contractions of the surface.
 """
 
 from dp5links import (

@@ -9,10 +9,11 @@ so enumerating subgroups and their fixed loci is exhaustive over the complex
 numbers, not merely over the field of definition.
 
 The 27-line enumeration is seeded with closed-form lines and completed by
-tritangent-plane residuation, which is exact polynomial division, and by
-transport under the coordinate permutations that fix the surface; no
-polynomial system is ever solved.  A tritangent plane is residuated at most
-once, and the closure stops at 27 lines, all a smooth cubic surface carries.
+tritangent-plane residuation, which reads the residual line off three exact
+values of the cubic on the plane, and by transport under the coordinate
+permutations that fix the surface; no polynomial system is ever solved.  A
+tritangent plane is residuated at most once, and the closure stops at 27
+lines, all a smooth cubic surface carries.
 """
 
 from __future__ import annotations

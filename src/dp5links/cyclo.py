@@ -258,14 +258,6 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.num == _ZERO_NUM
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not a rational element: {self!r}")
-        return Fraction(self.num[0], self.den)
-
     def __eq__(self, other) -> bool:
         o = other if other.__class__ is FieldElement else self._coerce(other)
         if o is NotImplemented:

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cyclo import FieldElement, ONE, ZERO
-from .linalg import eigenspaces_of_permutation, intersect_spans, kernel_basis, rref
+from .cyclo import FieldElement, ONE, ZERO, root_of_unity
+from .linalg import Grid, Vector, intersect_spans, kernel_basis, rref
 from .projgeo import ProjPoint
 
 
@@ -26,6 +26,14 @@ class OrbitStabilizerViolation(RuntimeError):
 
 class ConjugateNotFound(RuntimeError):
     """A conjugate of a found subgroup is missing from the enumeration (a defect)."""
+
+
+class UnsupportedEigenvalue(ValueError):
+    """Eigenvalue is a root of unity that does not lie in Q(zeta_20)."""
+
+
+class IncompleteEigenspaces(ArithmeticError):
+    """Eigenspace dimensions of a permutation matrix do not sum to its size."""
 
 
 @dataclass(frozen=True)
@@ -169,13 +177,12 @@ def group_from_cycles(*texts: str) -> FiniteGroup:
 
 
 def standard_groups() -> dict[str, FiniteGroup]:
-    """The subgroup chain used throughout: C4, C5, D10, G20, S5."""
+    """The subgroup chain used throughout: C4, C5, D10, G20."""
     return {
         "C4": group_from_cycles("(2354)"),
         "C5": group_from_cycles("(12345)"),
         "D10": group_from_cycles("(12345)", "(25)(34)"),
         "G20": group_from_cycles("(12345)", "(2354)"),
-        "S5": group_from_cycles("(12345)", "(12)"),
     }
 
 
@@ -245,6 +252,53 @@ def orbit_and_stabilizer(g: FiniteGroup, p: ProjPoint) -> tuple[list[ProjPoint],
             f"orbit of length {len(orbit)} and stabilizer of order {stab.order()} "
             f"in a group of order {g.order()}")
     return sorted(orbit, key=ProjPoint.sort_key), stab
+
+
+def permutation_matrix(images: Sequence[int]) -> Grid:
+    """Matrix P with P e_j = e_{images[j]} (columns permuted onto rows)."""
+    n = len(images)
+    return [
+        [ONE if images[j] == i else ZERO for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def eigenspaces_of_permutation(p: Permutation) -> dict[FieldElement, list[Vector]]:
+    """Eigenvalue -> kernel basis for a coordinate permutation matrix.
+
+    Candidate eigenvalues are m-th roots of unity for the cycle lengths m of
+    the permutation (fixed points are cycles of length 1).  Cycle lengths
+    divisible by 3 would need cube roots of unity, which do not lie in
+    Q(zeta_20).
+    """
+    n = len(p.images)
+    lengths = {1} | {len(cyc) for cyc in p._cycles()}
+    if any(m % 3 == 0 for m in lengths):
+        raise UnsupportedEigenvalue(
+            "cycle of length divisible by 3: primitive cube roots of unity "
+            "are not elements of Q(zeta_20)"
+        )
+    candidates: list[FieldElement] = []
+    for m in sorted(lengths):
+        for j in range(m):
+            lam = root_of_unity(m, j)
+            if lam not in candidates:
+                candidates.append(lam)
+    mat = permutation_matrix(p.images)
+    spaces: dict[FieldElement, list[Vector]] = {}
+    total = 0
+    for lam in candidates:
+        shifted = [
+            [mat[i][j] - (lam if i == j else ZERO) for j in range(n)]
+            for i in range(n)
+        ]
+        ker = kernel_basis(shifted)
+        if ker:
+            spaces[lam] = ker
+            total += len(ker)
+    if total != n:
+        raise IncompleteEigenspaces(f"eigenspace dimensions sum to {total}, not {n}")
+    return spaces
 
 
 @dataclass(frozen=True)

@@ -13,22 +13,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .cyclo import FieldElement, ONE, ZERO, rational, root_of_unity
+from .cyclo import FieldElement, ONE, ZERO, rational
 
 Vector = list[FieldElement]
 Grid = list[Vector]
 
 
-class UnsupportedEigenvalue(ValueError):
-    """Eigenvalue is a root of unity that does not lie in Q(zeta_20)."""
-
-
 class DependentClasses(ValueError):
     """Input classes were expected to be linearly independent."""
-
-
-class IncompleteEigenspaces(ArithmeticError):
-    """Eigenspace dimensions of a permutation matrix do not sum to its size."""
 
 
 def _as_grid(m) -> Grid:
@@ -161,77 +153,6 @@ def intersect_spans(basis_a: list[Vector], basis_b: list[Vector]) -> list[Vector
             out.append(vec)
     red, pivots = rref(out) if out else ([], [])
     return [red[i] for i in range(len(pivots))]
-
-
-# -- permutation eigenspaces -------------------------------------------------
-
-def permutation_matrix(images: Sequence[int]) -> Grid:
-    """Matrix P with P e_j = e_{images[j]} (columns permuted onto rows)."""
-    n = len(images)
-    return [
-        [ONE if images[j] == i else ZERO for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _permutation_images(p) -> list[int]:
-    if hasattr(p, "images"):
-        return list(p.images)
-    return list(p)
-
-
-def _cycle_lengths(images: Sequence[int]) -> list[int]:
-    seen = [False] * len(images)
-    out = []
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-            length += 1
-        out.append(length)
-    return out
-
-
-def eigenspaces_of_permutation(p) -> dict[FieldElement, list[Vector]]:
-    """Eigenvalue -> kernel basis for a coordinate permutation matrix.
-
-    Candidate eigenvalues are m-th roots of unity for the cycle lengths m of
-    the permutation.  Cycle lengths divisible by 3 would need cube roots of
-    unity, which do not lie in Q(zeta_20).
-    """
-    images = _permutation_images(p)
-    n = len(images)
-    lengths = _cycle_lengths(images)
-    if any(m % 3 == 0 for m in lengths):
-        raise UnsupportedEigenvalue(
-            "cycle of length divisible by 3: primitive cube roots of unity "
-            "are not elements of Q(zeta_20)"
-        )
-    candidates: list[FieldElement] = []
-    for m in sorted(set(lengths)):
-        for j in range(m):
-            lam = root_of_unity(m, j)
-            if lam not in candidates:
-                candidates.append(lam)
-    mat = permutation_matrix(images)
-    spaces: dict[FieldElement, list[Vector]] = {}
-    total = 0
-    for lam in candidates:
-        shifted = [
-            [mat[i][j] - (lam if i == j else ZERO) for j in range(n)]
-            for i in range(n)
-        ]
-        ker = kernel_basis(shifted)
-        if ker:
-            spaces[lam] = ker
-            total += len(ker)
-    if total != n:
-        raise IncompleteEigenspaces(f"eigenspace dimensions sum to {total}, not {n}")
-    return spaces
 
 
 # -- integer lattices ---------------------------------------------------------

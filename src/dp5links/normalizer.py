@@ -52,7 +52,11 @@ class WrongGroup(ValueError):
 
 
 class ClosureExplosion(RuntimeError):
-    """Projective closure exceeded the hard cap; should never happen."""
+    """Projective closure exceeded CLOSURE_CAP; should never happen."""
+
+
+# hard cap on the classes of the projective closure (the normalizer has 40)
+CLOSURE_CAP = 400
 
 
 class NotOnHyperplane(ValueError):
@@ -271,8 +275,13 @@ def apply_on_hyperplane(m: Grid, p: ProjPoint) -> ProjPoint:
     return ProjPoint.of(out)
 
 
-def assemble_normalizer(g: FiniteGroup, cap: int = 400) -> NormalizerResult:
-    """Quadric-preserving projective normalizer, with structure certificate."""
+def assemble_normalizer(g: FiniteGroup) -> NormalizerResult:
+    """Quadric-preserving projective normalizer, with structure certificate.
+
+    The closure multiplies only by the generators that are not projectively
+    the identity: a scalar matrix (the trivial character's intertwiner, by
+    Schur) maps every class to itself and can find no new one.
+    """
     rep = restricted_representation(g)
     chars = characters_of_g20(g)
     tables = _group_tables(rep, g)
@@ -285,24 +294,25 @@ def assemble_normalizer(g: FiniteGroup, cap: int = 400) -> NormalizerResult:
     preserving = [t for t in tws if t.quadric_preserving and t.invertible]
     generators: list[Grid] = [rep[h] for h in g.generators]
     generators += [t.matrix for t in preserving]
-    elements: dict[tuple, Grid] = {}
     ident = identity_grid(4)
-    elements[canonical_projective(ident)] = ident
+    ident_key = canonical_projective(ident)
+    elements: dict[tuple, Grid] = {ident_key: ident}
+    movers = [m for m in generators if canonical_projective(m) != ident_key]
     boundary = [ident]
     while boundary:
         new_boundary = []
-        for gen in generators:
+        for gen in movers:
             for b in boundary:
                 prod = mat_mul(gen, b)
                 key = canonical_projective(prod)
                 if key not in elements:
-                    if len(elements) >= cap:
-                        raise ClosureExplosion(f"projective closure exceeded {cap} classes")
+                    if len(elements) >= CLOSURE_CAP:
+                        raise ClosureExplosion(
+                            f"projective closure exceeded {CLOSURE_CAP} classes")
                     elements[key] = prod
                     new_boundary.append(prod)
         boundary = new_boundary
     order = len(elements)
-    ident_key = canonical_projective(ident)
     # central involution: projectively order 2, commutes with the whole
     # represented group, not itself a represented element.  Commuting with
     # rep(a) and rep(b) projectively implies commuting with rep(ab), so the

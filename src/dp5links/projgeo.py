@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .cyclo import FieldElement, ONE, ZERO, rational
-from .linalg import kernel_basis, rank, rref, solve
+from .linalg import kernel_basis, rank, rref
 
 
 class CoincidentPoints(ValueError):
@@ -29,7 +29,7 @@ class NotOnSurface(ValueError):
 
 
 class FactorizationFailure(ArithmeticError):
-    """Exact division left a remainder; input was not a plane section triple."""
+    """The plane through two lines of the surface lies on the surface."""
 
 
 @dataclass(frozen=True)
@@ -139,12 +139,6 @@ class HomogeneousForm:
         cleaned = {m: c for m, c in cleaned.items() if not c.is_zero()}
         return HomogeneousForm(nvars, degree, tuple(sorted(cleaned.items())))
 
-    def coeff_map(self) -> dict[Monomial, FieldElement]:
-        return dict(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
         total = ZERO
         for mono, c in self.coeffs:
@@ -194,61 +188,6 @@ def hyperplane_basis_grid() -> list[list[FieldElement]]:
     return [[rational(x) for x in row] for row in HYPERPLANE_BASIS]
 
 
-# sparse polynomial helpers on exponent-tuple dicts
-
-def _poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, ZERO) + c
-        if s.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return out
-
-
-def _poly_scale(a: dict, c: FieldElement) -> dict:
-    if c.is_zero():
-        return {}
-    return {m: v * c for m, v in a.items()}
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-            s = out.get(m, ZERO) + c1 * c2
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return out
-
-
-def pullback(form: HomogeneousForm, matrix: Sequence[Sequence[FieldElement]]) -> HomogeneousForm:
-    """Substitute x_i = sum_j matrix[i][j] y_j; matrix is nvars x m."""
-    m = len(matrix[0])
-    lin = []
-    for i in range(form.nvars):
-        row = {}
-        for j in range(m):
-            if not matrix[i][j].is_zero():
-                mono = [0] * m
-                mono[j] = 1
-                row[tuple(mono)] = matrix[i][j]
-        lin.append(row)
-    unit = {tuple([0] * m): ONE}
-    total: dict = {}
-    for mono, c in form.coeffs:
-        term = dict(unit)
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                term = _poly_mul(term, lin[i])
-        total = _poly_add(total, _poly_scale(term, c))
-    return HomogeneousForm.of(m, form.degree, total)
-
-
 def line_in_surface(line: ProjLine, form: HomogeneousForm) -> bool:
     """True iff the form vanishes identically along the line.
 
@@ -270,90 +209,40 @@ def membership(p: ProjPoint, forms: Iterable[HomogeneousForm]) -> bool:
     return all(f.evaluate(p.coords).is_zero() for f in forms)
 
 
-def divide_by_linear(poly: dict, alpha: dict, nvars: int) -> dict:
-    """Exact quotient poly / alpha for a linear form alpha; raises on remainder."""
-    # pivot variable: first one appearing in alpha
-    pivot = None
-    pivot_coeff = None
-    for m, c in sorted(alpha.items()):
-        k = next((i for i, e in enumerate(m) if e), None)
-        if k is not None:
-            pivot, pivot_coeff = k, c
-            break
-    if pivot is None:
-        raise ValueError("alpha is not a linear form")
-    inv = pivot_coeff.inverse()
-    g = dict(poly)
-    quotient: dict = {}
-    while g:
-        # highest pivot-degree monomial
-        mono = max(g, key=lambda m: (m[pivot], m))
-        if mono[pivot] == 0:
-            raise FactorizationFailure("exact division left a remainder")
-        tm = list(mono)
-        tm[pivot] -= 1
-        t = {tuple(tm): g[mono] * inv}
-        quotient = _poly_add(quotient, t)
-        g = _poly_add(g, _poly_scale(_poly_mul(t, alpha), -ONE))
-    return quotient
-
-
-def _line_coordinates_in_plane(line: ProjLine, plane_rows: list[list[FieldElement]]
-                               ) -> list[list[FieldElement]]:
-    """Coordinates of the line's basis in a 3-row plane basis."""
-    cols = [[plane_rows[j][i] for j in range(3)] for i in range(len(plane_rows[0]))]
-    out = []
-    for row in line.basis:
-        c = solve(cols, list(row))
-        if c is None:
-            raise ValueError("line does not lie in the plane")
-        out.append(c)
-    return out
-
-
 def residual_line(cubic: HomogeneousForm, a: ProjLine, b: ProjLine,
                   hyperplane: HomogeneousForm) -> ProjLine:
     """Third line of the plane section spanned by two meeting lines.
 
-    The plane through a and b cuts the cubic surface in a, b and one residual
-    line; it is found by restricting the cubic to the plane and dividing off
-    the two linear forms cutting a and b, asserting zero remainder.
+    Let x be the meeting point, y a basis row of a and z one of b, each
+    chosen independent of x.  In plane coordinates s x + t y + r z the line
+    a is {r = 0} and b is {t = 0}; both lie on the cubic F, so F restricted
+    to the plane is t r gamma for a linear form gamma = g0 s + g1 t + g2 r,
+    and the residual line is {gamma = 0}.  Three values of F give gamma:
+
+        F(y + z) = g1 + g2,  F(y - z) = g2 - g1,  F(x + y + z) = g0 + g1 + g2.
+
+    A zero gamma means the plane lies on the cubic.
     """
     if a == b:
         raise ValueError("the two lines must be distinct")
     for line in (a, b):
         if not (line_in_surface(line, cubic) and line_in_surface(line, hyperplane)):
             raise NotOnSurface(f"line {line!r} is not on the surface")
-    stacked = [list(r) for r in a.basis] + [list(r) for r in b.basis]
-    red, pivots = rref(stacked)
-    if len(pivots) != 3:
+    (a0, a1), (b0, b1) = a.basis, b.basis
+    ker = kernel_basis([[c0, c1, -d0, -d1] for c0, c1, d0, d1 in zip(a0, a1, b0, b1)])
+    if len(ker) != 1:
         raise SkewLines("lines do not meet")
-    plane = [red[0], red[1], red[2]]
-    ternary = pullback(cubic, [[plane[j][i] for j in range(3)] for i in range(len(plane[0]))])
-    alphas = []
-    for line in (a, b):
-        coords = _line_coordinates_in_plane(line, plane)
-        ker = kernel_basis(coords)
-        if len(ker) != 1:
-            raise FactorizationFailure("a line of the pair does not cut one linear form")
-        alphas.append({
-            tuple(1 if i == k else 0 for i in range(3)): ker[0][k]
-            for k in range(3) if not ker[0][k].is_zero()
-        })
-    quotient = divide_by_linear(ternary.coeff_map(), alphas[0], 3)
-    gamma = divide_by_linear(quotient, alphas[1], 3)
-    gamma_vec = [ZERO, ZERO, ZERO]
-    for mono, c in gamma.items():
-        k = next(i for i, e in enumerate(mono) if e)
-        gamma_vec[k] = c
-    params = kernel_basis([gamma_vec])
+    p, q, _, v = ker[0]
+    x = [p * c0 + q * c1 for c0, c1 in zip(a0, a1)]
+    y = a1 if q.is_zero() else a0
+    z = b1 if v.is_zero() else b0
+    f_plus = cubic.evaluate([c + d for c, d in zip(y, z)])
+    f_minus = cubic.evaluate([c - d for c, d in zip(y, z)])
+    f_all = cubic.evaluate([c + d + e for c, d, e in zip(x, y, z)])
+    # 2 gamma, to stay clear of a division by 2
+    gamma = [(f_all - f_plus) * rational(2), f_plus - f_minus, f_plus + f_minus]
+    params = kernel_basis([gamma])
     if len(params) != 2:
-        raise FactorizationFailure("the residual factor is not a linear form")
-    points = []
-    for u in params:
-        vec = [ZERO] * len(plane[0])
-        for cu, row in zip(u, plane):
-            if not cu.is_zero():
-                vec = [x + cu * y for x, y in zip(vec, row)]
-        points.append(vec)
+        raise FactorizationFailure("the plane lies on the cubic")
+    points = [[s * c + t * d + r * e for c, d, e in zip(x, y, z)] for s, t, r in params]
     return ProjLine.span(points[0], points[1])

@@ -82,7 +82,6 @@ class Context:
         groups = standard_groups()
         self.g20 = groups["G20"]
         self.c4 = groups["C4"]
-        self.c5 = groups["C5"]
         self.d10 = groups["D10"]
         self.clebsch = clebsch_surface()
         self.quadric = quadric_surface()

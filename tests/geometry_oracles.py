@@ -1,11 +1,110 @@
-"""Helpers that only the tests need: symbolic restriction and line points.
+"""Helpers that only the tests need: symbolic restriction, division, line points.
 
-The package decides line membership by point evaluation; these expand the
-restricted form symbolically and parametrize a line, as independent oracles.
+The package decides line membership and residual lines by evaluating forms at
+points.  These expand a form symbolically on a line or a plane and divide it
+by linear forms, as an independent reference implementation.  Polynomials
+are sparse dicts from exponent tuples to field elements.
 """
 
-from dp5links.cyclo import FieldElement
-from dp5links.projgeo import HomogeneousForm, ProjLine, ProjPoint, pullback
+from typing import Sequence
+
+from dp5links.cyclo import FieldElement, ONE, ZERO
+from dp5links.linalg import kernel_basis, rref, solve
+from dp5links.projgeo import (
+    FactorizationFailure,
+    HomogeneousForm,
+    ProjLine,
+    ProjPoint,
+    SkewLines,
+)
+
+
+def coeff_map(form: HomogeneousForm) -> dict:
+    return dict(form.coeffs)
+
+
+def is_zero_form(form: HomogeneousForm) -> bool:
+    return not form.coeffs
+
+
+def poly_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, ZERO) + c
+        if s.is_zero():
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return out
+
+
+def poly_scale(a: dict, c: FieldElement) -> dict:
+    if c.is_zero():
+        return {}
+    return {m: v * c for m, v in a.items()}
+
+
+def poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            s = out.get(m, ZERO) + c1 * c2
+            if s.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return out
+
+
+def pullback(form: HomogeneousForm, matrix: Sequence[Sequence[FieldElement]]) -> HomogeneousForm:
+    """Substitute x_i = sum_j matrix[i][j] y_j; matrix is nvars x m."""
+    m = len(matrix[0])
+    lin = []
+    for i in range(form.nvars):
+        row = {}
+        for j in range(m):
+            if not matrix[i][j].is_zero():
+                mono = [0] * m
+                mono[j] = 1
+                row[tuple(mono)] = matrix[i][j]
+        lin.append(row)
+    unit = {tuple([0] * m): ONE}
+    total: dict = {}
+    for mono, c in form.coeffs:
+        term = dict(unit)
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                term = poly_mul(term, lin[i])
+        total = poly_add(total, poly_scale(term, c))
+    return HomogeneousForm.of(m, form.degree, total)
+
+
+def divide_by_linear(poly: dict, alpha: dict, nvars: int) -> dict:
+    """Exact quotient poly / alpha for a linear form alpha; raises on remainder."""
+    pivot = None
+    pivot_coeff = None
+    for m, c in sorted(alpha.items()):
+        k = next((i for i, e in enumerate(m) if e), None)
+        if k is not None:
+            pivot, pivot_coeff = k, c
+            break
+    if pivot is None:
+        raise ValueError("alpha is not a linear form")
+    inv = pivot_coeff.inverse()
+    g = dict(poly)
+    quotient: dict = {}
+    while g:
+        # highest pivot-degree monomial
+        mono = max(g, key=lambda m: (m[pivot], m))
+        if mono[pivot] == 0:
+            raise FactorizationFailure("exact division left a remainder")
+        tm = list(mono)
+        tm[pivot] -= 1
+        t = {tuple(tm): g[mono] * inv}
+        quotient = poly_add(quotient, t)
+        g = poly_add(g, poly_scale(poly_mul(t, alpha), -ONE))
+    return quotient
 
 
 def restrict_to_line(form: HomogeneousForm, line: ProjLine) -> HomogeneousForm:
@@ -17,3 +116,49 @@ def restrict_to_line(form: HomogeneousForm, line: ProjLine) -> HomogeneousForm:
 def point_at(line: ProjLine, s: FieldElement, t: FieldElement) -> ProjPoint:
     """The point s * row0 + t * row1 of the line's basis."""
     return ProjPoint.of([s * a + t * b for a, b in zip(line.basis[0], line.basis[1])])
+
+
+def plane_of(a: ProjLine, b: ProjLine) -> list[list[FieldElement]]:
+    """Reduced 3-row basis of the plane spanned by two meeting lines."""
+    red, pivots = rref([list(r) for r in a.basis] + [list(r) for r in b.basis])
+    if len(pivots) != 3:
+        raise SkewLines("lines do not meet")
+    return red[:3]
+
+
+def restrict_to_plane(form: HomogeneousForm, plane: list[list[FieldElement]]) -> HomogeneousForm:
+    """Ternary form in the coordinates of a 3-row plane basis."""
+    return pullback(form, [[plane[j][i] for j in range(3)] for i in range(len(plane[0]))])
+
+
+def linear_form_in_plane(line: ProjLine, plane: list[list[FieldElement]]) -> dict:
+    """The linear form, in plane coordinates, that cuts the line out of the plane."""
+    cols = [[plane[j][i] for j in range(3)] for i in range(len(plane[0]))]
+    coords = []
+    for row in line.basis:
+        c = solve(cols, list(row))
+        if c is None:
+            raise ValueError("line does not lie in the plane")
+        coords.append(c)
+    ker = kernel_basis(coords)
+    if len(ker) != 1:
+        raise FactorizationFailure("the line does not cut one linear form")
+    return {tuple(int(i == k) for i in range(3)): ker[0][k]
+            for k in range(3) if not ker[0][k].is_zero()}
+
+
+def residual_line_by_division(cubic: HomogeneousForm, a: ProjLine, b: ProjLine) -> ProjLine:
+    """Residual line of two meeting lines: divide the plane section by a and b."""
+    plane = plane_of(a, b)
+    ternary = coeff_map(restrict_to_plane(cubic, plane))
+    quotient = divide_by_linear(ternary, linear_form_in_plane(a, plane), 3)
+    gamma = divide_by_linear(quotient, linear_form_in_plane(b, plane), 3)
+    gamma_vec = [ZERO, ZERO, ZERO]
+    for mono, c in gamma.items():
+        gamma_vec[mono.index(1)] = c
+    params = kernel_basis([gamma_vec])
+    if len(params) != 2:
+        raise FactorizationFailure("the residual factor is not a linear form")
+    points = [[sum((cu * row[i] for cu, row in zip(u, plane)), ZERO) for i in range(len(plane[0]))]
+              for u in params]
+    return ProjLine.span(points[0], points[1])

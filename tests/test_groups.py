@@ -19,6 +19,8 @@ from dp5links.groups import (
 )
 from dp5links.projgeo import ProjPoint
 
+S5 = group_from_cycles("(12345)", "(12)")
+
 
 def conjugate_subgroup(g: Permutation, h: FiniteGroup) -> FiniteGroup:
     """g h g^-1, closed from the conjugated generators."""
@@ -44,7 +46,7 @@ def test_composition_applies_right_factor_first():
 
 
 def test_composition_equals_the_checked_constructor_and_rejects_length_mismatch():
-    s5 = standard_groups()["S5"].elements
+    s5 = S5.elements
     for a, b in itertools.product(s5, repeat=2):
         ab = a * b
         expected = Permutation(tuple(a.images[b.images[j]] for j in range(5)))
@@ -59,7 +61,7 @@ def test_membership_uses_one_cached_element_set():
     gs = standard_groups()
     g20, d10 = gs["G20"], gs["D10"]
     assert all(p in g20 for p in g20.elements)
-    outside = [p for p in gs["S5"].elements if p not in g20]
+    outside = [p for p in S5.elements if p not in g20]
     assert len(outside) == 100
     assert set(outside).isdisjoint(g20.elements)
     assert Permutation.from_cycles("(2354)") in g20
@@ -78,7 +80,7 @@ def _order_by_powers(p: Permutation) -> int:
 
 
 def test_order_from_cycle_lengths_matches_repeated_multiplication():
-    s5 = standard_groups()["S5"].elements
+    s5 = S5.elements
     assert len(s5) == 120
     for p in s5:
         assert p.order() == _order_by_powers(p)
@@ -90,8 +92,9 @@ def test_closure_orders():
     assert group_from_cycles("(12345)", "(2354)").order() == 20
     assert group_from_cycles("(12345)", "(25)(34)").order() == 10
     assert subgroup_closure([]).order() == 1
+    assert S5.order() == 120
     gs = standard_groups()
-    assert gs["S5"].order() == 120
+    assert set(gs) == {"C4", "C5", "D10", "G20"}
     assert all(gs["G20"].order() % h.order() == 0 for h in (gs["C4"], gs["C5"], gs["D10"]))
 
 

@@ -4,22 +4,24 @@ import pytest
 import sympy
 
 from dp5links.cyclo import I_UNIT, ONE, ZERO, ZETA5, rational
-from dp5links import linalg
-from dp5links.groups import Permutation
+from dp5links import groups
+from dp5links.groups import (
+    IncompleteEigenspaces,
+    Permutation,
+    UnsupportedEigenvalue,
+    eigenspaces_of_permutation,
+    permutation_matrix,
+)
 from dp5links.linalg import (
     DependentClasses,
-    IncompleteEigenspaces,
     IntLattice,
-    UnsupportedEigenvalue,
     coordinates_in_basis,
-    eigenspaces_of_permutation,
     hyperbolic_basis,
     int_kernel,
     int_rank,
     intersect_spans,
     kernel_basis,
     orthogonal_complement,
-    permutation_matrix,
     rank,
     smith_normal_form,
 )
@@ -91,8 +93,8 @@ def test_eigenspaces_identity_and_unsupported_order_three():
 
 
 def test_eigenspaces_raise_when_dimensions_fall_short(monkeypatch):
-    real = linalg.kernel_basis
-    monkeypatch.setattr(linalg, "kernel_basis", lambda m: real(m)[1:])
+    real = groups.kernel_basis
+    monkeypatch.setattr(groups, "kernel_basis", lambda m: real(m)[1:])
     with pytest.raises(IncompleteEigenspaces):
         eigenspaces_of_permutation(Permutation.from_cycles("(12345)"))
 

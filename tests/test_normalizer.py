@@ -4,6 +4,7 @@ import pytest
 
 from dp5links.census import length4_orbit_points
 from dp5links.cyclo import FieldElement, I_UNIT, ONE, ZERO
+from dp5links.groups import group_from_cycles
 from dp5links.linalg import mat_mul
 from dp5links import normalizer
 from dp5links.normalizer import (
@@ -47,7 +48,7 @@ def test_characters_are_multiplicative_and_kill_the_five_part(g20):
 
 def test_wrong_group_rejected(groups):
     with pytest.raises(WrongGroup):
-        characters_of_g20(groups["S5"])
+        characters_of_g20(group_from_cycles("(12345)", "(12)"))
     with pytest.raises(WrongGroup):
         characters_of_g20(groups["C5"])
 
@@ -314,9 +315,24 @@ def test_quadratic_gram_is_the_a4_form():
             assert gram[i][j] == FieldElement([expected[i][j]])
 
 
-def test_closure_explosion_guard(g20):
+def test_closure_explosion_guard(g20, monkeypatch):
+    monkeypatch.setattr(normalizer, "CLOSURE_CAP", 10)
     with pytest.raises(ClosureExplosion):
-        assemble_normalizer(g20, cap=10)
+        assemble_normalizer(g20)
+
+
+def test_closure_skips_the_scalar_generator(g20, monkeypatch):
+    # the trivial character's intertwiner is 5 I, projectively the identity:
+    # it stays a serialised generator, but the closure's 40 products with it
+    # are not made: 163 products per normalizer, 203 with them
+    real = normalizer.mat_mul
+    calls = []
+    monkeypatch.setattr(normalizer, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
+    res = assemble_normalizer(g20)
+    assert len(calls) == 163
+    scalar = [[FieldElement([5 * (i == j)]) for j in range(4)] for i in range(4)]
+    assert res.generator_matrices[2] == scalar
+    assert len(res.generator_matrices) == 4 and res.order == 40
 
 
 def test_normalizer_serialization(normalizer_result):

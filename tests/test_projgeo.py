@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dp5links.cyclo import I_UNIT, ONE, ZERO, ZETA5, rational
+from dp5links.linalg import kernel_basis, rank
 from dp5links.projgeo import (
     CoincidentPoints,
     FactorizationFailure,
@@ -13,16 +14,26 @@ from dp5links.projgeo import (
     ProjLine,
     ProjPoint,
     SkewLines,
-    divide_by_linear,
     line_in_surface,
     line_through,
     membership,
     power_sum_form,
-    pullback,
     residual_line,
 )
 
-from geometry_oracles import point_at, restrict_to_line
+from geometry_oracles import (
+    coeff_map,
+    divide_by_linear,
+    is_zero_form,
+    linear_form_in_plane,
+    plane_of,
+    point_at,
+    poly_mul,
+    pullback,
+    residual_line_by_division,
+    restrict_to_line,
+    restrict_to_plane,
+)
 
 HYPER = power_sum_form(5, 1)
 CUBIC = power_sum_form(5, 3)
@@ -82,7 +93,7 @@ def test_line_in_surface_examples():
     assert line_in_surface(l1, HYPER)
     assert not line_in_surface(l1, QUADRIC)
     restricted = restrict_to_line(QUADRIC, l1)
-    assert not restricted.is_zero()
+    assert not is_zero_form(restricted)
     assert restricted.degree == 2
 
 
@@ -124,37 +135,61 @@ def test_residual_output_is_always_on_surface_and_coplanar():
     l1 = coordinate_line((1, 4), (2, 3))
     r = residual_line(CUBIC, e1, l1, HYPER)
     assert line_in_surface(r, CUBIC) and line_in_surface(r, HYPER)
-    from dp5links.linalg import rank
     stacked = [list(v) for v in e1.basis] + [list(v) for v in l1.basis] + [list(v) for v in r.basis]
     assert rank(stacked) == 3  # all three lines in one plane
 
 
 def test_plane_section_is_exactly_the_product_of_three_linear_factors():
     """The restricted cubic equals alpha*beta*gamma with no scalar slack left over."""
-    from dp5links.linalg import kernel_basis, rref, solve
-    from dp5links.projgeo import _line_coordinates_in_plane, _poly_mul
-
     pts = [eigenpoint(a) for a in (1, 2, 3, 4)]
     e1 = line_through(pts[0], pts[3])
     l1 = coordinate_line((1, 4), (2, 3))
     r = residual_line(CUBIC, e1, l1, HYPER)
-    stacked = [list(v) for v in e1.basis] + [list(v) for v in l1.basis]
-    red, pivots = rref(stacked)
-    plane = [red[0], red[1], red[2]]
-    ternary = pullback(CUBIC, [[plane[j][i] for j in range(3)] for i in range(len(plane[0]))])
+    plane = plane_of(e1, l1)
+    ternary = coeff_map(restrict_to_plane(CUBIC, plane))
     product = {(0, 0, 0): ONE}
     for line in (e1, l1, r):
-        coords = _line_coordinates_in_plane(line, plane)
-        ker = kernel_basis(coords)
-        assert len(ker) == 1
-        alpha = {tuple(1 if i == k else 0 for i in range(3)): ker[0][k]
-                 for k in range(3) if not ker[0][k].is_zero()}
-        product = _poly_mul(product, alpha)
-    ternary_map = ternary.coeff_map()
-    mono = next(iter(ternary_map))
-    scale = ternary_map[mono] / product[mono]
+        product = poly_mul(product, linear_form_in_plane(line, plane))
+    mono = next(iter(ternary))
+    scale = ternary[mono] / product[mono]
     assert not scale.is_zero()
-    assert {m: c * scale for m, c in product.items()} == ternary_map
+    assert {m: c * scale for m, c in product.items()} == ternary
+
+
+def test_residual_matches_division_on_every_meeting_pair(cfg):
+    """All 135 meeting pairs of the 27 lines against the division oracle."""
+    pairs = [(a, b) for a, b in itertools.combinations(cfg.lines, 2) if a.meets(b)]
+    assert len(pairs) == 135
+    branches, eckardt = set(), 0
+    for a, b in pairs:
+        r = residual_line(CUBIC, a, b, HYPER)
+        assert r == residual_line_by_division(CUBIC, a, b)
+        p, q, u, v = meeting_coefficients(a, b)
+        branches.add((q.is_zero(), v.is_zero()))
+        x = ProjPoint.of([p * c0 + q * c1 for c0, c1 in zip(*a.basis)])
+        eckardt += r.contains(x)
+    # both choices of the second point on each line occur
+    assert {q for q, _ in branches} == {True, False} == {v for _, v in branches}
+    # 10 Eckardt planes, where the three lines are concurrent, each from 3 pairs
+    assert eckardt == 30
+
+
+def meeting_coefficients(a, b):
+    """(p, q, u, v) with p a0 + q a1 = u b0 + v b1, the meeting point."""
+    (a0, a1), (b0, b1) = a.basis, b.basis
+    ker = kernel_basis([[p, q, -u, -v] for p, q, u, v in zip(a0, a1, b0, b1)])
+    assert len(ker) == 1
+    return ker[0]
+
+
+def test_residual_of_a_plane_on_the_surface_raises_factorization_failure():
+    # x0 x1 x2 vanishes on the whole plane {x0 = 0} of the hyperplane
+    form = HomogeneousForm.of(5, 3, {(1, 1, 1, 0, 0): ONE})
+    a = coordinate_line((1, 2), (3, 4))
+    b = coordinate_line((1, 2), (2, 3))
+    assert line_in_surface(a, form) and line_in_surface(b, form)
+    with pytest.raises(FactorizationFailure):
+        residual_line(form, a, b, HYPER)
 
 
 def test_residual_rejects_skew_and_off_surface_lines():
@@ -169,9 +204,9 @@ def test_residual_rejects_skew_and_off_surface_lines():
         residual_line(CUBIC, off, l1, HYPER)
 
 
-@pytest.mark.parametrize("rows", [2, 1])
+@pytest.mark.parametrize("rows", [1])
 def test_residual_with_degenerate_kernel_raises_factorization_failure(monkeypatch, rows):
-    # rows=2: the kernel cutting an input line; rows=1: the residual factor
+    # the kernel of the residual linear form in plane coordinates
     import dp5links.projgeo as projgeo
 
     real = projgeo.kernel_basis

@@ -13,15 +13,9 @@ from hypothesis import strategies as st
 
 from dp5links.cyclo import DEGREE, FieldElement, ONE, ZERO
 from dp5links.linalg import kernel_basis
-from dp5links.projgeo import (
-    HomogeneousForm,
-    ProjLine,
-    _poly_add,
-    _poly_mul,
-    line_in_surface,
-)
+from dp5links.projgeo import HomogeneousForm, ProjLine, line_in_surface
 
-from geometry_oracles import restrict_to_line
+from geometry_oracles import coeff_map, is_zero_form, poly_add, poly_mul, restrict_to_line
 
 NVARS = 5
 
@@ -63,7 +57,7 @@ def vanishing_on(line, degree, cofactors):
     for l, g in zip(cut, cofactors):
         lin = {tuple(int(k == i) for k in range(NVARS)): c
                for i, c in enumerate(l) if not c.is_zero()}
-        total = _poly_add(total, _poly_mul(lin, g.coeff_map()))
+        total = poly_add(total, poly_mul(lin, coeff_map(g)))
     return HomogeneousForm.of(NVARS, degree, total)
 
 
@@ -73,7 +67,7 @@ checked = settings(deadline=timedelta(milliseconds=2000), max_examples=100)
 @checked
 @given(st.integers(1, 3).flatmap(forms), lines())
 def test_line_in_surface_matches_restriction_on_random_forms(form, line):
-    assert line_in_surface(line, form) == restrict_to_line(form, line).is_zero()
+    assert line_in_surface(line, form) == is_zero_form(restrict_to_line(form, line))
 
 
 @checked
@@ -84,11 +78,11 @@ def test_line_in_surface_on_lines_placed_on_the_surface(degree_and_cofactors, li
     degree, cofactors = degree_and_cofactors
     on = vanishing_on(line, degree, cofactors)
     assert line_in_surface(line, on)
-    assert restrict_to_line(on, line).is_zero()
+    assert is_zero_form(restrict_to_line(on, line))
     # adding x0^d moves the form off the line unless x0 vanishes on it
-    bump = HomogeneousForm.of(NVARS, degree, _poly_add(
-        on.coeff_map(), {(degree,) + (0,) * (NVARS - 1): ONE}))
-    assert line_in_surface(line, bump) == restrict_to_line(bump, line).is_zero()
+    bump = HomogeneousForm.of(NVARS, degree, poly_add(
+        coeff_map(on), {(degree,) + (0,) * (NVARS - 1): ONE}))
+    assert line_in_surface(line, bump) == is_zero_form(restrict_to_line(bump, line))
 
 
 def test_the_last_evaluation_point_is_needed():
@@ -98,4 +92,4 @@ def test_the_last_evaluation_point_is_needed():
     line = ProjLine.span(unit[0], unit[1])
     form = HomogeneousForm.of(NVARS, 3, {(1, 2, 0, 0, 0): ONE, (2, 1, 0, 0, 0): -ONE})
     assert not line_in_surface(line, form)
-    assert not restrict_to_line(form, line).is_zero()
+    assert not is_zero_form(restrict_to_line(form, line))
