@@ -19,7 +19,6 @@ lines, all a smooth cubic surface carries.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -69,13 +68,18 @@ class NormNotConstant(ArithmeticError):
     """The sign-pattern norm kept a square-root term (an arithmetic defect)."""
 
 
-@dataclass(frozen=True)
 class Surface:
     """Surface in P^4 cut by the hyperplane form and one defining form."""
 
-    name: str
-    hyperplane: HomogeneousForm
-    form: HomogeneousForm
+    __slots__ = ("name", "hyperplane", "form")
+
+    def __init__(self, name: str, hyperplane: HomogeneousForm, form: HomogeneousForm):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "hyperplane", hyperplane)
+        object.__setattr__(self, "form", form)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Surface is immutable")
 
     @property
     def degree(self) -> int:
@@ -101,14 +105,21 @@ def length4_orbit_points() -> list[ProjPoint]:
 # -- orbit census -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class OrbitCensus:
-    surface: str
-    group_order: int
-    bound: int
-    orbits_by_length: dict[int, list[tuple[ProjPoint, ...]]]
-    artifacts: list[dict]
-    incidents: list[dict]
+    __slots__ = ("surface", "group_order", "bound", "orbits_by_length", "artifacts", "incidents")
+
+    def __init__(self, surface: str, group_order: int, bound: int,
+                 orbits_by_length: dict[int, list[tuple[ProjPoint, ...]]],
+                 artifacts: list[dict], incidents: list[dict]):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "group_order", group_order)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "orbits_by_length", orbits_by_length)
+        object.__setattr__(self, "artifacts", artifacts)
+        object.__setattr__(self, "incidents", incidents)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OrbitCensus is immutable")
 
     def serialize(self) -> dict:
         return {
@@ -215,13 +226,31 @@ def orbit_census(s: Surface, g: FiniteGroup, bound: int, strict: bool = True) ->
 # -- the 27 lines --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LineConfiguration:
-    surface: str
-    lines: tuple[ProjLine, ...]
-    labels: tuple[str, ...]
-    tags: tuple[str, ...]
-    incidence: tuple[tuple[int, ...], ...]
+    """The lines of a surface with labels, tags and incidence.
+
+    Not slotted: the cached line permutations live in the instance dict.
+    """
+
+    def __init__(self, surface: str, lines: tuple[ProjLine, ...], labels: tuple[str, ...],
+                 tags: tuple[str, ...], incidence: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "incidence", incidence)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LineConfiguration is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not LineConfiguration:
+            return NotImplemented
+        return ((self.surface, self.lines, self.labels, self.tags, self.incidence)
+                == (other.surface, other.lines, other.labels, other.tags, other.incidence))
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.lines, self.labels, self.tags, self.incidence))
 
     def by_label(self, label: str) -> ProjLine:
         return self.lines[self.labels.index(label)]
@@ -469,11 +498,16 @@ def line_orbits(cfg: LineConfiguration, g: FiniteGroup) -> list[list[int]]:
     return orbits
 
 
-@dataclass(frozen=True)
 class SkewFamily:
-    labels: tuple[str, ...]
-    indices: tuple[int, ...]
-    maximal: bool
+    __slots__ = ("labels", "indices", "maximal")
+
+    def __init__(self, labels: tuple[str, ...], indices: tuple[int, ...], maximal: bool):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "maximal", maximal)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SkewFamily is immutable")
 
     def size(self) -> int:
         return len(self.indices)

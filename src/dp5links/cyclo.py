@@ -122,6 +122,11 @@ class FieldElement:
 
     @staticmethod
     def from_rational(q: Rat) -> "FieldElement":
+        if q.__class__ is int:  # q/1 is in lowest terms: no Fraction, no gcd
+            e = _new(FieldElement)
+            _set_num(e, (q,) + _ZERO_NUM[1:])
+            _set_den(e, 1)
+            return e
         q = Fraction(q)
         return _element((q.numerator,) + _ZERO_NUM[1:], q.denominator)
 
@@ -287,7 +292,12 @@ class FieldElement:
 
     def serialize(self) -> list[str]:
         """Eight strings "num/den" in power-basis order (bit-exact)."""
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
+        d = self.den
+        out = []
+        for x in self.num:
+            g = gcd(x, d)  # gcd(0, d) = d gives "0/1"
+            out.append(f"{x // g}/{d // g}")
+        return out
 
     @staticmethod
     def deserialize(data: Sequence[str]) -> "FieldElement":

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cyclo import FieldElement, ONE, ZERO, root_of_unity
@@ -36,15 +35,26 @@ class IncompleteEigenspaces(ArithmeticError):
     """Eigenspace dimensions of a permutation matrix do not sum to its size."""
 
 
-@dataclass(frozen=True)
 class Permutation:
     """Bijection of {0,...,4} (coordinate indices)."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a bijection: {self.images}")
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a bijection: {images}")
+        _set_images(self, images)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Permutation is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Permutation:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash(self.images)
 
     @staticmethod
     def identity(n: int = 5) -> "Permutation":
@@ -94,11 +104,11 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # (self * other)(j) = self(other(j)): other applied first.  A composite
-        # of two bijections of one set is a bijection, so __post_init__ is skipped.
+        # of two bijections of one set is a bijection, so __init__'s check is skipped.
         if len(self.images) != len(other.images):
             raise ValueError(f"cannot compose {self.images} with {other.images}")
-        product = object.__new__(Permutation)
-        object.__setattr__(product, "images", tuple([self.images[j] for j in other.images]))
+        product = _new(Permutation)
+        _set_images(product, tuple([self.images[j] for j in other.images]))
         return product
 
     def inverse(self) -> "Permutation":
@@ -127,12 +137,31 @@ class Permutation:
         return self.images
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    """Closure of a generating set, element list sorted canonically."""
+# Slot writers that bypass the immutability guard in __setattr__.
+_new = object.__new__
+_set_images = Permutation.images.__set__
 
-    generators: tuple[Permutation, ...]
-    elements: tuple[Permutation, ...]
+
+class FiniteGroup:
+    """Closure of a generating set, element list sorted canonically.
+
+    Not slotted: the cached member set lives in the instance dict.
+    """
+
+    def __init__(self, generators: tuple[Permutation, ...], elements: tuple[Permutation, ...]):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "elements", elements)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteGroup is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FiniteGroup:
+            return NotImplemented
+        return self.generators == other.generators and self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.generators, self.elements))
 
     def order(self) -> int:
         return len(self.elements)
@@ -177,10 +206,9 @@ def group_from_cycles(*texts: str) -> FiniteGroup:
 
 
 def standard_groups() -> dict[str, FiniteGroup]:
-    """The subgroup chain used throughout: C4, C5, D10, G20."""
+    """The subgroup chain used throughout: C4, D10, G20."""
     return {
         "C4": group_from_cycles("(2354)"),
-        "C5": group_from_cycles("(12345)"),
         "D10": group_from_cycles("(12345)", "(25)(34)"),
         "G20": group_from_cycles("(12345)", "(2354)"),
     }
@@ -301,14 +329,21 @@ def eigenspaces_of_permutation(p: Permutation) -> dict[FieldElement, list[Vector
     return spaces
 
 
-@dataclass(frozen=True)
 class FixedLocusComponent:
     """Simultaneous eigenspace of a subgroup, with per-generator scalars."""
 
-    character: tuple[FieldElement, ...]
-    basis: tuple[tuple[FieldElement, ...], ...]
-    projective_dimension: int
-    positive_dimensional: bool
+    __slots__ = ("character", "basis", "projective_dimension", "positive_dimensional")
+
+    def __init__(self, character: tuple[FieldElement, ...],
+                 basis: tuple[tuple[FieldElement, ...], ...],
+                 projective_dimension: int, positive_dimensional: bool):
+        object.__setattr__(self, "character", character)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "projective_dimension", projective_dimension)
+        object.__setattr__(self, "positive_dimensional", positive_dimensional)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FixedLocusComponent is immutable")
 
     def point(self) -> ProjPoint:
         if self.projective_dimension != 0:

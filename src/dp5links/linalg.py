@@ -10,7 +10,6 @@ normal form with arbitrary-precision ints serves only saturated kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .cyclo import FieldElement, ONE, ZERO, rational
@@ -160,29 +159,37 @@ def intersect_spans(basis_a: list[Vector], basis_b: list[Vector]) -> list[Vector
 IntGrid = list[list[int]]
 
 
-@dataclass(frozen=True)
 class IntLattice:
     """Free abelian group with an integer symmetric pairing."""
 
-    rank: int
-    gram: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
-    # (i, j, gram[i][j]) for the nonzero entries; the gram is nearly diagonal
-    _entries: tuple[tuple[int, int, int], ...] = field(
-        init=False, repr=False, compare=False)
+    __slots__ = ("rank", "gram", "labels", "_entries")
 
-    def __post_init__(self):
-        g = self.gram
-        if len(g) != self.rank or any(len(r) != self.rank for r in g):
+    def __init__(self, rank: int, gram: tuple[tuple[int, ...], ...], labels: tuple[str, ...]):
+        if len(gram) != rank or any(len(r) != rank for r in gram):
             raise ValueError("gram matrix shape mismatch")
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if g[i][j] != g[j][i]:
+        for i in range(rank):
+            for j in range(rank):
+                if gram[i][j] != gram[j][i]:
                     raise ValueError("gram matrix not symmetric")
-        if len(self.labels) != self.rank:
+        if len(labels) != rank:
             raise ValueError("label count mismatch")
-        entries = tuple((i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if x)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "labels", labels)
+        # (i, j, gram[i][j]) for the nonzero entries; the gram is nearly diagonal
+        entries = tuple((i, j, x) for i, row in enumerate(gram) for j, x in enumerate(row) if x)
         object.__setattr__(self, "_entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntLattice is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not IntLattice:
+            return NotImplemented
+        return (self.rank, self.gram, self.labels) == (other.rank, other.gram, other.labels)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.gram, self.labels))
 
     @staticmethod
     def from_gram(gram: Sequence[Sequence[int]], labels: Sequence[str] | None = None) -> "IntLattice":

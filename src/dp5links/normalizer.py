@@ -28,7 +28,6 @@ lets the central involution be tested for commutation with the generators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
 from .cyclo import FieldElement, I_UNIT, ZERO, rational
@@ -103,12 +102,17 @@ def canonical_projective(m: Grid) -> tuple:
     return tuple(tuple((y.num, y.den) for y in (x * inv for x in row)) for row in m)
 
 
-@dataclass(frozen=True)
 class Character:
     """Linear character of the order-20 group, values in {1, i, -1, -i}."""
 
-    label: str
-    values: dict
+    __slots__ = ("label", "values")
+
+    def __init__(self, label: str, values: dict):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Character is immutable")
 
     def __call__(self, h: Permutation) -> FieldElement:
         return self.values[h]
@@ -143,13 +147,19 @@ def characters_of_g20(g: FiniteGroup) -> list[Character]:
     return chars
 
 
-@dataclass(frozen=True)
 class Intertwiner:
-    character: str
-    matrix: Grid
-    invertible: bool
-    quadric_preserving: bool
-    square_in_group: bool
+    __slots__ = ("character", "matrix", "invertible", "quadric_preserving", "square_in_group")
+
+    def __init__(self, character: str, matrix: Grid, invertible: bool,
+                 quadric_preserving: bool, square_in_group: bool):
+        object.__setattr__(self, "character", character)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "invertible", invertible)
+        object.__setattr__(self, "quadric_preserving", quadric_preserving)
+        object.__setattr__(self, "square_in_group", square_in_group)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Intertwiner is immutable")
 
     def serialize(self) -> dict:
         return {
@@ -240,13 +250,19 @@ def intertwiner(lam: Character, rep: dict[Permutation, Grid],
     return None
 
 
-@dataclass(frozen=True)
 class NormalizerResult:
-    order: int
-    generator_matrices: tuple[Grid, ...]
-    structure: dict
-    involution: Grid
-    intertwiners: tuple[Intertwiner, ...]
+    __slots__ = ("order", "generator_matrices", "structure", "involution", "intertwiners")
+
+    def __init__(self, order: int, generator_matrices: tuple[Grid, ...], structure: dict,
+                 involution: Grid, intertwiners: tuple[Intertwiner, ...]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "generator_matrices", generator_matrices)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "involution", involution)
+        object.__setattr__(self, "intertwiners", intertwiners)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NormalizerResult is immutable")
 
     def serialize(self) -> dict:
         return {

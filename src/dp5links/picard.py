@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .census import (
     LineConfiguration,
@@ -60,19 +59,31 @@ class OrbitsNotDisjoint(ValueError):
     """The two length-5 orbits were expected to be disjoint."""
 
 
-@dataclass(frozen=True)
 class DivisorClass:
-    label: str
-    vector: IntVec
+    __slots__ = ("label", "vector")
+
+    def __init__(self, label: str, vector: IntVec):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "vector", vector)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DivisorClass is immutable")
 
 
-@dataclass(frozen=True)
 class PicardLattice:
-    lattice: IntLattice
-    anticanonical: IntVec
-    marked: tuple[DivisorClass, ...]
-    actions: tuple[IntMat, ...]
-    action_names: tuple[str, ...]
+    __slots__ = ("lattice", "anticanonical", "marked", "actions", "action_names")
+
+    def __init__(self, lattice: IntLattice, anticanonical: IntVec,
+                 marked: tuple[DivisorClass, ...], actions: tuple[IntMat, ...],
+                 action_names: tuple[str, ...]):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "anticanonical", anticanonical)
+        object.__setattr__(self, "marked", marked)
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "action_names", action_names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PicardLattice is immutable")
 
     @property
     def rank(self) -> int:

@@ -9,7 +9,6 @@ which keeps every coordinate directly comparable with the classical models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .cyclo import FieldElement, ONE, ZERO, rational
@@ -32,11 +31,24 @@ class FactorizationFailure(ArithmeticError):
     """The plane through two lines of the surface lies on the surface."""
 
 
-@dataclass(frozen=True)
 class ProjPoint:
     """Point of P^4 with normalized exact coordinates."""
 
-    coords: tuple[FieldElement, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[FieldElement, ...]):
+        _set_coords(self, coords)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ProjPoint is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ProjPoint:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
 
     @staticmethod
     def of(coords: Iterable) -> "ProjPoint":
@@ -64,11 +76,24 @@ class ProjPoint:
         return "(" + " : ".join(repr(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
 class ProjLine:
     """Line of P^4 as a canonical 2-row reduced echelon span."""
 
-    basis: tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]
+    __slots__ = ("basis",)
+
+    def __init__(self, basis: tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]):
+        _set_basis(self, basis)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ProjLine is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ProjLine:
+            return NotImplemented
+        return self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash(self.basis)
 
     @staticmethod
     def span(v1: Sequence[FieldElement], v2: Sequence[FieldElement]) -> "ProjLine":
@@ -99,6 +124,11 @@ class ProjLine:
         return f"ProjLine{self.basis!r}"
 
 
+# Slot writers that bypass the immutability guard in __setattr__.
+_set_coords = ProjPoint.coords.__set__
+_set_basis = ProjLine.basis.__set__
+
+
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """Canonical line through two distinct points."""
     if p == q:
@@ -111,13 +141,26 @@ def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class HomogeneousForm:
     """Homogeneous polynomial with exact coefficients, sparse exponent map."""
 
-    nvars: int
-    degree: int
-    coeffs: tuple[tuple[Monomial, FieldElement], ...]
+    __slots__ = ("nvars", "degree", "coeffs")
+
+    def __init__(self, nvars: int, degree: int, coeffs: tuple[tuple[Monomial, FieldElement], ...]):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HomogeneousForm is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not HomogeneousForm:
+            return NotImplemented
+        return (self.nvars, self.degree, self.coeffs) == (other.nvars, other.degree, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.degree, self.coeffs))
 
     @staticmethod
     def of(nvars: int, degree: int, terms: Mapping[Monomial, FieldElement] | Iterable

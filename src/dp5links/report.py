@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -518,13 +517,14 @@ def check_thm_g40(ctx: Context) -> dict:
     }
 
 
-@dataclass
 class CheckResult:
-    check_id: str
-    statement: str
-    status: str  # pass | fail | error
-    certificate: dict
-    wall_time_ms: float = 0.0
+    def __init__(self, check_id: str, statement: str, status: str, certificate: dict,
+                 wall_time_ms: float = 0.0):
+        self.check_id = check_id
+        self.statement = statement
+        self.status = status  # pass | fail | error
+        self.certificate = certificate
+        self.wall_time_ms = wall_time_ms
 
     def serialize(self) -> dict:
         # wall time deliberately excluded: reports must be byte-deterministic
@@ -536,11 +536,11 @@ class CheckResult:
         }
 
 
-@dataclass
 class Report:
-    version: str
-    conventions: dict
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, version: str, conventions: dict, checks: list[CheckResult] | None = None):
+        self.version = version
+        self.conventions = conventions
+        self.checks = [] if checks is None else checks
 
     @property
     def overall(self) -> str:

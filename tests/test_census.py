@@ -126,6 +126,19 @@ def test_lines27_basics(cfg, clebsch):
     assert cfg.tags.count("residuation") == 10
 
 
+def test_census_values_are_immutable(clebsch, clebsch_census, cfg, families):
+    copy = LineConfiguration(cfg.surface, cfg.lines, cfg.labels, cfg.tags, cfg.incidence)
+    assert copy == cfg and hash(copy) == hash(cfg) and copy is not cfg
+    assert copy != LineConfiguration(cfg.surface, cfg.lines, cfg.labels, cfg.tags[::-1],
+                                     cfg.incidence)
+    assert copy != cfg.lines
+    for obj, attr in ((clebsch, "form"), (clebsch_census, "bound"), (cfg, "lines"),
+                      (cfg, "_permutations"), (families[0], "maximal")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+    assert len(cfg.lines) == 27 and clebsch_census.bound == 8
+
+
 def test_lines27_residuates_once_per_tritangent_plane(clebsch, cfg, g20, monkeypatch):
     import dp5links.census as census
     from dp5links.projgeo import ProjLine

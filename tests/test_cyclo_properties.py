@@ -128,6 +128,14 @@ def test_serialization_round_trip(a):
     assert back == a and is_canonical(back)
 
 
+@checked
+@given(st.one_of(st.integers(-10**30, 10**30), coefficient))
+def test_rational_matches_the_general_constructor(q):
+    e, expected = cyclo.rational(q), FieldElement([q])
+    assert e == expected and hash(e) == hash(expected) and is_canonical(e)
+    assert e.serialize() == [f"{c.numerator}/{c.denominator}" for c in expected.coeffs]
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(DivisionByZero):
         ZERO.inverse()

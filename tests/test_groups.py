@@ -20,6 +20,7 @@ from dp5links.groups import (
 from dp5links.projgeo import ProjPoint
 
 S5 = group_from_cycles("(12345)", "(12)")
+C5 = group_from_cycles("(12345)")
 
 
 def conjugate_subgroup(g: Permutation, h: FiniteGroup) -> FiniteGroup:
@@ -55,6 +56,23 @@ def test_composition_equals_the_checked_constructor_and_rejects_length_mismatch(
         Permutation.identity(5) * Permutation.identity(4)
     with pytest.raises(ValueError):
         Permutation.from_cycles("(123)", n=3) * Permutation.from_cycles("(12345)")
+
+
+def test_permutations_and_groups_are_immutable_values():
+    a, b = Permutation.from_cycles("(12345)"), Permutation((1, 2, 3, 4, 0))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != Permutation.identity()
+    assert a != a.images and a.images != a
+    g, h = group_from_cycles("(12345)", "(2354)"), group_from_cycles("(12345)", "(2354)")
+    assert g == h and hash(g) == hash(h) and g is not h
+    # the generators are part of the value, as serialize() shows them
+    assert g != group_from_cycles("(2354)", "(12345)")
+    assert g != (g.generators, g.elements)
+    comp = fixed_locus(standard_groups()["C4"])[0]
+    for obj, attr in ((a, "images"), (g, "elements"), (g, "extra"), (comp, "basis")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+    assert a.images == (1, 2, 3, 4, 0) and g.order() == 20
 
 
 def test_membership_uses_one_cached_element_set():
@@ -94,8 +112,8 @@ def test_closure_orders():
     assert subgroup_closure([]).order() == 1
     assert S5.order() == 120
     gs = standard_groups()
-    assert set(gs) == {"C4", "C5", "D10", "G20"}
-    assert all(gs["G20"].order() % h.order() == 0 for h in (gs["C4"], gs["C5"], gs["D10"]))
+    assert set(gs) == {"C4", "D10", "G20"}
+    assert all(gs["G20"].order() % h.order() == 0 for h in (gs["C4"], C5, gs["D10"]))
 
 
 def test_subgroups_of_g20_by_order():
@@ -146,7 +164,12 @@ def _s4_fixing_letter_5() -> FiniteGroup:
 
 @pytest.mark.parametrize("name", ["G20", "D10", "C4", "C5", "S4"])
 def test_subgroups_of_order_matches_all_pairs_closure(name):
-    g = _s4_fixing_letter_5() if name == "S4" else standard_groups()[name]
+    if name == "S4":
+        g = _s4_fixing_letter_5()
+    elif name == "C5":
+        g = C5
+    else:
+        g = standard_groups()[name]
     assert g.order() == {"G20": 20, "D10": 10, "C4": 4, "C5": 5, "S4": 24}[name]
     for n in range(1, g.order() + 1):
         if g.order() % n:
@@ -258,9 +281,7 @@ def test_fixed_locus_d10_empty_and_trivial_group_full():
 
 
 def test_fixed_locus_points_are_genuinely_fixed():
-    gs = standard_groups()
-    for name in ("C4", "C5"):
-        h = gs[name]
+    for h in (standard_groups()["C4"], C5):
         for comp in fixed_locus(h):
             vectors = [list(v) for v in comp.basis]
             generic = [sum(col, ZERO) for col in zip(*vectors)]

@@ -206,7 +206,12 @@ def test_intlattice_serialization_round_trip():
     lat = IntLattice.from_gram([[0, 1], [1, 0]], ["f1", "f2"])
     data = lat.serialize()
     assert data == {"rank": 2, "gram": [["0", "1"], ["1", "0"]], "labels": ["f1", "f2"]}
-    assert IntLattice.deserialize(data) == lat
+    back = IntLattice.deserialize(data)
+    assert back == lat and hash(back) == hash(lat) and back is not lat
+    assert lat != IntLattice.from_gram([[0, 1], [1, 0]], ["f2", "f1"]) and lat != lat.gram
+    with pytest.raises(AttributeError):
+        lat.gram = ((1, 0), (0, 1))
+    assert lat.pair([1, 2], [3, 4]) == 10
     with pytest.raises(ValueError):
         IntLattice.from_gram([[0, 1], [2, 0]])
 

@@ -46,11 +46,20 @@ def test_characters_are_multiplicative_and_kill_the_five_part(g20):
     assert sorted(c.order() for c in chars) == [1, 2, 4, 4]
 
 
-def test_wrong_group_rejected(groups):
+def test_normalizer_values_are_immutable(g20, normalizer_result):
+    lam = characters_of_g20(g20)[0]
+    t = normalizer_result.intertwiners[0]
+    for obj, attr in ((lam, "values"), (t, "matrix"), (normalizer_result, "order")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+    assert normalizer_result.order == 40
+
+
+def test_wrong_group_rejected():
     with pytest.raises(WrongGroup):
         characters_of_g20(group_from_cycles("(12345)", "(12)"))
     with pytest.raises(WrongGroup):
-        characters_of_g20(groups["C5"])
+        characters_of_g20(group_from_cycles("(12345)"))
 
 
 def test_representation_is_a_homomorphism(g20):

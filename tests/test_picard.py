@@ -36,6 +36,13 @@ def test_reconstruction_rank_and_degree(pic):
     assert all(pic.lattice.gram[i][i] == -1 for i in range(1, 7))
 
 
+def test_picard_values_are_immutable(pic):
+    for obj, attr in ((pic, "anticanonical"), (pic.marked[0], "vector")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+    assert pic.degree() == 3
+
+
 def test_all_line_classes_are_minus_one_degree_one(pic):
     for dc in pic.marked:
         assert pic.pair(dc.vector, dc.vector) == -1

@@ -233,7 +233,8 @@ def test_homogeneous_form_validation_and_round_trip():
     f = HomogeneousForm.of(2, 3, {(3, 0): ONE, (1, 2): -ONE, (0, 3): ZERO})
     assert len(f.coeffs) == 2  # zero coefficients dropped
     data = f.serialize()
-    assert HomogeneousForm.deserialize(2, 3, data) == f
+    back = HomogeneousForm.deserialize(2, 3, data)
+    assert back == f and hash(back) == hash(f) and back is not f
 
 
 def test_pullback_degree_and_values_agree():
@@ -247,6 +248,20 @@ def test_pullback_degree_and_values_agree():
 
 def test_line_and_point_serialization_round_trip():
     p = ProjPoint.of([0, -I_UNIT, -ONE, ONE, I_UNIT])
-    assert ProjPoint.deserialize(p.serialize()) == p
+    back = ProjPoint.deserialize(p.serialize())
+    assert back == p and hash(back) == hash(p) and back is not p
     l = coordinate_line((1, 4), (2, 3))
-    assert ProjLine.deserialize(l.serialize()) == l
+    back = ProjLine.deserialize(l.serialize())
+    assert back == l and hash(back) == hash(l) and back is not l
+
+
+def test_points_lines_and_forms_are_immutable_values():
+    p = ProjPoint.of([1, 2, 3, 4, -10])
+    l = coordinate_line((1, 4), (2, 3))
+    assert p != ProjPoint.of([1, 2, 3, -10, 4]) and l != coordinate_line((1, 3), (2, 4))
+    assert p != p.coords and l != l.basis and p != ProjLine((p.coords, p.coords))
+    assert CUBIC != CUBIC.coeffs and CUBIC != QUADRIC
+    for obj, attr in ((p, "coords"), (l, "basis"), (CUBIC, "degree")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+    assert CUBIC.degree == 3

@@ -1,5 +1,8 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -105,10 +108,10 @@ def _cold_report_counting(monkeypatch, module, name: str) -> list:
 
 
 def test_a_full_report_pins_the_subgroup_closures(monkeypatch):
-    # 4 for the standard groups, the rest for the subgroup classes of the
+    # 3 for the standard groups, the rest for the subgroup classes of the
     # order-20 group at orders 20, 10, 5 and 4; a pair inside a subgroup
     # already found is not closed, and conjugates take no closure
-    assert len(_cold_report_counting(monkeypatch, groups, "subgroup_closure")) == 147
+    assert len(_cold_report_counting(monkeypatch, groups, "subgroup_closure")) == 146
 
 
 def test_a_full_report_takes_each_fixed_locus_once(monkeypatch):
@@ -117,6 +120,24 @@ def test_a_full_report_takes_each_fixed_locus_once(monkeypatch):
     classes = [cls for q in (20, 10, 5, 4) for cls in groups.subgroups_of_order(g20, q)]
     assert len(classes) == 4
     assert [h for (h,) in calls] == [cls[0] for cls in classes]
+
+
+def test_cold_start_imports_neither_dataclasses_nor_inspect():
+    # importing the two costs about 11 ms of a cold start, so the value classes
+    # are written out by hand rather than generated
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(dp5links.__file__).parent.parent),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import dp5links.cli\n"
+            "from dp5links import report\n"
+            "report.Context()\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=False)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_cli_rejects_the_removed_jobs_option(capsys):
