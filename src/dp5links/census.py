@@ -22,10 +22,11 @@ import itertools
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .cyclo import FieldElement, ONE, ZERO, ZETA5, rational
+from .cyclo import FieldElement, Frozen, ONE, ZERO, ZETA5, rational
 from .groups import (
     FiniteGroup,
     Permutation,
+    closure,
     fixed_locus,
     orbit_and_stabilizer,
     subgroups_of_order,
@@ -68,7 +69,7 @@ class NormNotConstant(ArithmeticError):
     """The sign-pattern norm kept a square-root term (an arithmetic defect)."""
 
 
-class Surface:
+class Surface(Frozen):
     """Surface in P^4 cut by the hyperplane form and one defining form."""
 
     __slots__ = ("name", "hyperplane", "form")
@@ -77,9 +78,6 @@ class Surface:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "hyperplane", hyperplane)
         object.__setattr__(self, "form", form)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Surface is immutable")
 
     @property
     def degree(self) -> int:
@@ -105,7 +103,7 @@ def length4_orbit_points() -> list[ProjPoint]:
 # -- orbit census -------------------------------------------------------------
 
 
-class OrbitCensus:
+class OrbitCensus(Frozen):
     __slots__ = ("surface", "group_order", "bound", "orbits_by_length", "artifacts", "incidents")
 
     def __init__(self, surface: str, group_order: int, bound: int,
@@ -117,9 +115,6 @@ class OrbitCensus:
         object.__setattr__(self, "orbits_by_length", orbits_by_length)
         object.__setattr__(self, "artifacts", artifacts)
         object.__setattr__(self, "incidents", incidents)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrbitCensus is immutable")
 
     def serialize(self) -> dict:
         return {
@@ -226,7 +221,7 @@ def orbit_census(s: Surface, g: FiniteGroup, bound: int, strict: bool = True) ->
 # -- the 27 lines --------------------------------------------------------------
 
 
-class LineConfiguration:
+class LineConfiguration(Frozen):
     """The lines of a surface with labels, tags and incidence.
 
     Not slotted: the cached line permutations live in the instance dict.
@@ -239,9 +234,6 @@ class LineConfiguration:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "tags", tags)
         object.__setattr__(self, "incidence", incidence)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LineConfiguration is immutable")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not LineConfiguration:
@@ -358,6 +350,13 @@ def lines27(s: Surface, g: FiniteGroup) -> LineConfiguration:
         tags[line] = "residuation"
         return index[line]
 
+    def image(a: int, t: int) -> int:
+        """Index of the image of line t under gens[a], added if new."""
+        if t not in images[a]:
+            line = _transport(lines[t], gens[a])
+            images[a][t] = index[line] if line in index else add(line)
+        return images[a][t]
+
     # residuation closure: each unordered pair (i, j), i < j, is decided once.
     # A meeting pair spans a tritangent plane holding its residual k, so the
     # pairs (i, k) and (j, k) meet too, and their residuals j and i are known.
@@ -383,37 +382,22 @@ def lines27(s: Surface, g: FiniteGroup) -> LineConfiguration:
             k = index.get(c)
             if k is None:
                 # a new line brings its orbit under gens, in discovery order
-                k = t = add(c)
-                while t < len(lines):
-                    for a, p in enumerate(gens):
-                        image = _transport(lines[t], p)
-                        images[a][t] = index[image] if image in index else add(image)
-                    t += 1
+                k = add(c)
+                closure([k], range(len(gens)), image)
             meets[pair(i, k)] = meets[pair(j, k)] = True
             if len(lines) >= 27:
                 break
     if len(lines) != 27:
         raise EnumerationIncomplete(f"closure stopped at {len(lines)} lines, expected 27")
-    for p, perm in zip(gens, images):
+    for a, p in enumerate(gens):
         for t in range(27):
-            if t not in perm:
-                k = index.get(_transport(lines[t], p))
-                if k is None:
-                    raise ActionNotClosed(f"{p.to_cycles()} maps a line outside the configuration")
-                perm[t] = k
+            if image(a, t) >= 27:
+                raise ActionNotClosed(f"{p.to_cycles()} maps a line outside the configuration")
     # one decision per orbit of pairs: a pair the closure decided, else a meets call
     for i, j in itertools.combinations(range(27), 2):
         if (i, j) in meets:
             continue
-        orbit = {(i, j)}
-        queue = [(i, j)]
-        while queue:
-            a, b = queue.pop()
-            for perm in images:
-                q = pair(perm[a], perm[b])
-                if q not in orbit:
-                    orbit.add(q)
-                    queue.append(q)
+        orbit = closure([(i, j)], images, lambda perm, ab: pair(perm[ab[0]], perm[ab[1]]))
         known = next((meets[q] for q in orbit if q in meets), None)
         value = lines[i].meets(lines[j]) if known is None else known
         for q in orbit:
@@ -476,38 +460,26 @@ def induced_line_permutation(cfg: LineConfiguration, g: Permutation) -> tuple[in
 
 
 def line_orbits(cfg: LineConfiguration, g: FiniteGroup) -> list[list[int]]:
-    """Orbit partition of the line indices, each orbit sorted."""
+    """Orbit partition of the line indices: each orbit, sorted, is the closure
+    of its least index under the generators' line permutations."""
     perms = [induced_line_permutation(cfg, el) for el in g.generators]
-    seen = [False] * len(cfg.lines)
+    seen: set[int] = set()
     orbits = []
     for start in range(len(cfg.lines)):
-        if seen[start]:
-            continue
-        orbit = {start}
-        queue = [start]
-        seen[start] = True
-        while queue:
-            i = queue.pop()
-            for perm in perms:
-                j = perm[i]
-                if not seen[j]:
-                    seen[j] = True
-                    orbit.add(j)
-                    queue.append(j)
-        orbits.append(sorted(orbit))
+        if start not in seen:
+            orbit = closure([start], perms, tuple.__getitem__)
+            seen.update(orbit)
+            orbits.append(sorted(orbit))
     return orbits
 
 
-class SkewFamily:
+class SkewFamily(Frozen):
     __slots__ = ("labels", "indices", "maximal")
 
     def __init__(self, labels: tuple[str, ...], indices: tuple[int, ...], maximal: bool):
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "maximal", maximal)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewFamily is immutable")
 
     def size(self) -> int:
         return len(self.indices)

@@ -41,6 +41,20 @@ _MINUS_ONE_NUM = (-1,) + _ZERO_NUM[1:]
 _FRACTION_ZERO = Fraction(0)
 
 
+class Frozen:
+    """Base of the immutable value classes: assigning an attribute raises.
+
+    Constructors write their fields past the guard, with object.__setattr__
+    or a slot descriptor's __set__.  The empty __slots__ leaves a slotted
+    subclass without an instance dict.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class DivisionByZero(ZeroDivisionError):
     """Division by the zero element of K."""
 
@@ -103,7 +117,7 @@ def _init(e: "FieldElement", num: Sequence[int], den: int) -> None:
     _set_den(e, den)
 
 
-class FieldElement:
+class FieldElement(Frozen):
     """An element of Q(zeta_20): integer numerators over a common denominator."""
 
     __slots__ = ("num", "den")
@@ -114,9 +128,6 @@ class FieldElement:
         num = [c.numerator * (den // c.denominator) for c in cs]
         num = _fold(num) if len(num) > DEGREE else num + [0] * (DEGREE - len(num))
         _init(self, num, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
 
     # -- constructors -------------------------------------------------
 

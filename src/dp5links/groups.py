@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .cyclo import FieldElement, ONE, ZERO, root_of_unity
+from .cyclo import FieldElement, Frozen, ONE, ZERO, root_of_unity
 from .linalg import Grid, Vector, intersect_spans, kernel_basis, rref
 from .projgeo import ProjPoint
 
@@ -35,7 +35,11 @@ class IncompleteEigenspaces(ArithmeticError):
     """Eigenspace dimensions of a permutation matrix do not sum to its size."""
 
 
-class Permutation:
+class ClosureExplosion(RuntimeError):
+    """A closure found more elements than its cap allows; should never happen."""
+
+
+class Permutation(Frozen):
     """Bijection of {0,...,4} (coordinate indices)."""
 
     __slots__ = ("images",)
@@ -44,9 +48,6 @@ class Permutation:
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a bijection: {images}")
         _set_images(self, images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Permutation:
@@ -142,7 +143,7 @@ _new = object.__new__
 _set_images = Permutation.images.__set__
 
 
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """Closure of a generating set, element list sorted canonically.
 
     Not slotted: the cached member set lives in the instance dict.
@@ -151,9 +152,6 @@ class FiniteGroup:
     def __init__(self, generators: tuple[Permutation, ...], elements: tuple[Permutation, ...]):
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "elements", elements)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteGroup is immutable")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not FiniteGroup:
@@ -183,22 +181,41 @@ class FiniteGroup:
         }
 
 
+def closure(seeds: Iterable, generators: Iterable, act: Callable,
+            key: Callable | None = None, cap: int | None = None) -> dict:
+    """The closure of seeds under act(g, x) for the generators g.
+
+    Returns {key(x): x} (key defaults to x itself) in discovery order, seeds
+    first; of elements with equal keys the first found is kept.  Elements are
+    taken in discovery order and each is acted on by every generator in turn,
+    so act is called exactly once per (generator, element) pair.  Raises
+    ClosureExplosion when a new element would make more than cap.
+    """
+    generators = tuple(generators)
+    found: dict = {}
+    queue: list = []
+
+    def visit(x) -> None:
+        k = x if key is None else key(x)
+        if k not in found:
+            if cap is not None and len(found) >= cap:
+                raise ClosureExplosion(f"closure exceeded {cap} elements")
+            found[k] = x
+            queue.append(x)
+
+    for x in seeds:
+        visit(x)
+    for x in queue:
+        for g in generators:
+            visit(act(g, x))
+    return found
+
+
 def subgroup_closure(gens: Iterable[Permutation], n: int = 5) -> FiniteGroup:
-    """Breadth-first closure of the generated subgroup."""
+    """The generated subgroup: the closure of the identity under left products."""
     gens = tuple(gens)
-    identity = Permutation.identity(n)
-    elements = {identity}
-    boundary = [identity]
-    while boundary:
-        new_boundary = []
-        for g in gens:
-            for b in boundary:
-                c = g * b
-                if c not in elements:
-                    elements.add(c)
-                    new_boundary.append(c)
-        boundary = new_boundary
-    return FiniteGroup(gens, tuple(sorted(elements, key=Permutation.sort_key)))
+    elements = closure([Permutation.identity(n)], gens, Permutation.__mul__)
+    return FiniteGroup(gens, tuple(sorted(elements.values(), key=Permutation.sort_key)))
 
 
 def group_from_cycles(*texts: str) -> FiniteGroup:
@@ -329,7 +346,7 @@ def eigenspaces_of_permutation(p: Permutation) -> dict[FieldElement, list[Vector
     return spaces
 
 
-class FixedLocusComponent:
+class FixedLocusComponent(Frozen):
     """Simultaneous eigenspace of a subgroup, with per-generator scalars."""
 
     __slots__ = ("character", "basis", "projective_dimension", "positive_dimensional")
@@ -341,9 +358,6 @@ class FixedLocusComponent:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "projective_dimension", projective_dimension)
         object.__setattr__(self, "positive_dimensional", positive_dimensional)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FixedLocusComponent is immutable")
 
     def point(self) -> ProjPoint:
         if self.projective_dimension != 0:

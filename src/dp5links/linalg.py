@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .cyclo import FieldElement, ONE, ZERO, rational
+from .cyclo import FieldElement, Frozen, ONE, ZERO, rational
 
 Vector = list[FieldElement]
 Grid = list[Vector]
@@ -159,7 +159,7 @@ def intersect_spans(basis_a: list[Vector], basis_b: list[Vector]) -> list[Vector
 IntGrid = list[list[int]]
 
 
-class IntLattice:
+class IntLattice(Frozen):
     """Free abelian group with an integer symmetric pairing."""
 
     __slots__ = ("rank", "gram", "labels", "_entries")
@@ -179,9 +179,6 @@ class IntLattice:
         # (i, j, gram[i][j]) for the nonzero entries; the gram is nearly diagonal
         entries = tuple((i, j, x) for i, row in enumerate(gram) for j, x in enumerate(row) if x)
         object.__setattr__(self, "_entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntLattice is immutable")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not IntLattice:

@@ -30,8 +30,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .cyclo import FieldElement, I_UNIT, ZERO, rational
-from .groups import FiniteGroup, Permutation, subgroups_of_order
+from .cyclo import FieldElement, Frozen, I_UNIT, ZERO, rational
+from .groups import ClosureExplosion, FiniteGroup, Permutation, closure, subgroups_of_order
 from .linalg import (
     Grid,
     coordinates_in_basis,
@@ -48,10 +48,6 @@ from .projgeo import HYPERPLANE_BASIS, ProjPoint, hyperplane_basis_grid
 
 class WrongGroup(ValueError):
     """Expected the order-20 subgroup with a normal cyclic 5-part."""
-
-
-class ClosureExplosion(RuntimeError):
-    """Projective closure exceeded CLOSURE_CAP; should never happen."""
 
 
 # hard cap on the classes of the projective closure (the normalizer has 40)
@@ -102,7 +98,7 @@ def canonical_projective(m: Grid) -> tuple:
     return tuple(tuple((y.num, y.den) for y in (x * inv for x in row)) for row in m)
 
 
-class Character:
+class Character(Frozen):
     """Linear character of the order-20 group, values in {1, i, -1, -i}."""
 
     __slots__ = ("label", "values")
@@ -110,9 +106,6 @@ class Character:
     def __init__(self, label: str, values: dict):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Character is immutable")
 
     def __call__(self, h: Permutation) -> FieldElement:
         return self.values[h]
@@ -147,7 +140,7 @@ def characters_of_g20(g: FiniteGroup) -> list[Character]:
     return chars
 
 
-class Intertwiner:
+class Intertwiner(Frozen):
     __slots__ = ("character", "matrix", "invertible", "quadric_preserving", "square_in_group")
 
     def __init__(self, character: str, matrix: Grid, invertible: bool,
@@ -157,9 +150,6 @@ class Intertwiner:
         object.__setattr__(self, "invertible", invertible)
         object.__setattr__(self, "quadric_preserving", quadric_preserving)
         object.__setattr__(self, "square_in_group", square_in_group)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Intertwiner is immutable")
 
     def serialize(self) -> dict:
         return {
@@ -250,7 +240,7 @@ def intertwiner(lam: Character, rep: dict[Permutation, Grid],
     return None
 
 
-class NormalizerResult:
+class NormalizerResult(Frozen):
     __slots__ = ("order", "generator_matrices", "structure", "involution", "intertwiners")
 
     def __init__(self, order: int, generator_matrices: tuple[Grid, ...], structure: dict,
@@ -260,9 +250,6 @@ class NormalizerResult:
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "involution", involution)
         object.__setattr__(self, "intertwiners", intertwiners)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NormalizerResult is immutable")
 
     def serialize(self) -> dict:
         return {
@@ -312,22 +299,8 @@ def assemble_normalizer(g: FiniteGroup) -> NormalizerResult:
     generators += [t.matrix for t in preserving]
     ident = identity_grid(4)
     ident_key = canonical_projective(ident)
-    elements: dict[tuple, Grid] = {ident_key: ident}
     movers = [m for m in generators if canonical_projective(m) != ident_key]
-    boundary = [ident]
-    while boundary:
-        new_boundary = []
-        for gen in movers:
-            for b in boundary:
-                prod = mat_mul(gen, b)
-                key = canonical_projective(prod)
-                if key not in elements:
-                    if len(elements) >= CLOSURE_CAP:
-                        raise ClosureExplosion(
-                            f"projective closure exceeded {CLOSURE_CAP} classes")
-                    elements[key] = prod
-                    new_boundary.append(prod)
-        boundary = new_boundary
+    elements = closure([ident], movers, mat_mul, key=canonical_projective, cap=CLOSURE_CAP)
     order = len(elements)
     # central involution: projectively order 2, commutes with the whole
     # represented group, not itself a represented element.  Commuting with

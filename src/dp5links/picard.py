@@ -24,6 +24,7 @@ from .census import (
     induced_line_permutation,
     length4_orbit_points,
 )
+from .cyclo import Frozen
 from .groups import FiniteGroup
 from .linalg import (
     IntGrid,
@@ -59,18 +60,15 @@ class OrbitsNotDisjoint(ValueError):
     """The two length-5 orbits were expected to be disjoint."""
 
 
-class DivisorClass:
+class DivisorClass(Frozen):
     __slots__ = ("label", "vector")
 
     def __init__(self, label: str, vector: IntVec):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "vector", vector)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DivisorClass is immutable")
 
-
-class PicardLattice:
+class PicardLattice(Frozen):
     __slots__ = ("lattice", "anticanonical", "marked", "actions", "action_names")
 
     def __init__(self, lattice: IntLattice, anticanonical: IntVec,
@@ -81,9 +79,6 @@ class PicardLattice:
         object.__setattr__(self, "marked", marked)
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "action_names", action_names)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PicardLattice is immutable")
 
     @property
     def rank(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .cyclo import FieldElement, ONE, ZERO, rational
+from .cyclo import FieldElement, Frozen, ONE, ZERO, rational
 from .linalg import kernel_basis, rank, rref
 
 
@@ -31,16 +31,13 @@ class FactorizationFailure(ArithmeticError):
     """The plane through two lines of the surface lies on the surface."""
 
 
-class ProjPoint:
+class ProjPoint(Frozen):
     """Point of P^4 with normalized exact coordinates."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: tuple[FieldElement, ...]):
         _set_coords(self, coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjPoint is immutable")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not ProjPoint:
@@ -76,16 +73,13 @@ class ProjPoint:
         return "(" + " : ".join(repr(c) for c in self.coords) + ")"
 
 
-class ProjLine:
+class ProjLine(Frozen):
     """Line of P^4 as a canonical 2-row reduced echelon span."""
 
     __slots__ = ("basis",)
 
     def __init__(self, basis: tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]):
         _set_basis(self, basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjLine is immutable")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not ProjLine:
@@ -141,7 +135,7 @@ def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
 Monomial = tuple[int, ...]
 
 
-class HomogeneousForm:
+class HomogeneousForm(Frozen):
     """Homogeneous polynomial with exact coefficients, sparse exponent map."""
 
     __slots__ = ("nvars", "degree", "coeffs")
@@ -150,9 +144,6 @@ class HomogeneousForm:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomogeneousForm is immutable")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not HomogeneousForm:

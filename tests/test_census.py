@@ -174,6 +174,15 @@ def test_lines27_residuates_once_per_tritangent_plane(clebsch, cfg, g20, monkeyp
         assert fresh._permutations[el] == induced_line_permutation(bare, el)
 
 
+def test_lines27_transports_each_line_once_per_generator(clebsch, cfg, g20, monkeypatch):
+    # 27 lines, 2 generators fixing the Clebsch cubic
+    real = census._transport
+    calls = []
+    monkeypatch.setattr(census, "_transport", lambda *a: calls.append(a) or real(*a))
+    assert lines27(clebsch, g20) == cfg
+    assert len(calls) == len(set(calls)) == 54
+
+
 def test_lines27_under_the_trivial_group_is_pure_residuation(clebsch, cfg, g20, monkeypatch):
     residuals = []
     real = census.residual_line

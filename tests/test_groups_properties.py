@@ -1,0 +1,83 @@
+"""Property tests of the orbit-closure primitive against independent oracles.
+
+subgroup_closure, which closes the identity under left products, is checked
+against sympy's group order on random generator sets of the symmetric group
+on 5 letters.  groups.closure itself is checked for its contract: act is
+called once per (generator, element) pair, the seeds come first, a key that
+merges elements keeps the first element found, and the cap is exact.
+"""
+
+from datetime import timedelta
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation as SympyPermutation, PermutationGroup
+
+from dp5links.groups import ClosureExplosion, Permutation, closure, subgroup_closure
+
+checked = settings(deadline=timedelta(milliseconds=2000), max_examples=100)
+
+permutations = st.permutations(range(5)).map(lambda images: Permutation(tuple(images)))
+generator_sets = st.lists(permutations, max_size=3)
+
+
+def counting(act):
+    """act, recording every result in call order."""
+    results = []
+
+    def wrapped(g, x):
+        results.append(act(g, x))
+        return results[-1]
+
+    return wrapped, results
+
+
+@checked
+@given(generator_sets)
+def test_subgroup_closure_has_the_oracle_order_and_is_closed(gens):
+    h = subgroup_closure(gens)
+    oracle = PermutationGroup([SympyPermutation(list(g.images)) for g in gens]
+                              or [SympyPermutation(list(range(5)))])
+    assert h.order() == oracle.order()
+    members = h.element_set()
+    assert len(members) == h.order()
+    assert all(a * b in members for a in h.elements for b in h.elements)
+
+
+@checked
+@given(st.lists(permutations, min_size=1, max_size=4, unique=True), generator_sets)
+def test_closure_acts_once_per_pair_and_lists_the_seeds_first(seeds, gens):
+    act, results = counting(Permutation.__mul__)
+    found = closure(seeds, gens, act)
+    assert len(results) == len(found) * len(gens)
+    assert list(found)[:len(seeds)] == seeds
+    assert all(k is v for k, v in found.items())
+    # closed: every image of a found element was found
+    assert set(results) <= set(found)
+
+
+@checked
+@given(st.lists(permutations, min_size=1, max_size=4), generator_sets,
+       st.integers(0, 4))
+def test_a_merging_key_keeps_the_first_element_found(seeds, gens, letter):
+    # elements with the same image of one letter share a key
+    def key(p):
+        return p.images[letter]
+
+    act, results = counting(Permutation.__mul__)
+    found = closure(seeds, gens, act, key=key)
+    assert len(results) == len(found) * len(gens)
+    first = {}
+    for x in seeds + results:
+        first.setdefault(key(x), x)
+    assert found == first
+
+
+@checked
+@given(st.lists(permutations, min_size=1, max_size=4), generator_sets)
+def test_the_cap_is_the_largest_size_allowed(seeds, gens):
+    size = len(closure(seeds, gens, Permutation.__mul__))
+    assert len(closure(seeds, gens, Permutation.__mul__, cap=size)) == size
+    with pytest.raises(ClosureExplosion):
+        closure(seeds, gens, Permutation.__mul__, cap=size - 1)

@@ -344,6 +344,17 @@ def test_closure_skips_the_scalar_generator(g20, monkeypatch):
     assert len(res.generator_matrices) == 4 and res.order == 40
 
 
+def test_closure_canonicalises_each_product_once(g20, monkeypatch):
+    # one key per product, and the identity's twice: once to drop the scalar
+    # generator, once as the closure's seed
+    real = normalizer.canonical_projective
+    calls = []
+    monkeypatch.setattr(normalizer, "canonical_projective",
+                        lambda m: calls.append(1) or real(m))
+    assert assemble_normalizer(g20).order == 40
+    assert len(calls) == 164
+
+
 def test_normalizer_serialization(normalizer_result):
     data = normalizer_result.serialize()
     assert data["order"] == 40
