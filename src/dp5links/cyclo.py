@@ -8,10 +8,13 @@ denominator, fully reduced modulo
 
     Phi_20(x) = x^8 - x^6 + x^4 - x^2 + 1,
 
-with the gcd of the numerators and the denominator equal to 1.  That form is
-canonical, so equality of field elements is equality of (numerators,
-denominator).  Every operation works on Python ints and normalises by one
-gcd at the end (the representation of Cohen, GTM 138, section 4.2).
+with the gcd of the numerators and the denominator equal to 1.  Reduction
+takes one pass: zeta^10 = -1 folds x^(10+k) onto -x^k, and Phi_20 rewrites
+the two degrees left, x^8 = x^6 - x^4 + x^2 - 1 and x^9 = x^7 - x^5 + x^3 - x.
+That form is canonical, so equality of field elements is equality of
+(numerators, denominator).  Every operation works on Python ints and
+normalises by one gcd at the end (the representation of Cohen, GTM 138,
+section 4.2).
 
 Inverses go through the Galois norm tower: (Z/20)^x = <3> x <11>, so with
 b = a sigma_11(a) and c = b sigma_9(b) the norm N(a) = c sigma_3(c) is
@@ -68,21 +71,16 @@ class IrrationalNorm(ArithmeticError):
 
 
 def _fold(p: list[int]) -> list[int]:
-    """Reduce an integer coefficient list of any length modulo Phi_20."""
-    # x^(8+k) = x^(6+k) - x^(4+k) + x^(2+k) - x^k
-    for d in range(len(p) - 1, DEGREE - 1, -1):
-        c = p[d]
-        if c:
-            p[d - 2] += c
-            p[d - 4] -= c
-            p[d - 6] += c
-            p[d - 8] -= c
-    return p[:DEGREE]
+    """Reduce p[0] + p[1] x + ... + p[19] x^19 modulo Phi_20 in one pass."""
+    # x^(10+k) = -x^k, then x^8 = x^6 - x^4 + x^2 - 1 and x^9 = x^7 - x^5 + x^3 - x
+    c8, c9 = p[8] - p[18], p[9] - p[19]
+    return [p[0] - p[10] - c8, p[1] - p[11] - c9, p[2] - p[12] + c8, p[3] - p[13] + c9,
+            p[4] - p[14] - c8, p[5] - p[15] - c9, p[6] - p[16] + c8, p[7] - p[17] + c9]
 
 
 def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of two integer coefficient vectors modulo Phi_20."""
-    p = [0] * (2 * DEGREE - 1)
+    p = [0] * 20
     terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
@@ -101,20 +99,15 @@ def _galois(k: int, a: Sequence[int]) -> list[int]:
 
 
 def _element(num: Sequence[int], den: int) -> "FieldElement":
-    """The canonical element num/den; den must be positive."""
-    e = _new(FieldElement)
-    _init(e, num, den)
-    return e
-
-
-def _init(e: "FieldElement", num: Sequence[int], den: int) -> None:
-    """Store num/den in e in lowest terms: one gcd over all nine integers."""
+    """The canonical element num/den in lowest terms; den must be positive."""
     g = gcd(den, *num)
     if g != 1:
         num = [x // g for x in num]
         den //= g
+    e = _new(FieldElement)
     _set_num(e, tuple(num))
     _set_den(e, den)
+    return e
 
 
 class FieldElement(Frozen):
@@ -125,9 +118,12 @@ class FieldElement(Frozen):
     def __init__(self, coeffs: Iterable[Rat]):
         cs = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
-        num = [c.numerator * (den // c.denominator) for c in cs]
-        num = _fold(num) if len(num) > DEGREE else num + [0] * (DEGREE - len(num))
-        _init(self, num, den)
+        p = [0] * 20  # zeta^20 = 1
+        for d, c in enumerate(cs):
+            p[d % 20] += c.numerator * (den // c.denominator)
+        e = _element(_fold(p), den)
+        _set_num(self, e.num)
+        _set_den(self, e.den)
 
     # -- constructors -------------------------------------------------
 
@@ -185,7 +181,8 @@ class FieldElement(Frozen):
         return _element([x * db - y * da for x, y in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other: Coercible) -> "FieldElement":
-        return self._coerce(other) - self
+        o = self._coerce(other)
+        return NotImplemented if o is NotImplemented else o - self
 
     def __neg__(self) -> "FieldElement":
         # negation keeps lowest terms, so no gcd is needed
@@ -223,7 +220,8 @@ class FieldElement(Frozen):
         return self * o.inverse()
 
     def __rtruediv__(self, other: Coercible) -> "FieldElement":
-        return self._coerce(other) * self.inverse()
+        o = self._coerce(other)
+        return NotImplemented if o is NotImplemented else o * self.inverse()
 
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
@@ -284,7 +282,7 @@ class FieldElement(Frozen):
         return hash((self.num, self.den))
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self.num != _ZERO_NUM
 
     def __repr__(self) -> str:
         terms = []

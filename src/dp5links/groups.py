@@ -146,7 +146,8 @@ _set_images = Permutation.images.__set__
 class FiniteGroup(Frozen):
     """Closure of a generating set, element list sorted canonically.
 
-    Not slotted: the cached member set lives in the instance dict.
+    Not slotted: the cached member set and cyclic subgroups live in the
+    instance dict.
     """
 
     def __init__(self, generators: tuple[Permutation, ...], elements: tuple[Permutation, ...]):
@@ -167,6 +168,11 @@ class FiniteGroup(Frozen):
     @functools.cached_property
     def _members(self) -> frozenset[Permutation]:
         return frozenset(self.elements)
+
+    @functools.cached_property
+    def _cyclic(self) -> dict[Permutation, "FiniteGroup"]:
+        """<a> for each element a, closed once per group for every order asked."""
+        return {a: subgroup_closure([a]) for a in self.elements}
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self._members
@@ -242,7 +248,8 @@ def subgroups_of_order(g: FiniteGroup, n: int) -> tuple[tuple[FiniteGroup, ...],
     or too small.  So the pruned enumeration keeps the same subgroups with
     the same generators.  Conjugates are element sets g x g^-1, each looked
     up among the found subgroups; the enumeration is exhaustive, so a miss
-    raises ConjugateNotFound.  Computed once per (group, order) and returned
+    raises ConjugateNotFound.  The cyclic subgroups <a> are closed once per
+    group and serve every order.  Computed once per (group, order) and returned
     as immutable tuples, since both censuses and the normalizer ask for the
     same classes.
     """
@@ -252,9 +259,9 @@ def subgroups_of_order(g: FiniteGroup, n: int) -> tuple[tuple[FiniteGroup, ...],
     candidates = [e for e in g.elements if n % e.order() == 0]
     if n == 1:
         found[frozenset([Permutation.identity()])] = subgroup_closure([])
-    cyclic = {}
+    cyclic = g._cyclic
     for a in candidates:
-        h = cyclic[a] = subgroup_closure([a])
+        h = cyclic[a]
         if h.order() == n:
             found.setdefault(h.element_set(), h)
     for a, b in itertools.combinations(candidates, 2):

@@ -3,6 +3,9 @@
 Matrices are plain row grids, and they are tiny (at most 12x12), so one
 routine, ``rref``, does every elimination over K: fraction-preserving Gaussian
 elimination with first-nonzero pivoting, deterministic, no pivot heuristics.
+Left of each pivot column the pivot row is zero, so ``rref`` scales and
+eliminates only the columns right of the pivot, and skips the pivot row's
+zero entries.
 Integer ranks and coordinates are taken over the rationals inside K; Smith
 normal form with arbitrary-precision ints serves only saturated kernels.
 """
@@ -45,16 +48,21 @@ def rref(m) -> tuple[Grid, list[int]]:
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if not a[i][c].is_zero()), None)
+        pivot_row = next((i for i in range(r, nrows) if a[i][c]), None)
         if pivot_row is None:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = a[r][c].inverse()
-        a[r] = [x * inv for x in a[r]]
+        row = a[pivot_row]
+        a[pivot_row] = a[r]
+        inv = row[c].inverse()
+        # row[:c] is zero, so only the columns right of c change anywhere
+        tail = [x * inv for x in row[c + 1:]]
+        a[r] = row[:c] + [ONE] + tail
         for i in range(nrows):
-            if i != r and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f:
+                other = a[i]
+                a[i] = other[:c] + [ZERO] + [x - f * y if y else x
+                                             for x, y in zip(other[c + 1:], tail)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -110,7 +118,7 @@ def mat_mul(a, b) -> Grid:
         for j in range(m):
             s = ZERO
             for t in range(k):
-                if not ga[i][t].is_zero() and not gb[t][j].is_zero():
+                if ga[i][t] and gb[t][j]:
                     s = s + ga[i][t] * gb[t][j]
             row.append(s)
         out.append(row)

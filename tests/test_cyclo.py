@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -16,10 +17,15 @@ from dp5links.cyclo import (
     ZERO,
     ZETA,
     ZETA5,
+    _fold,
+    _mul,
     galois_apply,
     rational,
     root_of_unity,
 )
+
+X = sympy.Symbol("x")
+PHI = sympy.Poly(sympy.cyclotomic_poly(20, X), X, domain="QQ")
 
 
 def random_element(rnd, max_num=5, max_den=3):
@@ -55,6 +61,16 @@ def test_division_by_zero_raises():
         ONE / ZERO
     with pytest.raises(DivisionByZero):
         ZERO.inverse()
+
+
+def test_non_field_operands_raise_type_error_on_either_side():
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for other in (1.5, "a", None):
+        for op in ops:
+            for left, right in ((other, ONE), (ONE, other), (other, ZERO), (ZERO, other)):
+                with pytest.raises(TypeError) as exc:
+                    op(left, right)
+                assert "NotImplementedType" not in str(exc.value)
 
 
 def test_galois_conjugation_examples():
@@ -101,18 +117,35 @@ def test_ring_axioms_thousand_samples():
             assert a * (ONE / a) == ONE
 
 
-def test_multiplication_against_sympy_polynomials():
-    x = sympy.Symbol("x")
-    phi = sympy.Poly(sympy.cyclotomic_poly(20, x), x, domain="QQ")
+def remainder_coeffs(d: int) -> list[int]:
+    """The power-basis coefficients of x^d mod Phi_20, from sympy."""
+    rem = sympy.Poly(X ** d, X, domain="QQ").rem(PHI)
+    return [int(rem.coeff_monomial(X ** k)) for k in range(DEGREE)]
 
+
+def test_fold_of_each_monomial_matches_sympy():
+    for d in range(20):
+        p = [0] * 20
+        p[d] = 1
+        assert _fold(p) == remainder_coeffs(d)
+
+
+def test_mul_of_basis_monomials_matches_sympy():
+    basis = [[int(i == k) for k in range(DEGREE)] for i in range(DEGREE)]
+    for i in range(DEGREE):
+        for j in range(DEGREE):
+            assert _mul(basis[i], basis[j]) == remainder_coeffs(i + j)
+
+
+def test_multiplication_against_sympy_polynomials():
     def to_poly(e):
-        return sympy.Poly(list(reversed([sympy.Rational(c) for c in e.coeffs])), x, domain="QQ")
+        return sympy.Poly(list(reversed([sympy.Rational(c) for c in e.coeffs])), X, domain="QQ")
 
     rnd = random.Random(33)
     for _ in range(40):
         a = random_element(rnd)
         b = random_element(rnd)
-        expected = (to_poly(a) * to_poly(b)).rem(phi)
+        expected = (to_poly(a) * to_poly(b)).rem(PHI)
         got = to_poly(a * b)
         assert got == expected
 

@@ -11,6 +11,7 @@ import pytest
 import dp5links
 from dp5links import census, groups
 from dp5links.cli import main
+from dp5links.cyclo import FieldElement
 from dp5links.report import (
     CHECK_FUNCTIONS,
     STATEMENTS,
@@ -108,10 +109,27 @@ def _cold_report_counting(monkeypatch, module, name: str) -> list:
 
 
 def test_a_full_report_pins_the_subgroup_closures(monkeypatch):
-    # 3 for the standard groups, the rest for the subgroup classes of the
-    # order-20 group at orders 20, 10, 5 and 4; a pair inside a subgroup
-    # already found is not closed, and conjugates take no closure
-    assert len(_cold_report_counting(monkeypatch, groups, "subgroup_closure")) == 146
+    # 3 for the standard groups, 20 for the cyclic subgroups of the order-20
+    # group, closed once for all orders, and 92 pairs for its subgroup classes
+    # at orders 20, 10, 5 and 4; a pair inside a subgroup already found is not
+    # closed, and conjugates take no closure
+    assert len(_cold_report_counting(monkeypatch, groups, "subgroup_closure")) == 115
+
+
+def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
+    # rref takes one inverse per pivot and multiplies only right of the pivot,
+    # by the pivot row's nonzero entries
+    counts = Counter()
+
+    def counted(name, real):
+        return lambda *args: counts.update([name]) or real(*args)
+
+    for attr, name in (("__mul__", "mul"), ("__rmul__", "mul"), ("inverse", "inverse")):
+        monkeypatch.setattr(FieldElement, attr, counted(name, getattr(FieldElement, attr)))
+    groups.subgroups_of_order.cache_clear()
+    census._fixed_point_orbits.cache_clear()
+    run_checks()
+    assert counts == {"mul": 22451, "inverse": 1500}
 
 
 def test_a_full_report_takes_each_fixed_locus_once(monkeypatch):
