@@ -172,7 +172,7 @@ def orbit_census(s: Surface, g: FiniteGroup, bound: int, strict: bool = True) ->
     orbits_by_length: dict[int, list[tuple[ProjPoint, ...]]] = {}
     artifacts: list[dict] = []
     incidents: list[dict] = []
-    seen: set[tuple] = set()
+    seen: set[tuple[ProjPoint, ...]] = set()  # orbits are sorted tuples
     for r in _divisors(g.order()):
         if r >= bound:
             continue
@@ -208,9 +208,8 @@ def orbit_census(s: Surface, g: FiniteGroup, bound: int, strict: bool = True) ->
                 })
                 if not on_surface or stab.order() != q:
                     continue
-                key = tuple(pt.sort_key() for pt in orbit)
-                if key not in seen:
-                    seen.add(key)
+                if orbit not in seen:
+                    seen.add(orbit)
                     orbits_by_length.setdefault(len(orbit), []).append(orbit)
             artifacts.append(entry)
     for r in orbits_by_length:

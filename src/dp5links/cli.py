@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .report import STATEMENTS, UnknownCheckId, run_checks
+from .report import CHECK_STAGES, STATEMENTS, UnknownCheckId, run_checks_parallel
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -23,7 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--output", default=None,
                         help="output path (default: standard output)")
     verify.add_argument("--timings", action="store_true",
-                        help="print per-check wall times to standard error")
+                        help="print per-check wall times, the process that ran each "
+                             "check and the stages it declares to standard error")
     return parser
 
 
@@ -38,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     selection = None if args.ids == ["all"] else args.ids
     try:
-        report = run_checks(selection)
+        report = run_checks_parallel(selection)
     except UnknownCheckId as exc:
         print(f"unknown check id(s): {exc}", file=sys.stderr)
         return 2
@@ -54,7 +55,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(text)
     if args.timings:
         for c in report.checks:
-            print(f"{c.check_id}: {c.wall_time_ms:.1f} ms", file=sys.stderr)
+            stages = ", ".join(CHECK_STAGES[c.check_id]) or "-"
+            print(f"{c.check_id}: {c.wall_time_ms:.1f} ms ({c.process}; stages: {stages})",
+                  file=sys.stderr)
     return 0 if report.overall == "pass" else 1
 
 

@@ -14,6 +14,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import marshal
+import os
+import sys
+import threading
 import time
 from functools import cached_property
 from typing import Callable
@@ -169,17 +173,27 @@ def _points_equal(a, b) -> bool:
 
 # -- the checks -------------------------------------------------------------------
 
-# The catalog: id -> claim and id -> function, in definition order.  The
-# functions stay a plain dict read at run time so callers can replace entries.
+# The catalog: id -> claim, id -> function and id -> the Context stages the
+# check builds, in definition order.  The functions stay a plain dict read at
+# run time so callers can replace entries.
 STATEMENTS: dict[str, str] = {}
 CHECK_FUNCTIONS: dict[str, Callable[[Context], dict]] = {}
+CHECK_STAGES: dict[str, tuple[str, ...]] = {}
 
 
-def check(cid: str, statement: str):
-    """Register the decorated function as the check `cid` certifying `statement`."""
+def check(cid: str, statement: str, stages: tuple[str, ...] = ()):
+    """Register the decorated function as the check `cid` certifying `statement`.
+
+    `stages` names every cached `Context` stage the check builds, including
+    those it builds through another stage (`pic` builds `cfg`).  Checks
+    sharing no stage never wait for each other's stages, which is what lets
+    `run_checks_parallel` split a run between two processes; they may still
+    share group-side tables such as `census._fixed_point_orbits`.
+    """
     def register(fn):
         STATEMENTS[cid] = statement
         CHECK_FUNCTIONS[cid] = fn
+        CHECK_STAGES[cid] = stages
         return fn
     return register
 
@@ -197,7 +211,8 @@ def check_clebsch_smooth(ctx: Context) -> dict:
 
 @check("clebsch-orbit-4",
        "unique length-4 orbit on the cubic: the four eigenpoints "
-       "(1 : z^a : z^2a : z^3a : z^4a) of the 5-cycle")
+       "(1 : z^a : z^2a : z^3a : z^4a) of the 5-cycle",
+       stages=("clebsch_census",))
 def check_clebsch_orbit4(ctx: Context) -> dict:
     orbits = ctx.clebsch_census.orbits_by_length.get(4, [])
     _require(len(orbits) == 1, f"expected one length-4 orbit, found {len(orbits)}")
@@ -215,7 +230,8 @@ def check_clebsch_orbit4(ctx: Context) -> dict:
 
 @check("clebsch-orbit-5",
        "exactly three length-5 orbits on the cubic (the V, U, W point lists); "
-       "(-4:1:1:1:1) is fixed by the order-4 subgroup but is not on the cubic")
+       "(-4:1:1:1:1) is fixed by the order-4 subgroup but is not on the cubic",
+       stages=("clebsch_census",))
 def check_clebsch_orbit5(ctx: Context) -> dict:
     orbits = ctx.clebsch_census.orbits_by_length.get(5, [])
     _require(len(orbits) == 3, f"expected three length-5 orbits, found {len(orbits)}")
@@ -242,7 +258,8 @@ def check_clebsch_orbit5(ctx: Context) -> dict:
 
 @check("clebsch-census-lt8",
        "complete orbit census of length < 8 on the cubic: one orbit of length 4, "
-       "three of length 5, none of length 1 or 2")
+       "three of length 5, none of length 1 or 2",
+       stages=("clebsch_census",))
 def check_clebsch_census(ctx: Context) -> dict:
     lengths = {r: len(v) for r, v in ctx.clebsch_census.orbits_by_length.items()}
     _require(lengths == {4: 1, 5: 3}, f"census lengths {lengths} != {{4: 1, 5: 3}}")
@@ -251,7 +268,8 @@ def check_clebsch_census(ctx: Context) -> dict:
 
 @check("lines-27",
        "the cubic carries exactly 27 lines, each meeting 10 others; L1..L5 have "
-       "their closed-form equations, pass through U_i and W_i, and are disjoint")
+       "their closed-form equations, pass through U_i and W_i, and are disjoint",
+       stages=("cfg",))
 def check_lines27(ctx: Context) -> dict:
     cfg = ctx.cfg
     _require(len(cfg.lines) == 27, f"found {len(cfg.lines)} lines")
@@ -293,7 +311,8 @@ def check_lines27(ctx: Context) -> dict:
 
 @check("skew-families",
        "exactly two maximal invariant skew families of lines: {E1, E2} and "
-       "{L1..L5} (the two extremal contractions)")
+       "{L1..L5} (the two extremal contractions)",
+       stages=("cfg", "families"))
 def check_skew_families(ctx: Context) -> dict:
     maximal = [f for f in ctx.families if f.maximal]
     sizes = sorted(f.size() for f in maximal)
@@ -315,7 +334,8 @@ def check_skew_families(ctx: Context) -> dict:
 
 @check("quadric-census-lt8",
        "complete orbit census of length < 8 on the quadric: one orbit of length 4 "
-       "(the same eigenpoints) and exactly two of length 5 (K1, K2)")
+       "(the same eigenpoints) and exactly two of length 5 (K1, K2)",
+       stages=("quadric_census",))
 def check_quadric_census(ctx: Context) -> dict:
     lengths = {r: len(v) for r, v in ctx.quadric_census.orbits_by_length.items()}
     _require(lengths == {4: 1, 5: 2}, f"census lengths {lengths} != {{4: 1, 5: 2}}")
@@ -336,7 +356,8 @@ def check_quadric_census(ctx: Context) -> dict:
 
 @check("general-position-k1-k2",
        "K1 and K2 are in general position on the quadric (no 2 points on a line "
-       "in the quadric, no 4 coplanar); the length-4 orbit is not")
+       "in the quadric, no 4 coplanar); the length-4 orbit is not",
+       stages=("quadric_census",))
 def check_general_position(ctx: Context) -> dict:
     k1, k2 = ctx.quadric_orbits5()
     cert1 = general_position_on_quadric(k1, ctx.quadric)
@@ -367,7 +388,8 @@ def check_ruling_minus2(ctx: Context) -> dict:
 
 @check("picard-reconstruct",
        "the cubic's Picard lattice has rank 7 and (-K)^2 = 3, rebuilt from line "
-       "incidence alone and stable across sixer choices")
+       "incidence alone and stable across sixer choices",
+       stages=("cfg", "pic"))
 def check_picard_reconstruct(ctx: Context) -> dict:
     pic = ctx.pic
     _require(pic.rank == 7, f"rank {pic.rank} != 7")
@@ -401,7 +423,8 @@ def check_picard_reconstruct(ctx: Context) -> dict:
 
 @check("invariant-ranks",
        "invariant Picard ranks: 2 on the cubic, 1 after contracting {E1, E2}, "
-       "1 after contracting {L1..L5}")
+       "1 after contracting {L1..L5}",
+       stages=("cfg", "pic"))
 def check_invariant_ranks(ctx: Context) -> dict:
     pic = ctx.pic
     r_cubic = invariant_rank(pic)
@@ -420,7 +443,8 @@ def check_invariant_ranks(ctx: Context) -> dict:
 
 @check("contractions-two",
        "the two families contract to surfaces of degree 5 (rank 5) and degree 8 "
-       "(rank 2, hyperbolic intersection form)")
+       "(rank 2, hyperbolic intersection form)",
+       stages=("cfg", "pic", "families"))
 def check_contractions_two(ctx: Context) -> dict:
     maximal = [f for f in ctx.families if f.maximal]
     _require(len(maximal) == 2, f"{len(maximal)} maximal families, expected 2")
@@ -445,14 +469,16 @@ def check_contractions_two(ctx: Context) -> dict:
 
 @check("divisor-relations",
        "sigma*(H) = 2 pi*(-K) - 3(E1+E2) and F1+...+F5 = 3 pi*(-K) - 5(E1+E2) "
-       "hold exactly; E1, E2 push forward with bidegrees (2,1) and (1,2)")
+       "hold exactly; E1, E2 push forward with bidegrees (2,1) and (1,2)",
+       stages=("cfg", "pic"))
 def check_divisor_relations(ctx: Context) -> dict:
     return divisor_relation_check(ctx.pic)
 
 
 @check("selfmap-degree",
        "the composite self-map pairs the two anticanonical pullbacks to 50 in "
-       "the rank-12 resolution lattice: degree 10, hence not biregular")
+       "the rank-12 resolution lattice: degree 10, hence not biregular",
+       stages=("quadric_census",))
 def check_selfmap_degree(ctx: Context) -> dict:
     k1, k2 = ctx.quadric_orbits5()
     cert = selfmap_degree(ctx.quadric, ctx.g20, k1, k2, ctx.d10)
@@ -466,7 +492,8 @@ def check_selfmap_degree(ctx: Context) -> dict:
 
 @check("dp5-orbit-descent",
        "descent to the quintic surface: the unique orbit of length < 5 is the "
-       "length-2 image of the contracted pair of lines")
+       "length-2 image of the contracted pair of lines",
+       stages=("clebsch_census", "cfg"))
 def check_dp5_orbit_descent(ctx: Context) -> dict:
     lengths = set(ctx.clebsch_census.orbits_by_length)
     _require(1 not in lengths and 2 not in lengths,
@@ -499,7 +526,8 @@ def check_dp5_orbit_descent(ctx: Context) -> dict:
 
 @check("thm-g40",
        "the quadric-preserving projective normalizer of the represented group "
-       "has order 40 and structure C2 x G20; its extra involution swaps K1 and K2")
+       "has order 40 and structure C2 x G20; its extra involution swaps K1 and K2",
+       stages=("quadric_census", "normalizer"))
 def check_thm_g40(ctx: Context) -> dict:
     res = ctx.normalizer
     _require(res.order == 40, f"normalizer order {res.order} != 40")
@@ -519,15 +547,17 @@ def check_thm_g40(ctx: Context) -> dict:
 
 class CheckResult:
     def __init__(self, check_id: str, statement: str, status: str, certificate: dict,
-                 wall_time_ms: float = 0.0):
+                 wall_time_ms: float = 0.0, process: str = "main"):
         self.check_id = check_id
         self.statement = statement
         self.status = status  # pass | fail | error
         self.certificate = certificate
         self.wall_time_ms = wall_time_ms
+        self.process = process  # main | worker
 
     def serialize(self) -> dict:
-        # wall time deliberately excluded: reports must be byte-deterministic
+        # wall time and process deliberately excluded: reports must be
+        # byte-deterministic
         return {
             "id": self.check_id,
             "statement": self.statement,
@@ -585,29 +615,210 @@ class Report:
         return "\n".join(lines)
 
 
-def run_checks(selection: list[str] | None = None,
-               context: Context | None = None) -> Report:
-    """Run the selected checks (all by default) and assemble the report."""
-    ids = list(STATEMENTS)
-    if selection:
-        unknown = [s for s in selection if s not in STATEMENTS]
-        if unknown:
-            raise UnknownCheckId(", ".join(unknown))
-        ids = [cid for cid in ids if cid in set(selection)]
-    ctx = context if context is not None else Context()
-    results = []
+def _run_check(cid: str, ctx: Context) -> CheckResult:
+    start = time.perf_counter()
+    try:
+        certificate = CHECK_FUNCTIONS[cid](ctx)
+        status = "pass"
+    except CheckFailure as exc:
+        certificate = {"failure": str(exc)}
+        status = "fail"
+    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+        certificate = {"error": f"{type(exc).__name__}: {exc}"}
+        status = "error"
+    elapsed = (time.perf_counter() - start) * 1000.0
+    return CheckResult(cid, STATEMENTS[cid], status, certificate, elapsed)
+
+
+def stage_groups(ids: list[str]) -> list[set[str]]:
+    """The connected components of the graph joining each check to its stages.
+
+    Two checks fall in one group when a chain of checks, each sharing a
+    declared stage with the next, joins them; a check that declares no
+    stage is a group of its own.
+    """
+    groups: list[tuple[set[str], set[str]]] = []
     for cid in ids:
-        start = time.perf_counter()
+        stages, members = set(CHECK_STAGES[cid]), {cid}
+        for other in [g for g in groups if g[0] & stages]:
+            groups.remove(other)
+            stages |= other[0]
+            members |= other[1]
+        groups.append((stages, members))
+    return [members for _, members in groups]
+
+
+# The stage whose group stays in the main process, and without which no
+# worker is forked: the 27 lines (`cfg`) take longer than any other stage
+# and read none of the group-side tables (`census._fixed_point_orbits`,
+# `groups.subgroups_of_order`) that the censuses and the normalizer build.
+# A split without it leaves each process building mostly those same
+# tables: measured, forking the benchmark's quadric side (both censuses
+# and the normalizer) ran 17% slower, and one census on each side no faster.
+_MAIN_STAGE = "cfg"
+
+
+def worker_checks(ids: list[str]) -> set[str]:
+    """The checks of `ids` that `run_checks_parallel` hands to a worker.
+
+    When `ids` build `_MAIN_STAGE`, the worker takes every group of
+    `stage_groups` that builds a stage but not that one; the main process
+    keeps that group and the stage-free checks, which take a few
+    milliseconds each.  Otherwise the set is empty.
+    """
+    if not any(_MAIN_STAGE in CHECK_STAGES[cid] for cid in ids):
+        return set()
+    return {cid for group in stage_groups(ids)
+            if any(CHECK_STAGES[c] for c in group)
+            and not any(_MAIN_STAGE in CHECK_STAGES[c] for c in group)
+            for cid in group}
+
+
+# A cgroup CPU quota caps the CPUs a process gets below what its affinity
+# lists (a container started with one CPU's quota on a larger host): the
+# v2 file holds "quota period", the v1 files one number each.
+_CPU_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
+
+
+def _cpu_quota() -> float | None:
+    """The CPUs the cgroup CPU quota allows this process, or None when unlimited."""
+    for paths in _CPU_QUOTA_FILES:
         try:
-            certificate = CHECK_FUNCTIONS[cid](ctx)
-            status = "pass"
-        except CheckFailure as exc:
-            certificate = {"failure": str(exc)}
-            status = "fail"
-        except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-            certificate = {"error": f"{type(exc).__name__}: {exc}"}
-            status = "error"
-        elapsed = (time.perf_counter() - start) * 1000.0
-        results.append(CheckResult(cid, STATEMENTS[cid], status, certificate, elapsed))
+            fields = []
+            for path in paths:
+                with open(path, encoding="ascii") as fh:
+                    fields += fh.read().split()
+        except OSError:
+            continue
+        try:
+            return int(fields[0]) / int(fields[1]) if int(fields[0]) > 0 else None
+        except (IndexError, ValueError, ZeroDivisionError):  # "max", garbage
+            return None
+    return None
+
+
+def _can_fork() -> bool:
+    """Whether a forked worker is safe here and gets a CPU of its own."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus >= 2 and (quota is None or quota >= 2)
+
+
+# How long the main process waits for the worker once its own checks are
+# done.  A worker still running then (say, deadlocked on a lock another
+# thread of a host process held at the fork) is killed and its checks are
+# run here instead.
+_WORKER_WAIT_S = 60.0
+
+
+def _run_split(ctx: Context, here: list[str], there: list[str]) -> list[CheckResult]:
+    """Run `here` in this process and `there` in a forked worker.
+
+    The worker sends (id, status, certificate, wall ms) rows back through a
+    pipe with marshal.  When the fork fails, the worker exits non-zero,
+    outlasts `_WORKER_WAIT_S` or its rows do not load, this process runs
+    `there` itself, so the results never depend on the worker.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: run everything here
+        os.close(read_fd)
+        os.close(write_fd)
+        return [_run_check(cid, ctx) for cid in here + there]
+    if pid == 0:  # the worker: leaves only through os._exit
+        code = 1
+        try:
+            os.close(read_fd)
+            rows = [(r.check_id, r.status, r.certificate, r.wall_time_ms)
+                    for r in (_run_check(cid, ctx) for cid in there)]
+            with open(write_fd, "wb") as pipe:
+                pipe.write(marshal.dumps(rows))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    import select  # only on this path, so a run that does not fork never loads it
+    chunks, complete = [], False
+    try:
+        results = [_run_check(cid, ctx) for cid in here]
+        deadline = time.monotonic() + _WORKER_WAIT_S
+        while select.select([read_fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
+            chunk = os.read(read_fd, 1 << 16)
+            if not chunk:
+                complete = True
+                break
+            chunks.append(chunk)
+    finally:
+        os.close(read_fd)
+        if not complete:  # interrupted or out of time: the worker is not waited for
+            import signal
+            os.kill(pid, signal.SIGKILL)
+        _, wait_status = os.waitpid(pid, 0)
+    rows = None
+    if complete and os.waitstatus_to_exitcode(wait_status) == 0:
+        try:
+            rows = marshal.loads(b"".join(chunks))
+        except (EOFError, ValueError, TypeError):
+            pass
+    if rows is None:
+        return results + [_run_check(cid, ctx) for cid in there]
+    return results + [CheckResult(cid, STATEMENTS[cid], status, certificate, ms, "worker")
+                      for cid, status, certificate, ms in rows]
+
+
+def _selected(selection: list[str] | None) -> list[str]:
+    """The ids of `selection` (all by default) in catalog order."""
+    if not selection:
+        return list(STATEMENTS)
+    unknown = [s for s in selection if s not in STATEMENTS]
+    if unknown:
+        raise UnknownCheckId(", ".join(unknown))
+    return [cid for cid in STATEMENTS if cid in set(selection)]
+
+
+def _report(results: list[CheckResult]) -> Report:
     results.sort(key=lambda r: r.check_id)
     return Report(__version__, dict(CONVENTIONS), results)
+
+
+def run_checks(selection: list[str] | None = None,
+               context: Context | None = None) -> Report:
+    """Run the selected checks (all by default) in this process and assemble
+    the report; a passed `context` is used, and so filled in, by the checks."""
+    ctx = context if context is not None else Context()
+    return _report([_run_check(cid, ctx) for cid in _selected(selection)])
+
+
+def run_checks_parallel(selection: list[str] | None = None) -> Report:
+    """The report of `run_checks(selection)`, made on two CPUs when that pays.
+
+    This is what `dp5links verify` runs.  It builds a `Context` and forks
+    once when `worker_checks` gives the worker some checks, `os.fork`
+    exists, the process may use at least two CPUs (affinity, capped by a
+    cgroup CPU quota) and no other thread is alive.  The two processes
+    share no stage, so neither waits for the other's stages; the worker
+    does build the group-side tables its censuses or normalizer read
+    again, so the two together use more CPU than a sequential run.  The
+    report is the same bytes either way.  Library code should call
+    `run_checks`: its checks run in the calling process, so patched
+    `CHECK_FUNCTIONS` entries, profilers and the caches the run fills all
+    see every check.
+    """
+    ids = _selected(selection)
+    ctx = Context()
+    there = worker_checks(ids)
+    if not there or not _can_fork():
+        return _report([_run_check(cid, ctx) for cid in ids])
+    return _report(_run_split(ctx, [cid for cid in ids if cid not in there],
+                              [cid for cid in ids if cid in there]))
