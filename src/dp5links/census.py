@@ -74,11 +74,6 @@ class Surface(Frozen):
 
     __slots__ = ("name", "hyperplane", "form")
 
-    def __init__(self, name: str, hyperplane: HomogeneousForm, form: HomogeneousForm):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "hyperplane", hyperplane)
-        object.__setattr__(self, "form", form)
-
     @property
     def degree(self) -> int:
         return self.form.degree
@@ -105,16 +100,6 @@ def length4_orbit_points() -> list[ProjPoint]:
 
 class OrbitCensus(Frozen):
     __slots__ = ("surface", "group_order", "bound", "orbits_by_length", "artifacts", "incidents")
-
-    def __init__(self, surface: str, group_order: int, bound: int,
-                 orbits_by_length: dict[int, list[tuple[ProjPoint, ...]]],
-                 artifacts: list[dict], incidents: list[dict]):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "group_order", group_order)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "orbits_by_length", orbits_by_length)
-        object.__setattr__(self, "artifacts", artifacts)
-        object.__setattr__(self, "incidents", incidents)
 
     def serialize(self) -> dict:
         return {
@@ -223,16 +208,10 @@ def orbit_census(s: Surface, g: FiniteGroup, bound: int, strict: bool = True) ->
 class LineConfiguration(Frozen):
     """The lines of a surface with labels, tags and incidence.
 
-    Not slotted: the cached line permutations live in the instance dict.
+    The cached line permutations live in the instance dict.
     """
 
-    def __init__(self, surface: str, lines: tuple[ProjLine, ...], labels: tuple[str, ...],
-                 tags: tuple[str, ...], incidence: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "tags", tags)
-        object.__setattr__(self, "incidence", incidence)
+    __slots__ = ("surface", "lines", "labels", "tags", "incidence", "__dict__", "__weakref__")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not LineConfiguration:
@@ -474,11 +453,6 @@ def line_orbits(cfg: LineConfiguration, g: FiniteGroup) -> list[list[int]]:
 
 class SkewFamily(Frozen):
     __slots__ = ("labels", "indices", "maximal")
-
-    def __init__(self, labels: tuple[str, ...], indices: tuple[int, ...], maximal: bool):
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "maximal", maximal)
 
     def size(self) -> int:
         return len(self.indices)

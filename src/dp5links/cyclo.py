@@ -47,12 +47,24 @@ _FRACTION_ZERO = Fraction(0)
 class Frozen:
     """Base of the immutable value classes: assigning an attribute raises.
 
-    Constructors write their fields past the guard, with object.__setattr__
-    or a slot descriptor's __set__.  The empty __slots__ leaves a slotted
-    subclass without an instance dict.
+    A subclass names its fields once, in __slots__, and this constructor
+    fills them past the guard: positionally in __slots__ order, or by
+    keyword.  Dunder entries are not fields; a subclass lists "__dict__"
+    (and "__weakref__") only when it caches values in the instance dict.
+    The hot classes write their slots themselves with a slot descriptor's
+    __set__.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = [name for name in cls.__slots__ if not name.startswith("__")]
+        values = dict(zip(fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+            raise TypeError(f"{cls.__name__} takes the fields ({', '.join(fields)})")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

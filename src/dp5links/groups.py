@@ -146,13 +146,10 @@ _set_images = Permutation.images.__set__
 class FiniteGroup(Frozen):
     """Closure of a generating set, element list sorted canonically.
 
-    Not slotted: the cached member set and cyclic subgroups live in the
-    instance dict.
+    The cached member set and cyclic subgroups live in the instance dict.
     """
 
-    def __init__(self, generators: tuple[Permutation, ...], elements: tuple[Permutation, ...]):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "elements", elements)
+    __slots__ = ("generators", "elements", "__dict__", "__weakref__")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not FiniteGroup:
@@ -357,14 +354,6 @@ class FixedLocusComponent(Frozen):
     """Simultaneous eigenspace of a subgroup, with per-generator scalars."""
 
     __slots__ = ("character", "basis", "projective_dimension", "positive_dimensional")
-
-    def __init__(self, character: tuple[FieldElement, ...],
-                 basis: tuple[tuple[FieldElement, ...], ...],
-                 projective_dimension: int, positive_dimensional: bool):
-        object.__setattr__(self, "character", character)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "projective_dimension", projective_dimension)
-        object.__setattr__(self, "positive_dimensional", positive_dimensional)
 
     def point(self) -> ProjPoint:
         if self.projective_dimension != 0:

@@ -181,12 +181,9 @@ class IntLattice(Frozen):
                     raise ValueError("gram matrix not symmetric")
         if len(labels) != rank:
             raise ValueError("label count mismatch")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "labels", labels)
         # (i, j, gram[i][j]) for the nonzero entries; the gram is nearly diagonal
         entries = tuple((i, j, x) for i, row in enumerate(gram) for j, x in enumerate(row) if x)
-        object.__setattr__(self, "_entries", entries)
+        super().__init__(rank, gram, labels, entries)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not IntLattice:

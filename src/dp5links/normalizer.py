@@ -103,10 +103,6 @@ class Character(Frozen):
 
     __slots__ = ("label", "values")
 
-    def __init__(self, label: str, values: dict):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "values", values)
-
     def __call__(self, h: Permutation) -> FieldElement:
         return self.values[h]
 
@@ -142,14 +138,6 @@ def characters_of_g20(g: FiniteGroup) -> list[Character]:
 
 class Intertwiner(Frozen):
     __slots__ = ("character", "matrix", "invertible", "quadric_preserving", "square_in_group")
-
-    def __init__(self, character: str, matrix: Grid, invertible: bool,
-                 quadric_preserving: bool, square_in_group: bool):
-        object.__setattr__(self, "character", character)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "invertible", invertible)
-        object.__setattr__(self, "quadric_preserving", quadric_preserving)
-        object.__setattr__(self, "square_in_group", square_in_group)
 
     def serialize(self) -> dict:
         return {
@@ -242,14 +230,6 @@ def intertwiner(lam: Character, rep: dict[Permutation, Grid],
 
 class NormalizerResult(Frozen):
     __slots__ = ("order", "generator_matrices", "structure", "involution", "intertwiners")
-
-    def __init__(self, order: int, generator_matrices: tuple[Grid, ...], structure: dict,
-                 involution: Grid, intertwiners: tuple[Intertwiner, ...]):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "generator_matrices", generator_matrices)
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "involution", involution)
-        object.__setattr__(self, "intertwiners", intertwiners)
 
     def serialize(self) -> dict:
         return {

@@ -63,22 +63,9 @@ class OrbitsNotDisjoint(ValueError):
 class DivisorClass(Frozen):
     __slots__ = ("label", "vector")
 
-    def __init__(self, label: str, vector: IntVec):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "vector", vector)
-
 
 class PicardLattice(Frozen):
     __slots__ = ("lattice", "anticanonical", "marked", "actions", "action_names")
-
-    def __init__(self, lattice: IntLattice, anticanonical: IntVec,
-                 marked: tuple[DivisorClass, ...], actions: tuple[IntMat, ...],
-                 action_names: tuple[str, ...]):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "anticanonical", anticanonical)
-        object.__setattr__(self, "marked", marked)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "action_names", action_names)
 
     @property
     def rank(self) -> int:

@@ -140,11 +140,6 @@ class HomogeneousForm(Frozen):
 
     __slots__ = ("nvars", "degree", "coeffs")
 
-    def __init__(self, nvars: int, degree: int, coeffs: tuple[tuple[Monomial, FieldElement], ...]):
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not HomogeneousForm:
             return NotImplemented

@@ -1,4 +1,4 @@
-"""The value classes share one immutability guard, cyclo.Frozen."""
+"""The value classes share one immutability guard and one constructor, cyclo.Frozen."""
 
 import ast
 from pathlib import Path
@@ -9,39 +9,64 @@ import dp5links
 import dp5links.report  # noqa: F401  (loads every module that defines a value class)
 from dp5links.cyclo import ONE, Frozen
 from dp5links.groups import Permutation
+from dp5links.picard import DivisorClass
 
 PACKAGE = Path(dp5links.__file__).parent
 
-SLOTTED = {
-    "Surface", "OrbitCensus", "SkewFamily", "FieldElement", "Permutation",
-    "FixedLocusComponent", "IntLattice", "Character", "Intertwiner", "NormalizerResult",
-    "DivisorClass", "PicardLattice", "ProjPoint", "ProjLine", "HomogeneousForm",
+VALUE_CLASSES = {
+    "Surface", "OrbitCensus", "LineConfiguration", "SkewFamily", "FieldElement", "Permutation",
+    "FiniteGroup", "FixedLocusComponent", "IntLattice", "Character", "Intertwiner",
+    "NormalizerResult", "DivisorClass", "PicardLattice", "ProjPoint", "ProjLine",
+    "HomogeneousForm",
 }
 # their cached_property values live in the instance dict
 WITH_DICT = {"FiniteGroup", "LineConfiguration"}
+# the hot slot writers, and IntLattice, which validates before the shared constructor
+OWN_INIT = {"FieldElement", "Permutation", "ProjPoint", "ProjLine", "IntLattice"}
 
 
 def value_classes() -> dict[str, type]:
     return {cls.__name__: cls for cls in Frozen.__subclasses__()}
 
 
-def test_frozen_is_the_only_class_that_defines_setattr():
-    found = [
-        f"{path.name}:{node.name}"
+def class_nodes() -> list[tuple[str, ast.ClassDef]]:
+    return [
+        (path.name, node)
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ClassDef)
-        and any(isinstance(item, ast.FunctionDef) and item.name == "__setattr__"
-                for item in node.body)
     ]
+
+
+def defines(node: ast.ClassDef, name: str) -> bool:
+    return any(isinstance(item, ast.FunctionDef) and item.name == name for item in node.body)
+
+
+def fields(cls: type) -> list[str]:
+    return [name for name in cls.__slots__ if not name.startswith("__")]
+
+
+def test_frozen_is_the_only_class_that_defines_setattr():
+    found = [f"{path}:{node.name}" for path, node in class_nodes() if defines(node, "__setattr__")]
     assert found == ["cyclo.py:Frozen"]
 
 
+def test_only_the_slot_writers_and_int_lattice_write_their_own_constructor():
+    subclasses = [node for _, node in class_nodes()
+                  if any(isinstance(base, ast.Name) and base.id == "Frozen" for base in node.bases)]
+    assert {node.name for node in subclasses} == VALUE_CLASSES
+    assert {node.name for node in subclasses if defines(node, "__init__")} == OWN_INIT
+    for node in subclasses:
+        assert any(isinstance(item, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)
+                   for item in node.body), node.name
+
+
 def test_every_value_class_is_frozen():
-    assert set(value_classes()) == SLOTTED | WITH_DICT
+    assert set(value_classes()) == VALUE_CLASSES
 
 
-@pytest.mark.parametrize("name", sorted(SLOTTED | WITH_DICT))
+@pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
 def test_assignment_raises_with_the_class_name(name):
     bare = object.__new__(value_classes()[name])
     with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
@@ -49,11 +74,43 @@ def test_assignment_raises_with_the_class_name(name):
 
 
 def test_slotted_value_instances_have_no_dict(cfg, g20):
-    classes = value_classes()
-    for name in SLOTTED:
-        assert not hasattr(object.__new__(classes[name]), "__dict__"), name
-    for name in WITH_DICT:
-        assert hasattr(object.__new__(classes[name]), "__dict__"), name
+    for name, cls in value_classes().items():
+        assert ("__dict__" in cls.__slots__) == (name in WITH_DICT), name
+        assert hasattr(object.__new__(cls), "__dict__") == (name in WITH_DICT), name
     for value in (ONE, ONE * ONE, Permutation.identity(), g20.elements[1] * g20.elements[2],
                   cfg.lines[0], cfg.lines[0].basis[0][0]):
         assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CLASSES - OWN_INIT))
+def test_positional_and_keyword_construction_give_equal_fields(name):
+    cls = value_classes()[name]
+    names = fields(cls)
+    values = [object() for _ in names]
+    positional = cls(*values)
+    keyword = cls(**dict(reversed(list(zip(names, values)))))
+    mixed = cls(values[0], **dict(zip(names[1:], values[1:])))
+    for field, value in zip(names, values):
+        assert getattr(positional, field) is value
+        assert getattr(keyword, field) is value
+        assert getattr(mixed, field) is value
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    (("E1",), {}),                                  # missing
+    (("E1", (1, 0), "extra"), {}),                  # extra positional
+    (("E1", (1, 0)), {"vector": (0, 1)}),           # duplicated
+    (("E1",), {"label": "E2"}),                     # duplicated, vector missing
+    (("E1", (1, 0)), {"weight": 1}),                # unknown
+    (("E1",), {"vectors": (1, 0)}),                 # unknown, vector missing
+    ((), {}),
+])
+def test_a_wrong_field_list_raises_type_error_naming_the_fields(args, kwargs):
+    with pytest.raises(TypeError, match=r"^DivisorClass takes the fields \(label, vector\)$"):
+        DivisorClass(*args, **kwargs)
+
+
+def test_the_fields_named_in_the_error_leave_out_the_dict_and_weakref_slots():
+    cls = value_classes()["FiniteGroup"]
+    with pytest.raises(TypeError, match=r"^FiniteGroup takes the fields \(generators, elements\)$"):
+        cls(())

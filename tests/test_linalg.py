@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -126,11 +127,19 @@ def test_eigenspace_dimensions_match_cycle_structure():
         assert len(spaces[ONE]) == len(lengths)
 
 
-def test_smith_normal_form_properties():
+def random_int_matrices() -> list[list[list[int]]]:
+    """40 seeded integer matrices, 1..5 x 1..5, entries in [-8, 8]."""
     rnd = random.Random(12)
+    matrices = []
     for _ in range(40):
         nr, nc = rnd.randint(1, 5), rnd.randint(1, 5)
-        m = [[rnd.randint(-8, 8) for _ in range(nc)] for _ in range(nr)]
+        matrices.append([[rnd.randint(-8, 8) for _ in range(nc)] for _ in range(nr)])
+    return matrices
+
+
+def test_smith_normal_form_properties():
+    for m in random_int_matrices():
+        nr, nc = len(m), len(m[0])
         u, d, v = smith_normal_form(m)
 
         def mm(a, b):
@@ -151,6 +160,19 @@ def test_smith_normal_form_properties():
             assert sympy.Matrix(sq).det() in (1, -1)
         for k in int_kernel(m):
             assert all(sum(m[i][j] * k[j] for j in range(nc)) == 0 for i in range(nr))
+
+
+def test_int_kernel_has_the_nullity_and_is_saturated():
+    for m in random_int_matrices():
+        nc = len(m[0])
+        kernel = int_kernel(m)
+        assert len(kernel) == nc - sympy.Matrix(m).rank()
+        if kernel:
+            # saturated: the maximal minors of the basis have gcd 1
+            basis = sympy.Matrix(kernel)
+            minors = [basis.extract(list(range(len(kernel))), list(cols)).det()
+                      for cols in itertools.combinations(range(nc), len(kernel))]
+            assert sympy.gcd_list(minors) == 1
 
 
 def test_orthogonal_complement_rank_counts():
