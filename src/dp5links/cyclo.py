@@ -52,22 +52,32 @@ class Frozen:
     keyword.  Dunder entries are not fields; a subclass lists "__dict__"
     (and "__weakref__") only when it caches values in the instance dict.
     The hot classes write their slots themselves with a slot descriptor's
-    __set__.
+    __set__.  Copies and pickles carry the fields alone, written back past
+    the guard by __setstate__; instance-dict caches are rebuilt on use.
     """
 
     __slots__ = ()
 
     def __init__(self, *args, **kwargs):
-        cls = type(self)
-        fields = [name for name in cls.__slots__ if not name.startswith("__")]
+        fields = _fields(type(self))
         values = dict(zip(fields, args), **kwargs)
         if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
-            raise TypeError(f"{cls.__name__} takes the fields ({', '.join(fields)})")
-        for name in fields:
-            object.__setattr__(self, name, values[name])
+            raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)})")
+        self.__setstate__([values[name] for name in fields])
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in _fields(type(self)))
+
+    def __setstate__(self, state) -> None:
+        for name, value in zip(_fields(type(self)), state):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _fields(cls: type) -> list[str]:
+    return [name for name in cls.__slots__ if not name.startswith("__")]
 
 
 class DivisionByZero(ZeroDivisionError):

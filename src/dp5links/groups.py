@@ -5,6 +5,10 @@ j in {1,...,5} acts on coordinate x_{j-1}, and a permutation moves entries,
 new[p(j)] = old[j].  Under this convention the classical point lists for the
 orbit calculus on the diagonal cubic come out verbatim; the convention is
 pinned by the acceptance tests.
+
+Subgroups are enumerated on a group's Cayley table, built on first use: its
+sorted elements are indices 0..N-1 (sort_key order, so the identity is 0),
+products and inverses are lookups, and a subgroup is a frozenset of indices.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 from typing import Callable, Iterable, Sequence
 
 from .cyclo import FieldElement, Frozen, ONE, ZERO, root_of_unity
-from .linalg import Grid, Vector, intersect_spans, kernel_basis, rref
+from .linalg import Grid, Vector, identity_grid, kernel_basis, rref, transpose
 from .projgeo import ProjPoint
 
 
@@ -123,10 +127,7 @@ class Permutation(Frozen):
         return math.lcm(*(len(cyc) for cyc in self._cycles()))
 
     def apply_point(self, p: ProjPoint) -> ProjPoint:
-        new = [ZERO] * len(self.images)
-        for j, c in enumerate(p.coords):
-            new[self.images[j]] = c
-        return ProjPoint.of(new)
+        return ProjPoint.of(self.apply_vector(p.coords))
 
     def apply_vector(self, v: Sequence[FieldElement]) -> list[FieldElement]:
         new = [ZERO] * len(self.images)
@@ -146,7 +147,7 @@ _set_images = Permutation.images.__set__
 class FiniteGroup(Frozen):
     """Closure of a generating set, element list sorted canonically.
 
-    The cached member set and cyclic subgroups live in the instance dict.
+    The cached member set and Cayley table live in the instance dict.
     """
 
     __slots__ = ("generators", "elements", "__dict__", "__weakref__")
@@ -167,9 +168,14 @@ class FiniteGroup(Frozen):
         return frozenset(self.elements)
 
     @functools.cached_property
-    def _cyclic(self) -> dict[Permutation, "FiniteGroup"]:
-        """<a> for each element a, closed once per group for every order asked."""
-        return {a: subgroup_closure([a]) for a in self.elements}
+    def _table(self) -> tuple[tuple, tuple, tuple]:
+        """(mul, inv, cyclic) on element indices: mul[i][j] indexes elements[i] *
+        elements[j], inv[i] the inverse, and cyclic[i] is <elements[i]>."""
+        images = [p.images for p in self.elements]
+        index = {x: k for k, x in enumerate(images)}
+        mul = tuple(tuple(index[tuple([a[j] for j in b])] for b in images) for a in images)
+        return (mul, tuple(row.index(0) for row in mul),
+                tuple(index_closure(mul, (a,)) for a in range(len(mul))))
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self._members
@@ -221,6 +227,11 @@ def subgroup_closure(gens: Iterable[Permutation], n: int = 5) -> FiniteGroup:
     return FiniteGroup(gens, tuple(sorted(elements.values(), key=Permutation.sort_key)))
 
 
+def index_closure(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> frozenset[int]:
+    """The indices of the subgroup generated by the element indices gens."""
+    return frozenset(closure([0], gens, lambda a, x: mul[a][x]))
+
+
 def group_from_cycles(*texts: str) -> FiniteGroup:
     return subgroup_closure(Permutation.from_cycles(t) for t in texts)
 
@@ -243,50 +254,48 @@ def subgroups_of_order(g: FiniteGroup, n: int) -> tuple[tuple[FiniteGroup, ...],
     A pair lying in an order-n subgroup K already found is not closed: it
     generates a subgroup of K, which is K itself (kept from its first pair)
     or too small.  So the pruned enumeration keeps the same subgroups with
-    the same generators.  Conjugates are element sets g x g^-1, each looked
+    the same generators.  Conjugates are index sets g x g^-1, each looked
     up among the found subgroups; the enumeration is exhaustive, so a miss
-    raises ConjugateNotFound.  The cyclic subgroups <a> are closed once per
-    group and serve every order.  Computed once per (group, order) and returned
-    as immutable tuples, since both censuses and the normalizer ask for the
-    same classes.
+    raises ConjugateNotFound.  All of this runs on g's Cayley table, and only
+    the subgroups found become FiniteGroups.  Computed once per (group, order)
+    as immutable tuples: both censuses and the normalizer ask for them.
     """
     if n <= 0 or g.order() % n != 0:
         return ()
-    found: dict[frozenset[Permutation], FiniteGroup] = {}
-    candidates = [e for e in g.elements if n % e.order() == 0]
+    mul, inv, cyclic = g._table
+    found: dict[frozenset[int], tuple[int, ...]] = {}  # subgroup -> generator indices
+    candidates = [a for a, e in enumerate(g.elements) if n % e.order() == 0]
     if n == 1:
-        found[frozenset([Permutation.identity()])] = subgroup_closure([])
-    cyclic = g._cyclic
+        found[frozenset([0])] = ()
     for a in candidates:
-        h = cyclic[a]
-        if h.order() == n:
-            found.setdefault(h.element_set(), h)
+        if len(cyclic[a]) == n:
+            found.setdefault(cyclic[a], (a,))
     for a, b in itertools.combinations(candidates, 2):
-        # then <a, b> is <a> or <b>, already found above
-        if b in cyclic[a] or a in cyclic[b]:
+        # then <a, b> is <a> or <b>, or a subgroup of a K found already: K or too small
+        if b in cyclic[a] or a in cyclic[b] or any(a in k and b in k for k in found):
             continue
-        if any(a in k and b in k for k in found):
-            continue
-        h = subgroup_closure([a, b])
-        if h.order() == n:
-            found.setdefault(h.element_set(), h)
-    inverses = {x: x.inverse() for x in g.elements}
+        h = index_closure(mul, (a, b))
+        if len(h) == n:
+            found.setdefault(h, (a, b))
     classes: list[tuple[FiniteGroup, ...]] = []
-    assigned: set[frozenset[Permutation]] = set()
-    for key in sorted(found, key=lambda k: sorted(p.sort_key() for p in k)):
+    assigned: set[frozenset[int]] = set()
+    for key in sorted(found, key=sorted):
         if key in assigned:
             continue
         cls = []
-        for g_el in g.elements:
-            ck = frozenset(g_el * x * inverses[g_el] for x in key)
+        for c in range(len(mul)):
+            ck = frozenset(mul[mul[c][x]][inv[c]] for x in key)
             if ck not in found:
                 raise ConjugateNotFound(
-                    f"a conjugate by {g_el.to_cycles()} of an order-{n} subgroup "
+                    f"a conjugate by {g.elements[c].to_cycles()} of an order-{n} subgroup "
                     f"was not enumerated")
             if ck not in assigned:
                 assigned.add(ck)
-                cls.append(found[ck])
-        classes.append(tuple(sorted(cls, key=lambda s: sorted(p.sort_key() for p in s.elements))))
+                cls.append(ck)
+        classes.append(tuple(
+            FiniteGroup(tuple(g.elements[a] for a in found[k]),
+                        tuple(g.elements[x] for x in sorted(k)))
+            for k in sorted(cls, key=sorted)))
     return tuple(classes)
 
 
@@ -361,43 +370,48 @@ class FixedLocusComponent(Frozen):
         return ProjPoint.of(list(self.basis[0]))
 
 
+def _eigenvectors_in_span(basis: list[Vector], p: Permutation, lam: FieldElement) -> list[Vector]:
+    """A basis of {v in span(basis) : p v = lam v}; the b_i must be independent."""
+    if len(basis) == 1:  # an exact test, which stops at the first coordinate that differs
+        b = basis[0]
+        return basis if all(x == lam * y for x, y in zip(p.apply_vector(b), b)) else []
+    shifted = [[x - lam * y for x, y in zip(p.apply_vector(b), b)] for b in basis]
+    return [[sum((c * x for c, x in zip(u, col) if c), ZERO) for col in zip(*basis)]
+            for u in kernel_basis(transpose(shifted))]
+
+
 def fixed_locus(h: FiniteGroup) -> list[FixedLocusComponent]:
     """Fixed points of h in the hyperplane {sum x_i = 0} of P^4.
 
     A vector fixed projectively by every element of h is a common eigenvector
-    of the generators, so it suffices to intersect per-generator eigenspaces
-    over all tuples of candidate eigenvalues, then with {sum x_i = 0}.
+    of the generators: for one tuple of eigenvalues, it lies in the first
+    generator's eigenspace and in each later generator's.  So restricting
+    the first generator's eigenspace to the eigenvectors of each later one
+    loses nothing (an exact test on a line, else one small kernel); the
+    result is cut with {sum x_i = 0} in closed form, and rref makes it canonical.
     """
-    n = 5
     gens = h.generators
-    if not gens:
-        spaces = [([tuple([ONE if i == j else ZERO for j in range(n)]) for i in range(n)], ())]
-    else:
-        per_gen = [eigenspaces_of_permutation(g) for g in gens]
-        spaces = []
-        keys = [sorted(d.keys(), key=lambda lam: tuple(lam.coeffs)) for d in per_gen]
-        for combo in itertools.product(*keys):
-            basis = per_gen[0][combo[0]]
-            for k in range(1, len(gens)):
-                basis = intersect_spans(basis, per_gen[k][combo[k]])
-                if not basis:
-                    break
-            if basis:
-                spaces.append(([tuple(v) for v in basis], tuple(combo)))
-    hyper_kernel = kernel_basis([[ONE] * n])
+    per_gen = [eigenspaces_of_permutation(g) for g in gens]
+    keys = [sorted(d, key=lambda lam: tuple(lam.coeffs)) for d in per_gen]
     components = []
-    for basis, character in spaces:
-        vecs = intersect_spans([list(v) for v in basis], hyper_kernel)
-        if not vecs:
-            continue
-        red, pivots = rref(vecs)
-        vecs = [tuple(red[i]) for i in range(len(pivots))]
-        dim = len(vecs) - 1
-        components.append(FixedLocusComponent(
-            character=character,
-            basis=tuple(vecs),
-            projective_dimension=dim,
-            positive_dimensional=dim >= 1,
-        ))
+    for character in itertools.product(*keys):  # one empty tuple when h is trivial
+        basis = per_gen[0][character[0]] if gens else identity_grid(5)
+        for g, lam in zip(gens[1:], character[1:]):
+            basis = _eigenvectors_in_span(basis, g, lam)
+        # p permutes coordinates, so an eigenvector's sum s is lam s: it is 0 unless
+        # every lam is 1; then with s_i = sum(b_i) and s_j the first nonzero one,
+        # the b_i - s_i/s_j b_j span the cut
+        sums = [sum(b[1:], b[0]) for b in basis] if set(character) <= {ONE} else []
+        j = next((i for i, s in enumerate(sums) if s), None)
+        if j is not None:
+            inv = sums[j].inverse()
+            basis = [[x - f * y for x, y in zip(b, basis[j])]
+                     for i, (b, f) in enumerate(zip(basis, [s * inv for s in sums])) if i != j]
+        if basis:
+            red, pivots = rref(basis)
+            dim = len(pivots) - 1
+            components.append(FixedLocusComponent(
+                character=character, basis=tuple(tuple(red[i]) for i in range(dim + 1)),
+                projective_dimension=dim, positive_dimensional=dim >= 1))
     components.sort(key=lambda c: tuple(tuple(x.coeffs for x in row) for row in c.basis))
     return components

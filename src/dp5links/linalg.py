@@ -138,30 +138,6 @@ def transpose(a) -> Grid:
     return [list(col) for col in zip(*g)]
 
 
-def intersect_spans(basis_a: list[Vector], basis_b: list[Vector]) -> list[Vector]:
-    """Basis of the intersection of two row-span subspaces of K^n."""
-    if not basis_a or not basis_b:
-        return []
-    # x in both spans: x = sum u_i a_i = sum v_j b_j; solve [A^T | -B^T] kernel.
-    n = len(basis_a[0])
-    stacked = [
-        [basis_a[i][r] for i in range(len(basis_a))]
-        + [-basis_b[j][r] for j in range(len(basis_b))]
-        for r in range(n)
-    ]
-    out = []
-    for ker in kernel_basis(stacked):
-        coeffs = ker[: len(basis_a)]
-        vec = [ZERO] * n
-        for c, a_row in zip(coeffs, basis_a):
-            if not c.is_zero():
-                vec = [x + c * y for x, y in zip(vec, a_row)]
-        if any(not x.is_zero() for x in vec):
-            out.append(vec)
-    red, pivots = rref(out) if out else ([], [])
-    return [red[i] for i in range(len(pivots))]
-
-
 # -- integer lattices ---------------------------------------------------------
 
 IntGrid = list[list[int]]

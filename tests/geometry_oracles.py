@@ -4,12 +4,18 @@ The package decides line membership and residual lines by evaluating forms at
 points.  These expand a form symbolically on a line or a plane and divide it
 by linear forms, as an independent reference implementation.  Polynomials
 are sparse dicts from exponent tuples to field elements.
+
+The package finds fixed loci by restricting one generator's eigenspace; the
+reference here intersects every generator's eigenspace and then the
+hyperplane, one span intersection each.
 """
 
+import itertools
 from typing import Sequence
 
 from dp5links.cyclo import FieldElement, ONE, ZERO
-from dp5links.linalg import kernel_basis, rref, solve
+from dp5links.groups import FiniteGroup, FixedLocusComponent, eigenspaces_of_permutation
+from dp5links.linalg import Vector, kernel_basis, rref, solve
 from dp5links.projgeo import (
     FactorizationFailure,
     HomogeneousForm,
@@ -162,3 +168,65 @@ def residual_line_by_division(cubic: HomogeneousForm, a: ProjLine, b: ProjLine) 
     points = [[sum((cu * row[i] for cu, row in zip(u, plane)), ZERO) for i in range(len(plane[0]))]
               for u in params]
     return ProjLine.span(points[0], points[1])
+
+
+def intersect_spans(basis_a: list[Vector], basis_b: list[Vector]) -> list[Vector]:
+    """Basis of the intersection of two row-span subspaces of K^n."""
+    if not basis_a or not basis_b:
+        return []
+    # x in both spans: x = sum u_i a_i = sum v_j b_j; solve [A^T | -B^T] kernel.
+    n = len(basis_a[0])
+    stacked = [
+        [basis_a[i][r] for i in range(len(basis_a))]
+        + [-basis_b[j][r] for j in range(len(basis_b))]
+        for r in range(n)
+    ]
+    out = []
+    for ker in kernel_basis(stacked):
+        coeffs = ker[: len(basis_a)]
+        vec = [ZERO] * n
+        for c, a_row in zip(coeffs, basis_a):
+            if not c.is_zero():
+                vec = [x + c * y for x, y in zip(vec, a_row)]
+        if any(not x.is_zero() for x in vec):
+            out.append(vec)
+    red, pivots = rref(out) if out else ([], [])
+    return [red[i] for i in range(len(pivots))]
+
+
+def fixed_locus_by_intersection(h: FiniteGroup) -> list[FixedLocusComponent]:
+    """groups.fixed_locus, by intersecting per-generator eigenspaces over all
+    tuples of candidate eigenvalues, then with {sum x_i = 0}."""
+    n = 5
+    gens = h.generators
+    if not gens:
+        spaces = [([tuple([ONE if i == j else ZERO for j in range(n)]) for i in range(n)], ())]
+    else:
+        per_gen = [eigenspaces_of_permutation(g) for g in gens]
+        spaces = []
+        keys = [sorted(d.keys(), key=lambda lam: tuple(lam.coeffs)) for d in per_gen]
+        for combo in itertools.product(*keys):
+            basis = per_gen[0][combo[0]]
+            for k in range(1, len(gens)):
+                basis = intersect_spans(basis, per_gen[k][combo[k]])
+                if not basis:
+                    break
+            if basis:
+                spaces.append(([tuple(v) for v in basis], tuple(combo)))
+    hyper_kernel = kernel_basis([[ONE] * n])
+    components = []
+    for basis, character in spaces:
+        vecs = intersect_spans([list(v) for v in basis], hyper_kernel)
+        if not vecs:
+            continue
+        red, pivots = rref(vecs)
+        vecs = [tuple(red[i]) for i in range(len(pivots))]
+        dim = len(vecs) - 1
+        components.append(FixedLocusComponent(
+            character=character,
+            basis=tuple(vecs),
+            projective_dimension=dim,
+            positive_dimensional=dim >= 1,
+        ))
+    components.sort(key=lambda c: tuple(tuple(x.coeffs for x in row) for row in c.basis))
+    return components

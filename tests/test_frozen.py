@@ -1,15 +1,19 @@
 """The value classes share one immutability guard and one constructor, cyclo.Frozen."""
 
 import ast
+import copy
+import pickle
 from pathlib import Path
 
 import pytest
 
 import dp5links
 import dp5links.report  # noqa: F401  (loads every module that defines a value class)
-from dp5links.cyclo import ONE, Frozen
-from dp5links.groups import Permutation
+from dp5links.cyclo import ONE, ZETA, Frozen
+from dp5links.groups import Permutation, fixed_locus
+from dp5links.normalizer import characters_of_g20
 from dp5links.picard import DivisorClass
+from dp5links.projgeo import ProjPoint
 
 PACKAGE = Path(dp5links.__file__).parent
 
@@ -114,3 +118,48 @@ def test_the_fields_named_in_the_error_leave_out_the_dict_and_weakref_slots():
     cls = value_classes()["FiniteGroup"]
     with pytest.raises(TypeError, match=r"^FiniteGroup takes the fields \(generators, elements\)$"):
         cls(())
+
+
+@pytest.fixture(scope="module")
+def samples(groups, clebsch, clebsch_census, cfg, families, pic, normalizer_result):
+    """One instance of every value class, by class name."""
+    values = [clebsch, clebsch_census, cfg, families[0], ONE + ZETA ** 3,
+              Permutation.from_cycles("(12345)"), groups["G20"], fixed_locus(groups["C4"])[0],
+              pic.lattice, characters_of_g20(groups["G20"])[1], normalizer_result.intertwiners[1],
+              normalizer_result, DivisorClass("E1", (1, 0)), pic,
+              ProjPoint.of([1, 2, 3, 4, -10]), cfg.lines[0], clebsch.form]
+    return {type(v).__name__: v for v in values}
+
+
+def state(value):
+    """The fields of a value, recursively; other values stand for themselves."""
+    if isinstance(value, Frozen):
+        return type(value), tuple(state(getattr(value, name)) for name in fields(type(value)))
+    if isinstance(value, (list, tuple)):
+        return type(value), [state(x) for x in value]
+    if isinstance(value, dict):
+        return {k: state(x) for k, x in value.items()}
+    return value
+
+
+def round_trips(value) -> list:
+    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+
+
+def test_the_samples_cover_every_value_class(samples):
+    assert set(samples) == VALUE_CLASSES
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
+def test_copies_and_pickles_keep_the_fields_and_stay_frozen(samples, name):
+    value = samples[name]
+    cls = type(value)
+    for twin in round_trips(value):
+        assert type(twin) is cls and twin is not value
+        assert state(twin) == state(value)
+        if cls.__eq__ is not object.__eq__:  # a value class with value equality
+            assert twin == value and hash(twin) == hash(value)
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            twin.anything = None
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(twin, fields(cls)[0], None)

@@ -10,6 +10,7 @@ from dp5links.groups import (
     FiniteGroup,
     OrbitStabilizerViolation,
     Permutation,
+    UnsupportedEigenvalue,
     fixed_locus,
     group_from_cycles,
     orbit_and_stabilizer,
@@ -18,6 +19,8 @@ from dp5links.groups import (
     subgroups_of_order,
 )
 from dp5links.projgeo import ProjPoint
+
+from geometry_oracles import fixed_locus_by_intersection, intersect_spans
 
 S5 = group_from_cycles("(12345)", "(12)")
 C5 = group_from_cycles("(12345)")
@@ -180,21 +183,40 @@ def test_subgroups_of_order_matches_all_pairs_closure(name):
 
 
 def test_a_conjugate_missing_from_the_enumeration_raises(monkeypatch):
-    # hide one of the three cyclic subgroups of order 4 in S4: the closure
-    # that would produce it returns the trivial group instead
+    # hide one of the three cyclic subgroups of order 4 in S4: the index
+    # closure that would produce it returns the trivial group instead
     s4 = _s4_fixing_letter_5()
-    hidden = group_from_cycles("(1324)").element_set()
-    real = groups.subgroup_closure
+    hidden = frozenset(s4.elements.index(p) for p in group_from_cycles("(1324)").elements)
+    real = groups.index_closure
 
-    def hiding(gens, n=5):
-        h = real(gens, n)
-        return real([], n) if h.element_set() == hidden else h
+    def hiding(mul, gens):
+        h = real(mul, gens)
+        return real(mul, []) if h == hidden else h
 
-    monkeypatch.setattr(groups, "subgroup_closure", hiding)
+    monkeypatch.setattr(groups, "index_closure", hiding)
     enumerate_uncached = subgroups_of_order.__wrapped__
     assert len(enumerate_uncached(s4, 3)) == 1  # nothing hidden at order 3
     with pytest.raises(ConjugateNotFound):
         enumerate_uncached(s4, 4)
+
+
+@pytest.mark.parametrize("g", [standard_groups()["G20"], standard_groups()["D10"],
+                               _s4_fixing_letter_5()], ids=["G20", "D10", "S4"])
+def test_the_cayley_table_agrees_with_permutation_products(g):
+    mul, inv, _ = g._table
+    elements = g.elements
+    assert elements[0] == Permutation.identity()
+    for i, a in enumerate(elements):
+        assert elements[inv[i]] == a.inverse()
+        for j, b in enumerate(elements):
+            assert elements[mul[i][j]] == a * b
+    assert g._table is g._table  # built once
+
+
+def test_cyclic_subgroups_come_from_the_table():
+    g20 = standard_groups()["G20"]
+    for a, indices in zip(g20.elements, g20._table[2]):
+        assert [g20.elements[k] for k in sorted(indices)] == list(subgroup_closure([a]).elements)
 
 
 def test_subgroups_of_order_is_computed_once_and_immutable():
@@ -305,3 +327,48 @@ def test_group_serialization():
     g20 = standard_groups()["G20"]
     data = g20.serialize()
     assert data == {"generators": ["(12345)", "(2354)"], "order": 20}
+
+
+def test_intersect_spans():
+    a = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]]
+    b = [[ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+    meet = intersect_spans(a, b)
+    assert len(meet) == 1
+    assert meet[0][0].is_zero() and not meet[0][1].is_zero() and meet[0][2].is_zero()
+
+
+def _components(comps) -> list[tuple]:
+    return [(c.character, c.basis, c.projective_dimension, c.positive_dimensional)
+            for c in comps]
+
+
+def _every_subgroup(g: FiniteGroup) -> list[FiniteGroup]:
+    return [h for n in range(1, g.order() + 1) for cls in subgroups_of_order(g, n) for h in cls]
+
+
+def test_fixed_locus_equals_the_intersection_oracle():
+    gs = standard_groups()
+    subgroups = _every_subgroup(gs["G20"])
+    assert len(subgroups) == 1 + 5 + 5 + 1 + 1 + 1  # every conjugate, orders 1, 2, 4, 5, 10, 20
+    for h in subgroups + [C5, gs["D10"], gs["C4"], subgroup_closure([])]:
+        assert _components(fixed_locus(h)) == _components(fixed_locus_by_intersection(h))
+
+
+def test_fixed_locus_and_its_oracle_both_reject_cube_roots_of_unity():
+    s4 = group_from_cycles("(123)", "(1234)")
+    assert s4.order() == 24
+    for locus in (fixed_locus, fixed_locus_by_intersection):
+        with pytest.raises(UnsupportedEigenvalue):
+            locus(s4)
+    # subgroups of S4 generated without a 3-cycle give the oracle's components
+    compared = 0
+    for h in _every_subgroup(_s4_fixing_letter_5()):
+        try:
+            expected = _components(fixed_locus_by_intersection(h))
+        except UnsupportedEigenvalue:
+            with pytest.raises(UnsupportedEigenvalue):
+                fixed_locus(h)
+            continue
+        assert _components(fixed_locus(h)) == expected
+        compared += 1
+    assert compared > 0

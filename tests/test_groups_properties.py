@@ -5,6 +5,9 @@ against sympy's group order on random generator sets of the symmetric group
 on 5 letters.  groups.closure itself is checked for its contract: act is
 called once per (generator, element) pair, the seeds come first, a key that
 merges elements keeps the first element found, and the cap is exact.
+The index closure on the Cayley table of the symmetric group is checked
+against subgroup_closure on the same generators, and fixed_locus against the
+span-intersection oracle on the groups random generators give.
 """
 
 from datetime import timedelta
@@ -14,12 +17,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation as SympyPermutation, PermutationGroup
 
-from dp5links.groups import ClosureExplosion, Permutation, closure, subgroup_closure
+from dp5links.groups import (
+    ClosureExplosion,
+    Permutation,
+    UnsupportedEigenvalue,
+    closure,
+    fixed_locus,
+    group_from_cycles,
+    index_closure,
+    subgroup_closure,
+)
+
+from geometry_oracles import fixed_locus_by_intersection
 
 checked = settings(deadline=timedelta(milliseconds=2000), max_examples=100)
 
 permutations = st.permutations(range(5)).map(lambda images: Permutation(tuple(images)))
 generator_sets = st.lists(permutations, max_size=3)
+
+S5 = group_from_cycles("(12345)", "(12)")
 
 
 def counting(act):
@@ -81,3 +97,27 @@ def test_the_cap_is_the_largest_size_allowed(seeds, gens):
     assert len(closure(seeds, gens, Permutation.__mul__, cap=size)) == size
     with pytest.raises(ClosureExplosion):
         closure(seeds, gens, Permutation.__mul__, cap=size - 1)
+
+
+@checked
+@given(generator_sets)
+def test_the_index_closure_has_the_elements_of_subgroup_closure(gens):
+    indices = index_closure(S5._table[0], [S5.elements.index(g) for g in gens])
+    assert [S5.elements[k] for k in sorted(indices)] == list(subgroup_closure(gens).elements)
+
+
+def components_or_error(locus, h):
+    try:
+        return [(c.character, c.basis, c.projective_dimension) for c in locus(h)]
+    except UnsupportedEigenvalue:
+        return UnsupportedEigenvalue
+
+
+@checked
+@given(generator_sets)
+def test_fixed_locus_equals_the_intersection_oracle(gens):
+    # generators may repeat or be the identity, so restrictions of spaces of
+    # every dimension are reached
+    h = subgroup_closure(gens)
+    assert components_or_error(fixed_locus, h) == \
+        components_or_error(fixed_locus_by_intersection, h)

@@ -20,7 +20,6 @@ from dp5links.linalg import (
     hyperbolic_basis,
     int_kernel,
     int_rank,
-    intersect_spans,
     kernel_basis,
     orthogonal_complement,
     rank,
@@ -258,11 +257,3 @@ def test_hyperbolic_basis_outside_the_old_search_box():
     assert sorted(map(abs, u + v)) == [0, 1, 1, 13]
     assert hyperbolic_basis(IntLattice.from_gram([[1, 0], [0, -2]])) is None  # 2 not a square
     assert hyperbolic_basis(IntLattice.from_gram([[0, 0], [0, 0]])) is None
-
-
-def test_intersect_spans():
-    a = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]]
-    b = [[ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
-    meet = intersect_spans(a, b)
-    assert len(meet) == 1
-    assert meet[0][0].is_zero() and not meet[0][1].is_zero() and meet[0][2].is_zero()

@@ -121,11 +121,27 @@ def _cold_report_counting(monkeypatch, module, name: str) -> list:
 
 
 def test_a_full_report_pins_the_subgroup_closures(monkeypatch):
-    # 3 for the standard groups, 20 for the cyclic subgroups of the order-20
-    # group, closed once for all orders, and 92 pairs for its subgroup classes
-    # at orders 20, 10, 5 and 4; a pair inside a subgroup already found is not
-    # closed, and conjugates take no closure
-    assert len(_cold_report_counting(monkeypatch, groups, "subgroup_closure")) == 115
+    # the 3 standard groups only: subgroup classes are closed on the Cayley
+    # table of the order-20 group, by the index closure
+    assert len(_cold_report_counting(monkeypatch, groups, "subgroup_closure")) == 3
+
+
+def test_a_full_report_pins_the_index_closures(monkeypatch):
+    # 20 for the cyclic subgroups of the order-20 group, closed once for all
+    # orders, and 92 pairs for its subgroup classes at orders 20, 10, 5 and
+    # 4; a pair inside a subgroup already found is not closed, and
+    # conjugates take no closure
+    assert len(_cold_report_counting(monkeypatch, groups, "index_closure")) == 112
+
+
+def test_a_full_report_pins_the_permutation_products(monkeypatch):
+    # 64 close the standard groups (4 + 10 * 2 + 20 * 2) and 26 build the
+    # characters of the order-20 group; the subgroup enumeration reads the
+    # Cayley table instead, and no span intersection is left in the package
+    calls = _cold_report_counting(monkeypatch, groups.Permutation, "__mul__")
+    assert len(calls) == 90
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "dp5links"]
+    assert len(modules) > 1 and not [m for m in modules if hasattr(m, "intersect_spans")]
 
 
 def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
@@ -141,7 +157,7 @@ def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
     groups.subgroups_of_order.cache_clear()
     census._fixed_point_orbits.cache_clear()
     run_checks()
-    assert counts == {"mul": 22451, "inverse": 1500}
+    assert counts == {"mul": 21846, "inverse": 1406}
 
 
 def test_a_full_report_takes_each_fixed_locus_once(monkeypatch):
