@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .report import CHECK_STAGES, STATEMENTS, UnknownCheckId, run_checks_parallel
 
@@ -24,11 +25,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output path (default: standard output)")
     verify.add_argument("--timings", action="store_true",
                         help="print per-check wall times, the process that ran each "
-                             "check and the stages it declares to standard error")
+                             "check and the stages it declares, then the run's "
+                             "timeline, to standard error")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    start = time.perf_counter()
     args = build_parser().parse_args(argv)
     if args.command == "list":
         for cid, statement in STATEMENTS.items():
@@ -54,10 +57,13 @@ def main(argv: list[str] | None = None) -> int:
     else:
         sys.stdout.write(text)
     if args.timings:
+        timeline = {**report.timeline, "report written": time.perf_counter()}
         for c in report.checks:
             stages = ", ".join(CHECK_STAGES[c.check_id]) or "-"
             print(f"{c.check_id}: {c.wall_time_ms:.1f} ms ({c.process}; stages: {stages})",
                   file=sys.stderr)
+        print("timeline: " + ", ".join(f"{event} at {(t - start) * 1000:.1f} ms"
+                                       for event, t in timeline.items()), file=sys.stderr)
     return 0 if report.overall == "pass" else 1
 
 

@@ -39,10 +39,6 @@ class IncompleteEigenspaces(ArithmeticError):
     """Eigenspace dimensions of a permutation matrix do not sum to its size."""
 
 
-class ClosureExplosion(RuntimeError):
-    """A closure found more elements than its cap allows; should never happen."""
-
-
 class Permutation(Frozen):
     """Bijection of {0,...,4} (coordinate indices)."""
 
@@ -191,14 +187,13 @@ class FiniteGroup(Frozen):
 
 
 def closure(seeds: Iterable, generators: Iterable, act: Callable,
-            key: Callable | None = None, cap: int | None = None) -> dict:
+            key: Callable | None = None) -> dict:
     """The closure of seeds under act(g, x) for the generators g.
 
     Returns {key(x): x} (key defaults to x itself) in discovery order, seeds
     first; of elements with equal keys the first found is kept.  Elements are
     taken in discovery order and each is acted on by every generator in turn,
-    so act is called exactly once per (generator, element) pair.  Raises
-    ClosureExplosion when a new element would make more than cap.
+    so act is called exactly once per (generator, element) pair.
     """
     generators = tuple(generators)
     found: dict = {}
@@ -207,8 +202,6 @@ def closure(seeds: Iterable, generators: Iterable, act: Callable,
     def visit(x) -> None:
         k = x if key is None else key(x)
         if k not in found:
-            if cap is not None and len(found) >= cap:
-                raise ClosureExplosion(f"closure exceeded {cap} elements")
             found[k] = x
             queue.append(x)
 
@@ -300,10 +293,15 @@ def subgroups_of_order(g: FiniteGroup, n: int) -> tuple[tuple[FiniteGroup, ...],
 
 
 def orbit_and_stabilizer(g: FiniteGroup, p: ProjPoint) -> tuple[list[ProjPoint], FiniteGroup]:
-    """Orbit (sorted) and stabilizer under the coordinate-permutation action."""
-    images = [el.apply_point(p) for el in g.elements]
-    orbit = set(images)
-    stab_elements = [el for el, q in zip(g.elements, images) if q == p]
+    """Orbit (sorted) and stabilizer of p = ProjPoint.of(...), lead coordinate p_i = 1: the
+    orbit is closed under the generators, and el fixes p when it maps p's coordinates to v
+    with p's zeros and v = v_i p.  |orbit| |stabilizer| = |g| checks one against the other."""
+    orbit = closure([p], g.generators, Permutation.apply_point)
+    zeros = [c.is_zero() for c in p.coords]
+    lead = zeros.index(False)
+    images = [(el, el.apply_vector(p.coords)) for el in g.elements]
+    stab_elements = [el for el, v in images if [x.is_zero() for x in v] == zeros
+                     and all(x == v[lead] * y for x, y, z in zip(v, p.coords, zeros) if not z)]
     stab = FiniteGroup(tuple(stab_elements), tuple(sorted(stab_elements, key=Permutation.sort_key)))
     if len(orbit) * stab.order() != g.order():
         raise OrbitStabilizerViolation(

@@ -11,18 +11,22 @@ and since the group is its own automorphism group, the full projective
 normalizer is generated by the representation together with these
 intertwiners.  Averaging a seed matrix against each of the four characters
 produces the intertwiners exactly; the ones preserving the quadratic form
-(up to scalar) generate, together with the represented group, the
-quadric-preserving normalizer.  Its order and structure are certified by
-finite closure over canonicalized projective matrix classes.
+(up to scalar) generate, with rho(G), the quadric-preserving normalizer.
 
 Identities over the whole group are tested on its generators only: rho is a
-homomorphism and lambda a character, so T rho(a) = lambda(a) rho(a) T and
-T rho(b) = lambda(b) rho(b) T give
+homomorphism and lambda a character, so from the identity at a and at b,
+T rho(ab) = lambda(a) rho(a) T rho(b) = lambda(ab) rho(ab) T.  The same
+argument lets the central involution be tested for commutation with the
+generators.
 
-    T rho(ab) = lambda(a) rho(a) T rho(b) = lambda(ab) rho(ab) T,
-
-and the identity holds at every product of generators.  The same argument
-lets the central involution be tested for commutation with the generators.
+The normalizer's classes N, those of T_lambda rho(g) for the characters
+lambda in Lambda_Q whose T_lambda preserves the quadric and g in G, are
+listed, not closed.  Lambda_Q is checked closed under products, and each
+T_lambda T_mu to lie in N, say in the class of T_nu rho(k).  As
+rho(g) T_mu = mu(g)^-1 T_mu rho(g), the classes of T_lambda rho(g) and
+T_mu rho(h) multiply to that of T_nu rho(kgh): N is closed under products,
+so it is the group the generators generate.  Its order, 20 |Lambda_Q|, is
+checked by counting N: the cosets are disjoint and rho projectively faithful.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import itertools
 from typing import Iterable
 
 from .cyclo import FieldElement, Frozen, I_UNIT, ZERO, rational
-from .groups import ClosureExplosion, FiniteGroup, Permutation, closure, subgroups_of_order
+from .groups import FiniteGroup, Permutation, subgroups_of_order
 from .linalg import (
     Grid,
     coordinates_in_basis,
@@ -50,16 +54,16 @@ class WrongGroup(ValueError):
     """Expected the order-20 subgroup with a normal cyclic 5-part."""
 
 
-# hard cap on the classes of the projective closure (the normalizer has 40)
-CLOSURE_CAP = 400
-
-
 class NotOnHyperplane(ValueError):
     """A vector expected in {sum x_i = 0} has no coordinates in its basis."""
 
 
 class IntertwiningFailure(ArithmeticError):
     """A matrix fails T rho(h) = lambda(h) rho(h) T; for a seed average, an arithmetic defect."""
+
+
+class CosetsNotAGroup(ArithmeticError):
+    """The listed normalizer classes are not closed under products, or overlap."""
 
 
 def restricted_representation(g: FiniteGroup) -> dict[Permutation, Grid]:
@@ -151,9 +155,10 @@ class Intertwiner(Frozen):
 
 def _group_tables(rep: dict[Permutation, Grid], g: FiniteGroup) -> tuple:
     """What every character's intertwiner needs: rho(h^-1) for each h, the
-    projective classes of the represented group and the quadric's gram."""
+    projective classes of the represented group, each with a rho(h), and the
+    quadric's gram."""
     inverses = {h: rep[h.inverse()] for h in g.elements}
-    group_classes = {canonical_projective(rep[h]) for h in g.elements}
+    group_classes = {canonical_projective(rep[h]): rep[h] for h in g.elements}
     return inverses, group_classes, quadratic_gram_on_hyperplane()
 
 
@@ -198,21 +203,12 @@ def intertwiner(lam: Character, rep: dict[Permutation, Grid],
         if all(x.is_zero() for row in total for x in row):
             continue
         require_intertwining(total, lam, rep, g.generators)
+        # preserving: T^t gram T is a nonzero multiple of the gram
         transported = mat_mul(mat_mul(transpose(total), gram), total)
-        scale = None
-        preserving = True
-        for i in range(4):
-            for j in range(4):
-                if gram[i][j].is_zero():
-                    if not transported[i][j].is_zero():
-                        preserving = False
-                else:
-                    ratio = transported[i][j] / gram[i][j]
-                    if scale is None:
-                        scale = ratio
-                    elif ratio != scale:
-                        preserving = False
-        preserving = preserving and scale is not None and not scale.is_zero()
+        entries = [(x, y) for tr, gr in zip(transported, gram) for x, y in zip(tr, gr)]
+        scales = {x / y for x, y in entries if not y.is_zero()}
+        preserving = (len(scales) == 1 and ZERO not in scales
+                      and all(x.is_zero() for x, y in entries if y.is_zero()))
         square = mat_mul(total, total)
         square_in_group = (
             not all(x.is_zero() for row in square for x in row)
@@ -242,50 +238,56 @@ class NormalizerResult(Frozen):
         }
 
 
-def _hyperplane_coords(p: ProjPoint) -> list[FieldElement]:
+def apply_on_hyperplane(m: Grid, p: ProjPoint) -> ProjPoint:
+    """Image of a hyperplane point of P^4 under a 4x4 matrix in basis coords."""
     b = hyperplane_basis_grid()
     coords = solve(b, list(p.coords))
     if coords is None:
         raise NotOnHyperplane(f"point {p!r} is not on the hyperplane")
-    return coords
+    c = mat_vec(m, coords)
+    return ProjPoint.of([sum((b[i][j] * c[j] for j in range(4)), ZERO) for i in range(5)])
 
 
-def apply_on_hyperplane(m: Grid, p: ProjPoint) -> ProjPoint:
-    """Image of a hyperplane point of P^4 under a 4x4 matrix in basis coords."""
-    c = mat_vec(m, _hyperplane_coords(p))
-    b = hyperplane_basis_grid()
-    out = [sum((b[i][j] * c[j] for j in range(4)), ZERO) for i in range(5)]
-    return ProjPoint.of(out)
+def normalizer_classes(g: FiniteGroup, rep: dict[Permutation, Grid], group_classes: dict,
+                       preserving: list[tuple[Character, Grid]]) -> dict:
+    """{key: first matrix} of the classes T_lambda rho(h), h in g, over the preserving
+    (lambda, T_lambda), checked a group as the module docstring says (else CosetsNotAGroup)."""
+    ident_key = canonical_projective(identity_grid(4))
+    elements: dict = {}
+    for _, t in preserving:
+        coset = group_classes.items() if canonical_projective(t) == ident_key else (
+            (canonical_projective(m), m) for m in (mat_mul(t, rep[h]) for h in g.elements))
+        for key, m in coset:
+            elements.setdefault(key, m)
+    values = [[lam(h) for h in g.generators] for lam, _ in preserving]
+    for (lam, s), (mu, t) in itertools.product(preserving, repeat=2):
+        if [lam(h) * mu(h) for h in g.generators] not in values:
+            raise CosetsNotAGroup(f"{lam.label} {mu.label} is not a preserving character")
+        if canonical_projective(mat_mul(s, t)) not in elements:
+            raise CosetsNotAGroup(f"T_{lam.label} T_{mu.label} lies outside the cosets")
+    if len(elements) != g.order() * len(preserving):
+        raise CosetsNotAGroup(f"{len(preserving)} cosets give {len(elements)} classes")
+    return elements
 
 
 def assemble_normalizer(g: FiniteGroup) -> NormalizerResult:
-    """Quadric-preserving projective normalizer, with structure certificate.
-
-    The closure multiplies only by the generators that are not projectively
-    the identity: a scalar matrix (the trivial character's intertwiner, by
-    Schur) maps every class to itself and can find no new one.
-    """
+    """Quadric-preserving projective normalizer, with structure certificate."""
     rep = restricted_representation(g)
-    chars = characters_of_g20(g)
     tables = _group_tables(rep, g)
     group_classes = tables[1]
-    tws = []
-    for lam in chars:
+    tws, preserving = [], []
+    for lam in characters_of_g20(g):
         t = intertwiner(lam, rep, g, tables)
         if t is not None:
             tws.append(t)
-    preserving = [t for t in tws if t.quadric_preserving and t.invertible]
-    generators: list[Grid] = [rep[h] for h in g.generators]
-    generators += [t.matrix for t in preserving]
-    ident = identity_grid(4)
-    ident_key = canonical_projective(ident)
-    movers = [m for m in generators if canonical_projective(m) != ident_key]
-    elements = closure([ident], movers, mat_mul, key=canonical_projective, cap=CLOSURE_CAP)
+            if t.quadric_preserving and t.invertible:
+                preserving.append((lam, t.matrix))
+    generators = [rep[h] for h in g.generators] + [m for _, m in preserving]
+    ident_key = canonical_projective(identity_grid(4))
+    elements = normalizer_classes(g, rep, group_classes, preserving)
     order = len(elements)
     # central involution: projectively order 2, commutes with the whole
-    # represented group, not itself a represented element.  Commuting with
-    # rep(a) and rep(b) projectively implies commuting with rep(ab), so the
-    # generators suffice.
+    # represented group (tested at the generators), not itself represented
     involution = None
     for key, m in sorted(elements.items()):
         if key in group_classes:
@@ -298,24 +300,19 @@ def assemble_normalizer(g: FiniteGroup) -> NormalizerResult:
         ):
             involution = m
             break
-    structure: dict = {
+    structure = {
         "represented_group_classes": len(group_classes),
         "index": order // len(group_classes) if order % len(group_classes) == 0 else None,
-        "quadric_preserving_characters": sorted(t.character for t in preserving),
+        "quadric_preserving_characters": sorted(lam.label for lam, _ in preserving),
+        "central_involution": involution is not None,
+        "direct_product_c2_x_g20": (involution is not None and len(group_classes) == 20
+                                    and order == 2 * len(group_classes)),
     }
-    if involution is not None:
-        structure["central_involution"] = True
-        structure["direct_product_c2_x_g20"] = (
-            order == 2 * len(group_classes) and len(group_classes) == 20
-        )
-    else:
-        structure["central_involution"] = False
-        structure["direct_product_c2_x_g20"] = False
     return NormalizerResult(
         order=order,
         generator_matrices=tuple(generators),
         structure=structure,
-        involution=involution if involution is not None else ident,
+        involution=involution if involution is not None else identity_grid(4),
         intertwiners=tuple(tws),
     )
 

@@ -15,6 +15,7 @@ prescribed norm and sum, so no search box has to be trusted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -297,6 +298,13 @@ def contract(pic: PicardLattice, family: list[str]) -> tuple[PicardLattice, IntG
     return target, basis
 
 
+@functools.cache
+def contraction(pic: PicardLattice, family: tuple[str, ...]) -> tuple[PicardLattice, IntMat]:
+    """contract(pic, family), once per (lattice, family) and immutable: three checks share two."""
+    target, basis = contract(pic, list(family))
+    return target, tuple(map(tuple, basis))
+
+
 def pushforward(pic: PicardLattice, family: list[str], basis: IntGrid, vector) -> IntVec:
     """Image of a class under the blow-down: project along the family."""
     vectors = [pic.marked_vector(lab) for lab in family]
@@ -317,7 +325,7 @@ def divisor_relation_check(pic: PicardLattice) -> dict:
     """The two exact divisor identities of the link, plus pushforward data."""
     e_labels = ["E1", "E2"]
     f_labels = ["L1", "L2", "L3", "L4", "L5"]
-    rank2, basis = contract(pic, f_labels)
+    rank2, basis = contraction(pic, tuple(f_labels))
     hb = hyperbolic_basis(rank2.lattice, positive_against=list(rank2.anticanonical))
     if hb is None:
         raise RelationFailed("the rank-2 contraction target is not hyperbolic")

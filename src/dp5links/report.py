@@ -13,7 +13,6 @@ runs are byte-identical.
 from __future__ import annotations
 
 import itertools
-import json
 import marshal
 import os
 import sys
@@ -36,9 +35,10 @@ from .census import (
 )
 from .cyclo import I_UNIT, ONE, ZERO
 from .groups import orbit_and_stabilizer, standard_groups
+from .jsontext import json_text
 from .normalizer import assemble_normalizer, involution_swaps_orbits
 from .picard import (
-    contract,
+    contraction,
     cubic_minus_one_classes,
     divisor_relation_check,
     find_sixers,
@@ -186,9 +186,9 @@ def check(cid: str, statement: str, stages: tuple[str, ...] = ()):
 
     `stages` names every cached `Context` stage the check builds, including
     those it builds through another stage (`pic` builds `cfg`).  Checks
-    sharing no stage never wait for each other's stages, which is what lets
-    `run_checks_parallel` split a run between two processes; they may still
-    share group-side tables such as `census._fixed_point_orbits`.
+    sharing no stage never wait for each other's stages, so `run_checks_parallel`
+    may split them between two processes, a stage-free check to the worker;
+    they may still share group-side tables such as `census._fixed_point_orbits`.
     """
     def register(fn):
         STATEMENTS[cid] = statement
@@ -428,8 +428,8 @@ def check_picard_reconstruct(ctx: Context) -> dict:
 def check_invariant_ranks(ctx: Context) -> dict:
     pic = ctx.pic
     r_cubic = invariant_rank(pic)
-    t5, _ = contract(pic, ["E1", "E2"])
-    t8, _ = contract(pic, ["L1", "L2", "L3", "L4", "L5"])
+    t5, _ = contraction(pic, ("E1", "E2"))
+    t8, _ = contraction(pic, ("L1", "L2", "L3", "L4", "L5"))
     r5, r8 = invariant_rank(t5), invariant_rank(t8)
     _require(r_cubic == 2, f"invariant rank of the cubic is {r_cubic}, expected 2")
     _require(r5 == 1, f"invariant rank after contracting E1, E2 is {r5}, expected 1")
@@ -450,7 +450,7 @@ def check_contractions_two(ctx: Context) -> dict:
     _require(len(maximal) == 2, f"{len(maximal)} maximal families, expected 2")
     certs = {}
     for fam in maximal:
-        target, _ = contract(ctx.pic, list(fam.labels))
+        target, _ = contraction(ctx.pic, fam.labels)
         certs[",".join(fam.labels)] = {
             "rank": target.rank,
             "degree": target.degree(),
@@ -556,14 +556,9 @@ class CheckResult:
         self.process = process  # main | worker
 
     def serialize(self) -> dict:
-        # wall time and process deliberately excluded: reports must be
-        # byte-deterministic
-        return {
-            "id": self.check_id,
-            "statement": self.statement,
-            "status": self.status,
-            "certificate": self.certificate,
-        }
+        # wall time and process are left out: reports must be byte-deterministic
+        return {"id": self.check_id, "statement": self.statement, "status": self.status,
+                "certificate": self.certificate}
 
 
 class Report:
@@ -571,32 +566,23 @@ class Report:
         self.version = version
         self.conventions = conventions
         self.checks = [] if checks is None else checks
+        self.timeline: dict[str, float] = {}  # perf_counter stamps by event, not serialized
 
     @property
     def overall(self) -> str:
         return "pass" if all(c.status == "pass" for c in self.checks) else "fail"
 
     def serialize(self) -> dict:
-        return {
-            "version": self.version,
-            "schema_version": SCHEMA_VERSION,
-            "conventions": self.conventions,
-            "checks": [c.serialize() for c in self.checks],
-            "overall": self.overall,
-        }
+        return {"version": self.version, "schema_version": SCHEMA_VERSION,
+                "conventions": self.conventions, "checks": [c.serialize() for c in self.checks],
+                "overall": self.overall}
 
     def to_json(self) -> str:
-        return json.dumps(self.serialize(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.serialize()) + "\n"
 
     def to_markdown(self) -> str:
-        lines = [
-            "# Verification report",
-            "",
-            f"Tool version: {self.version} (schema {SCHEMA_VERSION})",
-            "",
-            "## Conventions",
-            "",
-        ]
+        version = f"Tool version: {self.version} (schema {SCHEMA_VERSION})"
+        lines = ["# Verification report", "", version, "", "## Conventions", ""]
         for key in sorted(self.conventions):
             lines.append(f"- **{key}**: {self.conventions[key]}")
         lines += ["", "## Summary", "", "| check | status | claim |", "| --- | --- | --- |"]
@@ -604,14 +590,8 @@ class Report:
             lines.append(f"| `{c.check_id}` | {c.status.upper()} | {c.statement} |")
         lines += ["", f"**Overall: {self.overall.upper()}**", "", "## Certificates", ""]
         for c in self.checks:
-            lines.append(f"### `{c.check_id}`")
-            lines.append("")
-            lines.append(c.statement)
-            lines.append("")
-            lines.append("```json")
-            lines.append(json.dumps(c.certificate, indent=2, sort_keys=True))
-            lines.append("```")
-            lines.append("")
+            lines += [f"### `{c.check_id}`", "", c.statement, "", "```json",
+                      json_text(c.certificate), "```", ""]
         return "\n".join(lines)
 
 
@@ -652,25 +632,21 @@ def stage_groups(ids: list[str]) -> list[set[str]]:
 # worker is forked: the 27 lines (`cfg`) take longer than any other stage
 # and read none of the group-side tables (`census._fixed_point_orbits`,
 # `groups.subgroups_of_order`) that the censuses and the normalizer build.
-# A split without it has each process build those same tables: forking the
-# benchmark's quadric side (both censuses, normalizer) on 2 cores measured
-# 0.084 s median wall against 0.088 s unforked, faster in only 3 of 6 pairs.
+# The worker takes every other check, stage-free ones too, to even the two
+# out.  A split without `cfg` has each process build those tables: forking the
+# quadric side (both censuses, normalizer) on 2 cores measured 0.084 s median
+# wall against 0.088 s unforked, faster in only 3 of 6 pairs.
 _MAIN_STAGE = "cfg"
 
 
 def worker_checks(ids: list[str]) -> set[str]:
-    """The checks of `ids` that `run_checks_parallel` hands to a worker.
-
-    When `ids` build `_MAIN_STAGE`, the worker takes every group of
-    `stage_groups` that builds a stage but not that one; the main process
-    keeps that group and the stage-free checks, which take a few
-    milliseconds each.  Otherwise the set is empty.
-    """
+    """The checks of `ids` that `run_checks_parallel` hands to a worker: when
+    `ids` build `_MAIN_STAGE`, those outside the group of `stage_groups` that
+    builds it, stage-free checks included; otherwise none."""
     if not any(_MAIN_STAGE in CHECK_STAGES[cid] for cid in ids):
         return set()
     return {cid for group in stage_groups(ids)
-            if any(CHECK_STAGES[c] for c in group)
-            and not any(_MAIN_STAGE in CHECK_STAGES[c] for c in group)
+            if not any(_MAIN_STAGE in CHECK_STAGES[c] for c in group)
             for cid in group}
 
 
@@ -719,17 +695,20 @@ def _can_fork() -> bool:
 _WORKER_WAIT_S = 60.0
 
 
-def _run_split(ctx: Context, here: list[str], there: list[str]) -> list[CheckResult]:
+def _run_split(ctx: Context, here: list[str], there: list[str],
+               timeline: dict[str, float]) -> list[CheckResult]:
     """Run `here` in this process and `there` in a forked worker.
 
     The worker sends (id, status, certificate, wall ms) rows back through a
     pipe with marshal.  When the fork fails, the worker exits non-zero,
     outlasts `_WORKER_WAIT_S` or its rows do not load, this process runs
-    `there` itself, so the results never depend on the worker.
+    `there` itself, so the results never depend on the worker.  It stamps
+    `timeline` at the fork, at this process's last check and at the join.
     """
     sys.stdout.flush()
     sys.stderr.flush()
     read_fd, write_fd = os.pipe()
+    timeline["fork"] = time.perf_counter()
     try:
         pid = os.fork()
     except OSError:  # no process to spare: run everything here
@@ -752,6 +731,7 @@ def _run_split(ctx: Context, here: list[str], there: list[str]) -> list[CheckRes
     chunks, complete = [], False
     try:
         results = [_run_check(cid, ctx) for cid in here]
+        timeline["main's last check"] = time.perf_counter()
         deadline = time.monotonic() + _WORKER_WAIT_S
         while select.select([read_fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
             chunk = os.read(read_fd, 1 << 16)
@@ -765,6 +745,7 @@ def _run_split(ctx: Context, here: list[str], there: list[str]) -> list[CheckRes
             import signal
             os.kill(pid, signal.SIGKILL)
         _, wait_status = os.waitpid(pid, 0)
+        timeline["worker joined"] = time.perf_counter()
     rows = None
     if complete and os.waitstatus_to_exitcode(wait_status) == 0:
         try:
@@ -807,18 +788,24 @@ def run_checks_parallel(selection: list[str] | None = None) -> Report:
     once when `worker_checks` gives the worker some checks, `os.fork`
     exists, the process may use at least two CPUs (affinity, capped by a
     cgroup CPU quota) and no other thread is alive.  The two processes
-    share no stage, so neither waits for the other's stages; the worker
-    does build the group-side tables its censuses or normalizer read
-    again, so the two together use more CPU than a sequential run.  The
-    report is the same bytes either way.  Library code should call
-    `run_checks`: its checks run in the calling process, so patched
-    `CHECK_FUNCTIONS` entries, profilers and the caches the run fills all
-    see every check.
+    share no stage; the worker builds again the group-side tables its
+    censuses or normalizer read, so the two use more CPU than one.  The
+    report is the same bytes either way, and its `timeline` holds the
+    times of the fork, the main process's last check and the join.
+    Library code should call `run_checks`: its checks run in the calling
+    process, so patched `CHECK_FUNCTIONS` entries, profilers and the caches
+    the run fills all see every check.
     """
     ids = _selected(selection)
     ctx = Context()
     there = worker_checks(ids)
+    timeline: dict[str, float] = {}
     if not there or not _can_fork():
-        return _report([_run_check(cid, ctx) for cid in ids])
-    return _report(_run_split(ctx, [cid for cid in ids if cid not in there],
-                              [cid for cid in ids if cid in there]))
+        results = [_run_check(cid, ctx) for cid in ids]
+    else:
+        results = _run_split(ctx, [cid for cid in ids if cid not in there],
+                             [cid for cid in ids if cid in there], timeline)
+    timeline.setdefault("main's last check", time.perf_counter())
+    report = _report(results)
+    report.timeline = timeline
+    return report

@@ -7,15 +7,27 @@ are sparse dicts from exponent tuples to field elements.
 
 The package finds fixed loci by restricting one generator's eigenspace; the
 reference here intersects every generator's eigenspace and then the
-hyperplane, one span intersection each.
+hyperplane, one span intersection each.  The package closes a point's orbit
+under the generators and tests each element for fixing it; the reference
+canonicalises the point's image under every element.  The package lists the
+normalizer's classes as cosets; the reference closes the projective group
+under its generators.
 """
 
 import itertools
 from typing import Sequence
 
 from dp5links.cyclo import FieldElement, ONE, ZERO
-from dp5links.groups import FiniteGroup, FixedLocusComponent, eigenspaces_of_permutation
-from dp5links.linalg import Vector, kernel_basis, rref, solve
+from dp5links.groups import (
+    FiniteGroup,
+    FixedLocusComponent,
+    OrbitStabilizerViolation,
+    Permutation,
+    closure,
+    eigenspaces_of_permutation,
+)
+from dp5links.linalg import Vector, identity_grid, kernel_basis, mat_mul, rref, solve
+from dp5links.normalizer import NormalizerResult, canonical_projective
 from dp5links.projgeo import (
     FactorizationFailure,
     HomogeneousForm,
@@ -230,3 +242,27 @@ def fixed_locus_by_intersection(h: FiniteGroup) -> list[FixedLocusComponent]:
         ))
     components.sort(key=lambda c: tuple(tuple(x.coeffs for x in row) for row in c.basis))
     return components
+
+
+def orbit_and_stabilizer_by_images(g: FiniteGroup, p: ProjPoint) -> tuple[list[ProjPoint],
+                                                                         FiniteGroup]:
+    """groups.orbit_and_stabilizer, by canonicalising the image of p under
+    every element of g."""
+    images = [el.apply_point(p) for el in g.elements]
+    orbit = set(images)
+    stab_elements = [el for el, q in zip(g.elements, images) if q == p]
+    stab = FiniteGroup(tuple(stab_elements), tuple(sorted(stab_elements, key=Permutation.sort_key)))
+    if len(orbit) * stab.order() != g.order():
+        raise OrbitStabilizerViolation(
+            f"orbit of length {len(orbit)} and stabilizer of order {stab.order()} "
+            f"in a group of order {g.order()}")
+    return sorted(orbit, key=ProjPoint.sort_key), stab
+
+
+def normalizer_classes_by_closure(result: NormalizerResult) -> dict:
+    """The normalizer's classes {key: first matrix found}, by closing the
+    identity under the generators that are not projectively the identity."""
+    ident = identity_grid(4)
+    ident_key = canonical_projective(ident)
+    movers = [m for m in result.generator_matrices if canonical_projective(m) != ident_key]
+    return closure([ident], movers, mat_mul, key=canonical_projective)

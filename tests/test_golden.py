@@ -3,7 +3,8 @@
 ``tests/golden/verify_all.json`` is the output of
 ``dp5links verify all --format json``.  Any change of certificate content,
 ordering or formatting shows up here as a failure, even when two runs of the
-changed code still agree with each other.
+changed code still agree with each other.  The markdown report is pinned by
+its digest.
 """
 
 import hashlib
@@ -13,6 +14,8 @@ from dp5links.report import run_checks
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
 GOLDEN_SHA256 = "bcd5004d72c79d6f3c8114e85db33f1843bb0fd6f254de83df6aacd3b10f5212"
+# sha256 of ``dp5links verify all --format markdown``
+MARKDOWN_SHA256 = "419ec64f5d53add7ec18ea0cd204873a7f51fbf89454fcb9d2f0a8e6c092257b"
 
 
 def test_golden_file_is_the_recorded_report():
@@ -23,3 +26,8 @@ def test_golden_file_is_the_recorded_report():
 
 def test_verify_all_equals_golden_report():
     assert run_checks().to_json().encode("utf-8") == GOLDEN.read_bytes()
+
+
+def test_verify_all_markdown_has_the_recorded_digest():
+    text = run_checks().to_markdown().encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == MARKDOWN_SHA256

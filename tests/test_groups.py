@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dp5links.cyclo import I_UNIT, ONE, ZERO, ZETA5
-from dp5links import groups
+from dp5links import census, groups
 from dp5links.groups import (
     ConjugateNotFound,
     FiniteGroup,
@@ -20,7 +20,11 @@ from dp5links.groups import (
 )
 from dp5links.projgeo import ProjPoint
 
-from geometry_oracles import fixed_locus_by_intersection, intersect_spans
+from geometry_oracles import (
+    fixed_locus_by_intersection,
+    intersect_spans,
+    orbit_and_stabilizer_by_images,
+)
 
 S5 = group_from_cycles("(12345)", "(12)")
 C5 = group_from_cycles("(12345)")
@@ -372,3 +376,12 @@ def test_fixed_locus_and_its_oracle_both_reject_cube_roots_of_unity():
         assert _components(fixed_locus(h)) == expected
         compared += 1
     assert compared > 0
+
+
+def test_orbit_and_stabilizer_equals_the_oracle_on_every_fixed_point_of_the_censuses():
+    g20 = standard_groups()["G20"]
+    points = [p for q in (20, 10, 5, 4) for _, components in census._fixed_point_orbits(g20, q)
+              for _, p, _, _ in components if p is not None]
+    assert len(points) == 8
+    for p in points:
+        assert orbit_and_stabilizer(g20, p) == orbit_and_stabilizer_by_images(g20, p)

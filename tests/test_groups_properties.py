@@ -3,32 +3,35 @@
 subgroup_closure, which closes the identity under left products, is checked
 against sympy's group order on random generator sets of the symmetric group
 on 5 letters.  groups.closure itself is checked for its contract: act is
-called once per (generator, element) pair, the seeds come first, a key that
-merges elements keeps the first element found, and the cap is exact.
+called once per (generator, element) pair, the seeds come first, and a key
+that merges elements keeps the first element found.
 The index closure on the Cayley table of the symmetric group is checked
-against subgroup_closure on the same generators, and fixed_locus against the
-span-intersection oracle on the groups random generators give.
+against subgroup_closure on the same generators, fixed_locus against the
+span-intersection oracle on the groups random generators give, and
+orbit_and_stabilizer against the oracle that canonicalises every image.
 """
 
 from datetime import timedelta
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation as SympyPermutation, PermutationGroup
 
+from dp5links.cyclo import FieldElement
 from dp5links.groups import (
-    ClosureExplosion,
     Permutation,
     UnsupportedEigenvalue,
     closure,
     fixed_locus,
     group_from_cycles,
     index_closure,
+    orbit_and_stabilizer,
+    standard_groups,
     subgroup_closure,
 )
+from dp5links.projgeo import ProjPoint
 
-from geometry_oracles import fixed_locus_by_intersection
+from geometry_oracles import fixed_locus_by_intersection, orbit_and_stabilizer_by_images
 
 checked = settings(deadline=timedelta(milliseconds=2000), max_examples=100)
 
@@ -91,15 +94,6 @@ def test_a_merging_key_keeps_the_first_element_found(seeds, gens, letter):
 
 
 @checked
-@given(st.lists(permutations, min_size=1, max_size=4), generator_sets)
-def test_the_cap_is_the_largest_size_allowed(seeds, gens):
-    size = len(closure(seeds, gens, Permutation.__mul__))
-    assert len(closure(seeds, gens, Permutation.__mul__, cap=size)) == size
-    with pytest.raises(ClosureExplosion):
-        closure(seeds, gens, Permutation.__mul__, cap=size - 1)
-
-
-@checked
 @given(generator_sets)
 def test_the_index_closure_has_the_elements_of_subgroup_closure(gens):
     indices = index_closure(S5._table[0], [S5.elements.index(g) for g in gens])
@@ -121,3 +115,20 @@ def test_fixed_locus_equals_the_intersection_oracle(gens):
     h = subgroup_closure(gens)
     assert components_or_error(fixed_locus, h) == \
         components_or_error(fixed_locus_by_intersection, h)
+
+
+# coordinates from few values, so that points with repeated, zero and
+# negated coordinates, and hence nontrivial stabilizers, are common
+coordinates = st.lists(st.integers(-2, 2), min_size=8, max_size=8).map(FieldElement)
+points = st.lists(st.sampled_from([0, 1, -1]) | coordinates, min_size=5, max_size=5).filter(
+    lambda cs: any(cs)).map(ProjPoint.of)
+
+
+@checked
+@given(points, st.sampled_from(sorted(standard_groups())))
+def test_orbit_and_stabilizer_equals_the_oracle_that_canonicalises_every_image(p, name):
+    g = standard_groups()[name]
+    orbit, stab = orbit_and_stabilizer(g, p)
+    oracle_orbit, oracle_stab = orbit_and_stabilizer_by_images(g, p)
+    assert orbit == oracle_orbit
+    assert stab == oracle_stab

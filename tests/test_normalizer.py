@@ -8,7 +8,8 @@ from dp5links.groups import group_from_cycles
 from dp5links.linalg import mat_mul
 from dp5links import normalizer
 from dp5links.normalizer import (
-    ClosureExplosion,
+    CosetsNotAGroup,
+    Intertwiner,
     IntertwiningFailure,
     NotOnHyperplane,
     WrongGroup,
@@ -18,13 +19,14 @@ from dp5links.normalizer import (
     characters_of_g20,
     intertwiner,
     involution_swaps_orbits,
+    normalizer_classes,
     quadratic_gram_on_hyperplane,
     require_intertwining,
     restricted_representation,
 )
 from dp5links.projgeo import membership
 
-from geometry_oracles import point_at
+from geometry_oracles import normalizer_classes_by_closure, point_at
 
 
 def test_characters_exist_and_take_fourth_roots_on_the_generator(g20):
@@ -324,35 +326,84 @@ def test_quadratic_gram_is_the_a4_form():
             assert gram[i][j] == FieldElement([expected[i][j]])
 
 
-def test_closure_explosion_guard(g20, monkeypatch):
-    monkeypatch.setattr(normalizer, "CLOSURE_CAP", 10)
-    with pytest.raises(ClosureExplosion):
+def _coset_inputs(g20):
+    """The arguments of normalizer_classes, and the intertwiner of each character."""
+    rep = restricted_representation(g20)
+    group_classes = normalizer._group_tables(rep, g20)[1]
+    chars = {lam.label: lam for lam in characters_of_g20(g20)}
+    tws = {label: intertwiner(lam, rep, g20).matrix for label, lam in chars.items()}
+    return rep, group_classes, chars, tws
+
+
+def test_the_cosets_are_the_classes_of_the_closure(g20, normalizer_result):
+    rep, group_classes, chars, tws = _coset_inputs(g20)
+    listed = normalizer_classes(g20, rep, group_classes,
+                                [(chars[k], tws[k]) for k in ("chi0", "chi2")])
+    oracle = normalizer_classes_by_closure(normalizer_result)
+    assert len(listed) == 40 and sorted(listed) == sorted(oracle)
+    # both keep the chi2 intertwiner itself for its class, and it is the involution
+    key = canonical_projective(tws["chi2"])
+    assert listed[key] == oracle[key] == tws["chi2"] == normalizer_result.involution
+
+
+@pytest.mark.parametrize("preserving, message", [
+    # T_chi1^2 is T_chi2 up to scalar, outside rho(G20) and T_chi1 rho(G20)
+    ((("chi0", "chi0"), ("chi2", "chi1")), "T_chi2 T_chi2 lies outside"),
+    # chi1^2 = chi2 is not among the characters
+    ((("chi0", "chi0"), ("chi1", "chi1")), "chi1 chi1 is not a preserving character"),
+    # a scalar in place of T_chi2: its coset is rho(G20) again, so one coset is missing
+    ((("chi0", "chi0"), ("chi2", "chi0")), "2 cosets give 20 classes"),
+])
+def test_a_seeded_defect_in_the_cosets_raises(g20, preserving, message):
+    rep, group_classes, chars, tws = _coset_inputs(g20)
+    with pytest.raises(CosetsNotAGroup, match=message):
+        normalizer_classes(g20, rep, group_classes,
+                           [(chars[lam], tws[t]) for lam, t in preserving])
+
+
+def test_a_quadric_preserving_chi1_intertwiner_is_refused(g20, monkeypatch):
+    # with T_chi1 declared quadric-preserving, the characters chi0, chi1 and chi2
+    # are not closed: chi1 chi2 = chi3
+    real = normalizer.intertwiner
+
+    def chi1_preserves(lam, rep, g, tables=None):
+        t = real(lam, rep, g, tables)
+        if lam.label != "chi1":
+            return t
+        return Intertwiner(t.character, t.matrix, t.invertible, True, t.square_in_group)
+
+    monkeypatch.setattr(normalizer, "intertwiner", chi1_preserves)
+    with pytest.raises(CosetsNotAGroup, match="chi1 chi2 is not a preserving character"):
         assemble_normalizer(g20)
 
 
 def test_closure_skips_the_scalar_generator(g20, monkeypatch):
     # the trivial character's intertwiner is 5 I, projectively the identity:
-    # it stays a serialised generator, but the closure's 40 products with it
-    # are not made: 163 products per normalizer, 203 with them
+    # it stays a serialised generator, and its coset is the represented group,
+    # listed with no products.  67 products per normalizer: 29 for the gram and
+    # the four intertwiners, 20 for the coset of T_chi2, 4 for the products of
+    # the two intertwiners and 14 for the involution search
     real = normalizer.mat_mul
     calls = []
     monkeypatch.setattr(normalizer, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
     res = assemble_normalizer(g20)
-    assert len(calls) == 163
+    assert len(calls) == 67
     scalar = [[FieldElement([5 * (i == j)]) for j in range(4)] for i in range(4)]
     assert res.generator_matrices[2] == scalar
     assert len(res.generator_matrices) == 4 and res.order == 40
 
 
 def test_closure_canonicalises_each_product_once(g20, monkeypatch):
-    # one key per product, and the identity's twice: once to drop the scalar
-    # generator, once as the closure's seed
+    # 20 keys of the represented group, 4 squares of intertwiners, the identity
+    # twice, one test per preserving intertwiner for a scalar, 20 keys of the
+    # coset of T_chi2, 4 of the products of the two intertwiners and 14 in the
+    # involution search
     real = normalizer.canonical_projective
     calls = []
     monkeypatch.setattr(normalizer, "canonical_projective",
                         lambda m: calls.append(1) or real(m))
     assert assemble_normalizer(g20).order == 40
-    assert len(calls) == 164
+    assert len(calls) == 66
 
 
 def test_normalizer_serialization(normalizer_result):

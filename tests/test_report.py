@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dp5links
-from dp5links import census, groups, report
+from dp5links import census, groups, picard, report
 from dp5links.cli import main
 from dp5links.cyclo import FieldElement
 from dp5links.report import (
@@ -35,8 +35,10 @@ CHECK_IDS = [
     "ruling-minus2", "picard-reconstruct", "invariant-ranks", "contractions-two",
     "divisor-relations", "selfmap-degree", "dp5-orbit-descent", "thm-g40",
 ]
-# the quadric's stage group, which a forked worker runs in `verify all`
-WORKER_CHECKS = {"quadric-census-lt8", "general-position-k1-k2", "selfmap-degree", "thm-g40"}
+# what a forked worker runs in `verify all`: the quadric's stage group and
+# the two stage-free checks
+WORKER_CHECKS = {"clebsch-smooth", "quadric-census-lt8", "general-position-k1-k2",
+                 "ruling-minus2", "selfmap-degree", "thm-g40"}
 # a small selection that forks: the 27 lines beside the quadric's census
 SMALL_SPLIT = ["lines-27", "quadric-census-lt8"]
 GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
@@ -146,7 +148,8 @@ def test_a_full_report_pins_the_permutation_products(monkeypatch):
 
 def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
     # rref takes one inverse per pivot and multiplies only right of the pivot,
-    # by the pivot row's nonzero entries
+    # by the pivot row's nonzero entries; the normalizer lists its classes as
+    # two cosets and stabilizers are found without canonicalising images
     counts = Counter()
 
     def counted(name, real):
@@ -157,7 +160,22 @@ def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
     groups.subgroups_of_order.cache_clear()
     census._fixed_point_orbits.cache_clear()
     run_checks()
-    assert counts == {"mul": 21846, "inverse": 1406}
+    assert counts == {"mul": 17497, "inverse": 1169}
+
+
+def test_a_full_report_pins_the_point_images(monkeypatch):
+    # the 9 orbits closed under the 2 generators of the order-20 group: 8 of
+    # the censuses' fixed points and the length-4 orbit again, 80 images in
+    # all; 40 more in checks
+    assert len(_cold_report_counting(monkeypatch, groups.Permutation, "apply_point")) == 120
+
+
+def test_a_full_report_contracts_each_family_once(monkeypatch):
+    # invariant-ranks, contractions-two and divisor-relations ask for the two
+    # contractions 5 times; picard.contraction computes each once
+    calls = _cold_report_counting(monkeypatch, picard, "contract")
+    assert sorted(tuple(family) for _, family in calls) == [
+        ("E1", "E2"), ("L1", "L2", "L3", "L4", "L5")]
 
 
 def test_a_full_report_takes_each_fixed_locus_once(monkeypatch):
@@ -258,8 +276,10 @@ def test_the_worker_takes_the_staged_groups_beside_the_27_lines():
     quadric_side = [cid for cid in CHECK_IDS if not {"cfg", "pic", "families"}
                     & set(CHECK_STAGES[cid])]
     assert worker_checks(quadric_side) == set()
-    # stage-free checks are too cheap for a process of their own
-    assert worker_checks(["lines-27", "clebsch-smooth", "ruling-minus2"]) == set()
+    # stage-free checks go to the worker, but get no process of their own
+    assert worker_checks(["lines-27", "clebsch-smooth", "ruling-minus2"]) == {"clebsch-smooth",
+                                                                             "ruling-minus2"}
+    assert worker_checks(["clebsch-smooth", "ruling-minus2"]) == set()
     assert worker_checks(["picard-reconstruct", "divisor-relations"]) == set()
 
 
@@ -441,5 +461,13 @@ def test_cli_writes_the_report_to_stdout_once():
                          check=False)
     assert out.returncode == 0, out.stderr
     assert out.stdout == GOLDEN.read_bytes()
-    processes = {line.rsplit("(", 1)[1].split(";")[0] for line in out.stderr.decode().splitlines()}
-    assert processes == ({"main", "worker"} if report._can_fork() else {"main"})
+    *rows, timeline = out.stderr.decode().splitlines()
+    processes = {line.rsplit("(", 1)[1].split(";")[0] for line in rows}
+    assert len(rows) == len(CHECK_IDS)
+    events = [event.rsplit(" at ", 1)[0] for event in timeline.split(": ", 1)[1].split(", ")]
+    if report._can_fork():
+        assert processes == {"main", "worker"}
+        assert events == ["fork", "main's last check", "worker joined", "report written"]
+    else:
+        assert processes == {"main"}
+        assert events == ["main's last check", "report written"]
