@@ -99,7 +99,7 @@ def length4_orbit_points() -> list[ProjPoint]:
 
 
 class OrbitCensus(Frozen):
-    __slots__ = ("surface", "group_order", "bound", "orbits_by_length", "artifacts", "incidents")
+    __slots__ = ("surface", "group_order", "bound", "orbits_by_length", "artifacts")
 
     def serialize(self) -> dict:
         return {
@@ -111,7 +111,8 @@ class OrbitCensus(Frozen):
                 for r, orbs in sorted(self.orbits_by_length.items())
             },
             "artifacts": self.artifacts,
-            "incidents": self.incidents,
+            # a positive-dimensional fixed locus raises, so a census has none
+            "incidents": [],
         }
 
 
@@ -141,13 +142,12 @@ def _fixed_point_orbits(g: FiniteGroup, q: int) -> tuple:
     return tuple(out)
 
 
-def orbit_census(s: Surface, g: FiniteGroup, bound: int, strict: bool = True) -> OrbitCensus:
+def orbit_census(s: Surface, g: FiniteGroup, bound: int) -> OrbitCensus:
     """All orbits of length r < bound on the surface, with proof artifacts.
 
-    strict=True raises PositiveDimensionalFixedLocus if some stabilizer
-    subgroup fixes a positive-dimensional locus after restriction (its
-    surface points could then fail to be enumerable in K); strict=False
-    records the incident and omits that subgroup.  Only the membership of
+    Raises PositiveDimensionalFixedLocus if some stabilizer subgroup fixes a
+    positive-dimensional locus after restriction (its surface points could
+    then fail to be enumerable in K).  Only the membership of
     each fixed point depends on the surface: the subgroup classes, their
     fixed loci and the fixed points' orbits are computed once per group and
     order, and shared by every census over that group.
@@ -156,7 +156,6 @@ def orbit_census(s: Surface, g: FiniteGroup, bound: int, strict: bool = True) ->
         raise ValueError("bound must not exceed the group order")
     orbits_by_length: dict[int, list[tuple[ProjPoint, ...]]] = {}
     artifacts: list[dict] = []
-    incidents: list[dict] = []
     seen: set[tuple[ProjPoint, ...]] = set()  # orbits are sorted tuples
     for r in _divisors(g.order()):
         if r >= bound:
@@ -174,17 +173,10 @@ def orbit_census(s: Surface, g: FiniteGroup, bound: int, strict: bool = True) ->
             }
             for comp, p, orbit, stab in components:
                 if comp.positive_dimensional:
-                    incident = {
-                        "stabilizer_generators": gens,
-                        "projective_dimension": comp.projective_dimension,
-                    }
-                    incidents.append(incident)
-                    if strict:
-                        raise PositiveDimensionalFixedLocus(
-                            f"subgroup <{' '.join(gens)}> fixes a component of projective "
-                            f"dimension {comp.projective_dimension}"
-                        )
-                    continue
+                    raise PositiveDimensionalFixedLocus(
+                        f"subgroup <{' '.join(gens)}> fixes a component of projective "
+                        f"dimension {comp.projective_dimension}"
+                    )
                 on_surface = s.contains(p)
                 entry["fixed_points"].append({
                     "point": p.serialize(),
@@ -199,7 +191,7 @@ def orbit_census(s: Surface, g: FiniteGroup, bound: int, strict: bool = True) ->
             artifacts.append(entry)
     for r in orbits_by_length:
         orbits_by_length[r].sort(key=lambda orb: tuple(p.sort_key() for p in orb))
-    return OrbitCensus(s.name, g.order(), bound, orbits_by_length, artifacts, incidents)
+    return OrbitCensus(s.name, g.order(), bound, orbits_by_length, artifacts)
 
 
 # -- the 27 lines --------------------------------------------------------------

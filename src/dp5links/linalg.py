@@ -6,8 +6,9 @@ elimination with first-nonzero pivoting, deterministic, no pivot heuristics.
 Left of each pivot column the pivot row is zero, so ``rref`` scales and
 eliminates only the columns right of the pivot, and skips the pivot row's
 zero entries.
-Integer ranks and coordinates are taken over the rationals inside K; Smith
-normal form with arbitrary-precision ints serves only saturated kernels.
+Integer ranks and coordinates are taken over the rationals inside K; a Smith
+normal form with least-entry pivots, which ends without an iteration cap,
+serves only saturated kernels.
 """
 
 from __future__ import annotations
@@ -195,127 +196,76 @@ class IntLattice(Frozen):
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntGrid, IntGrid, IntGrid]:
-    """U, D, V with U m V = D diagonal, U and V unimodular."""
+    """U, D, V with U m V = D diagonal, U and V unimodular, d_0 | d_1 | ... and d_t >= 0.
+
+    Step t moves the nonzero entry of least absolute value in the block
+    a[t:, t:] (the first in row-major order on a tie) to (t, t) and reduces
+    column t and row t modulo it.  A remainder left there is smaller than the
+    pivot, so the next pass takes a smaller pivot.  If none is left but the
+    pivot fails to divide some entry of the block, that entry's row is added
+    to row t; the pivot is still least and first, and the next pass leaves a
+    remainder of the added row.  So |pivot| falls at least every second pass
+    and each step ends, with no cap.  A finished pivot divides the whole
+    block, whose integer combinations are all that later steps see: that is
+    the divisibility chain.
+    """
     a: IntGrid = [[int(x) for x in row] for row in m]
     nr = len(a)
     nc = len(a[0]) if nr else 0
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
-    def row_op(i, j, f):  # row_i -= f * row_j
-        a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - f * y for x, y in zip(u[i], u[j])]
+    def add_row(i, t, f):  # row_i += f * row_t, in a and u
+        for g in (a, u):
+            g[i] = [x + f * y for x, y in zip(g[i], g[t])]
 
-    def col_op(i, j, f):  # col_i -= f * col_j
-        for row in a:
-            row[i] -= f * row[j]
-        for row in v:
-            row[i] -= f * row[j]
+    def add_col(j, t, f):  # col_j += f * col_t, in a and v
+        for g in (a, v):
+            for row in g:
+                row[j] += f * row[t]
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(nr, nc):
-        # find nonzero pivot
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+    for t in range(min(nr, nc)):
         while True:
-            # clear column t with row ops
-            done = True
+            least = min(((abs(x), i, j) for i in range(t, nr)
+                         for j, x in enumerate(a[i][t:], t) if x), default=None)
+            if least is None:
+                return u, a, v
+            _, i, j = least
+            for g in (a, u):
+                g[t], g[i] = g[i], g[t]
+            for g in (a, v):
+                for row in g:
+                    row[t], row[j] = row[j], row[t]
+            p = a[t][t]
             for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    if a[i][t] % a[t][t] == 0:
-                        row_op(i, t, a[i][t] // a[t][t])
-                    else:
-                        q = a[i][t] // a[t][t]
-                        row_op(i, t, q)
-                        swap_rows(t, i)
-                        done = False
+                add_row(i, t, -(a[i][t] // p))
             for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    if a[t][j] % a[t][t] == 0:
-                        col_op(j, t, a[t][j] // a[t][t])
-                    else:
-                        q = a[t][j] // a[t][t]
-                        col_op(j, t, q)
-                        swap_cols(t, j)
-                        done = False
-            if done and all(a[i][t] == 0 for i in range(t + 1, nr)) and all(
-                a[t][j] == 0 for j in range(t + 1, nc)
-            ):
+                add_col(j, t, -(a[t][j] // p))
+            if any(a[i][t] for i in range(t + 1, nr)) or any(a[t][t + 1:]):
+                continue
+            bad = next((i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1:])), None)
+            if bad is None:
                 break
-        t += 1
-    # normalize signs and enforce divisibility chain
-    for i in range(min(nr, nc)):
-        if a[i][i] < 0:
-            for j in range(nc):
-                a[i][j] = -a[i][j]
-            for j in range(nr):
-                u[i][j] = -u[i][j]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(nr, nc) - 1):
-            d1, d2 = a[i][i], a[i + 1][i + 1]
-            if d1 and d2 and d2 % d1 != 0:
-                # standard fixup: fold the pair to (gcd, lcm)
-                col_op(i, i + 1, -1)
-                for _ in range(64):
-                    if a[i + 1][i] == 0 and a[i][i + 1] == 0:
-                        break
-                    if a[i + 1][i] != 0:
-                        q = a[i + 1][i] // a[i][i] if a[i][i] else 0
-                        if a[i][i] and a[i + 1][i] % a[i][i] == 0:
-                            row_op(i + 1, i, q)
-                        else:
-                            row_op(i + 1, i, q)
-                            swap_rows(i, i + 1)
-                    if a[i][i + 1] != 0:
-                        q = a[i][i + 1] // a[i][i] if a[i][i] else 0
-                        if a[i][i] and a[i][i + 1] % a[i][i] == 0:
-                            col_op(i + 1, i, q)
-                        else:
-                            col_op(i + 1, i, q)
-                            swap_cols(i, i + 1)
-                if a[i][i] < 0:
-                    for j in range(nc):
-                        a[i][j] = -a[i][j]
-                    for j in range(nr):
-                        u[i][j] = -u[i][j]
-                if a[i + 1][i + 1] < 0:
-                    for j in range(nc):
-                        a[i + 1][j] = -a[i + 1][j]
-                    for j in range(nr):
-                        u[i + 1][j] = -u[i + 1][j]
-                changed = True
+            add_row(t, bad, 1)
+        if a[t][t] < 0:
+            for g in (a, u):
+                g[t] = [-x for x in g[t]]
     return u, a, v
 
 
 def int_kernel(m: Sequence[Sequence[int]]) -> IntGrid:
-    """Saturated basis of {x : m x = 0} over Z (columns of V past the rank)."""
+    """Saturated basis of {x : m x = 0} over Z: the columns of V past the rank.
+
+    With U m V = D, x = V y solves m x = 0 iff D y = 0, iff y is zero at the
+    r nonzero diagonal places, which come first.  So the last columns of V
+    span the kernel over Z, and as part of a unimodular basis of Z^n they
+    span a saturated one.
+    """
     if not m:
         return []
     nc = len(m[0])
     _, d, v = smith_normal_form(m)
-    r = sum(1 for i in range(min(len(d), nc)) if i < len(d) and d[i][i] != 0)
+    r = sum(1 for i in range(min(len(d), nc)) if d[i][i])
     return [[v[row][col] for row in range(nc)] for col in range(r, nc)]
 
 

@@ -166,29 +166,25 @@ def reconstruct_picard(cfg: LineConfiguration, g: FiniteGroup,
     n = len(cfg.lines)
     lattice = _minus_one_extension(_H_HEAD, 6, ("h",) + tuple(f"e{i}" for i in range(1, 7)))
     classes: list[IntVec] = []
+    # a basis of the lattice among the line classes: the sixer plus the first
+    # line meeting exactly two sixer members (h = that class + e_i + e_j)
+    basis_idx = list(sixer)
     for idx in range(n):
+        v = [0] * 7
         if idx in sixer:
-            v = [0] * 7
             v[1 + sixer.index(idx)] = 1
-            classes.append(tuple(v))
-            continue
-        meets = [k for k, s in enumerate(sixer) if cfg.incidence[idx][s] == 1]
-        if len(meets) == 2:
-            v = [0] * 7
-            v[0] = 1
-            v[1 + meets[0]] = -1
-            v[1 + meets[1]] = -1
-            classes.append(tuple(v))
-        elif len(meets) == 5:
-            v = [0] * 7
-            v[0] = 2
+        else:
+            meets = [k for k, s in enumerate(sixer) if cfg.incidence[idx][s] == 1]
+            if len(meets) not in (2, 5):
+                raise InconsistentIncidence(
+                    f"line {cfg.labels[idx]} meets the sixer in {len(meets)} members"
+                )
+            v[0] = 1 if len(meets) == 2 else 2  # h - e_i - e_j, or the conic 2h - sum of five
             for k in meets:
                 v[1 + k] = -1
-            classes.append(tuple(v))
-        else:
-            raise InconsistentIncidence(
-                f"line {cfg.labels[idx]} meets the sixer in {len(meets)} members"
-            )
+            if len(meets) == 2 and len(basis_idx) == 6:
+                basis_idx.append(idx)
+        classes.append(tuple(v))
     anticanonical = (3, -1, -1, -1, -1, -1, -1)
     for i in range(n):
         if lattice.pair(classes[i], classes[i]) != -1:
@@ -200,15 +196,6 @@ def reconstruct_picard(cfg: LineConfiguration, g: FiniteGroup,
                 raise InconsistentIncidence(
                     f"classes of {cfg.labels[i]}, {cfg.labels[j]} disagree with incidence"
                 )
-    # a basis of the lattice among the line classes: the sixer plus one line
-    # meeting exactly two sixer members (h = that class + e_i + e_j)
-    basis_idx = list(sixer)
-    for idx in range(n):
-        if idx not in sixer:
-            meets = [k for k, s in enumerate(sixer) if cfg.incidence[idx][s] == 1]
-            if len(meets) == 2:
-                basis_idx.append(idx)
-                break
     basis = [classes[idx] for idx in basis_idx]
     # column j of the inverse of the basis matrix: the coordinates of e_j
     v_inv_cols = coordinates_in_basis(basis, [[int(i == j) for i in range(7)] for j in range(7)])

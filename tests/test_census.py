@@ -64,10 +64,6 @@ def test_census_positive_dimensional_guard(clebsch, g20):
     # dimension in the hyperplane
     with pytest.raises(PositiveDimensionalFixedLocus):
         orbit_census(clebsch, g20, 11)
-    relaxed = orbit_census(clebsch, g20, 11, strict=False)
-    assert relaxed.incidents
-    lengths = {r: len(v) for r, v in relaxed.orbits_by_length.items()}
-    assert lengths[4] == 1 and lengths[5] == 3
 
 
 def test_census_orbits_lie_on_surface_and_lengths_divide(clebsch_census, clebsch, g20):

@@ -1,8 +1,11 @@
 import itertools
 import random
+import signal
 
 import pytest
 import sympy
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
+from sympy.polys.domains import ZZ
 
 from dp5links.cyclo import I_UNIT, ONE, ZERO, ZETA5, rational
 from dp5links import groups
@@ -136,24 +139,53 @@ def random_int_matrices() -> list[list[list[int]]]:
     return matrices
 
 
+def wide_int_matrices() -> list[list[list[int]]]:
+    """150 seeded integer matrices, 1..6 x 1..7, entries in [-30, 30].
+
+    A Smith normal form that alternates row and column Euclid steps never
+    ends on 26 of them (the first is #5): its entries grow without bound.
+    """
+    rnd = random.Random(7)
+    matrices = []
+    for _ in range(150):
+        nr, nc = rnd.randint(1, 6), rnd.randint(1, 7)
+        matrices.append([[rnd.randint(-30, 30) for _ in range(nc)] for _ in range(nr)])
+    return matrices
+
+
+def _snf_timed_out(signum, frame):
+    raise TimeoutError("smith_normal_form did not finish within the time bound")
+
+
 def test_smith_normal_form_properties():
-    for m in random_int_matrices():
+    matrices = random_int_matrices() + wide_int_matrices()
+    # the whole batch takes well under a second; a non-terminating pass does not
+    previous = signal.signal(signal.SIGALRM, _snf_timed_out)
+    signal.alarm(20)
+    try:
+        forms = [smith_normal_form(m) for m in matrices]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def mm(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+                 for j in range(len(b[0]))] for i in range(len(a))]
+
+    for m, (u, d, v) in zip(matrices, forms):
         nr, nc = len(m), len(m[0])
-        u, d, v = smith_normal_form(m)
-
-        def mm(a, b):
-            return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-                     for j in range(len(b[0]))] for i in range(len(a))]
-
         assert mm(mm(u, m), v) == d
         for i in range(len(d)):
             for j in range(len(d[0])):
                 if i != j:
                     assert d[i][j] == 0
         diag = [d[i][i] for i in range(min(nr, nc))]
+        assert all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
             if a and b:
                 assert b % a == 0
+        reference = sympy_smith_normal_form(sympy.Matrix(m), domain=ZZ)
+        assert diag == [abs(reference[i, i]) for i in range(min(nr, nc))]
         # unimodularity via sympy's exact determinant
         for sq in (u, v):
             assert sympy.Matrix(sq).det() in (1, -1)
