@@ -19,7 +19,7 @@ import math
 from typing import Callable, Iterable, Sequence
 
 from .cyclo import FieldElement, Frozen, ONE, ZERO, root_of_unity
-from .linalg import Grid, Vector, identity_grid, kernel_basis, rref, transpose
+from .linalg import Vector, identity_grid, kernel_basis, rref, transpose
 from .projgeo import ProjPoint
 
 
@@ -33,10 +33,6 @@ class ConjugateNotFound(RuntimeError):
 
 class UnsupportedEigenvalue(ValueError):
     """Eigenvalue is a root of unity that does not lie in Q(zeta_20)."""
-
-
-class IncompleteEigenspaces(ArithmeticError):
-    """Eigenspace dimensions of a permutation matrix do not sum to its size."""
 
 
 class Permutation(Frozen):
@@ -79,7 +75,7 @@ class Permutation(Frozen):
         return Permutation(tuple(images))
 
     def _cycles(self) -> list[list[int]]:
-        """The cycles of length > 1, each starting at its least index."""
+        """The cycles, fixed points included, each starting at its least index."""
         seen = [False] * len(self.images)
         cycles = []
         for start in range(len(self.images)):
@@ -92,13 +88,12 @@ class Permutation(Frozen):
                 cyc.append(j)
                 seen[j] = True
                 j = self.images[j]
-            if len(cyc) > 1:
-                cycles.append(cyc)
+            cycles.append(cyc)
         return cycles
 
     def to_cycles(self) -> str:
         """Canonical cycle string; identity prints as "()"."""
-        cycles = self._cycles()
+        cycles = [cyc for cyc in self._cycles() if len(cyc) > 1]
         if not cycles:
             return "()"
         return "".join("(" + "".join(str(k + 1) for k in cyc) + ")" for cyc in cycles)
@@ -310,50 +305,32 @@ def orbit_and_stabilizer(g: FiniteGroup, p: ProjPoint) -> tuple[list[ProjPoint],
     return sorted(orbit, key=ProjPoint.sort_key), stab
 
 
-def permutation_matrix(images: Sequence[int]) -> Grid:
-    """Matrix P with P e_j = e_{images[j]} (columns permuted onto rows)."""
-    n = len(images)
-    return [
-        [ONE if images[j] == i else ZERO for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def eigenspaces_of_permutation(p: Permutation) -> dict[FieldElement, list[Vector]]:
-    """Eigenvalue -> kernel basis for a coordinate permutation matrix.
+    """Eigenvalue -> eigenspace basis of a coordinate permutation, in closed form.
 
-    Candidate eigenvalues are m-th roots of unity for the cycle lengths m of
-    the permutation (fixed points are cycles of length 1).  Cycle lengths
-    divisible by 3 would need cube roots of unity, which do not lie in
-    Q(zeta_20).
+    On a cycle c_0 -> c_1 -> ... -> c_{m-1} of p (a fixed point is a cycle of
+    length 1), the vector with zeta_m^(-jk) at c_k and zero off the cycle has
+    eigenvalue zeta_m^j: p moves the entry at c_k to c_{k+1}, where the vector
+    holds zeta_m^-j times it.  The m vectors j < m of a cycle have distinct
+    eigenvalues and different cycles have disjoint supports, so each list is
+    independent, and the n vectors together span K^n: the lists are whole
+    eigenspaces.  A cycle length divisible by 3 would need cube roots of unity,
+    which do not lie in Q(zeta_20).
     """
-    n = len(p.images)
-    lengths = {1} | {len(cyc) for cyc in p._cycles()}
-    if any(m % 3 == 0 for m in lengths):
+    cycles = p._cycles()
+    if any(len(cyc) % 3 == 0 for cyc in cycles):
         raise UnsupportedEigenvalue(
             "cycle of length divisible by 3: primitive cube roots of unity "
             "are not elements of Q(zeta_20)"
         )
-    candidates: list[FieldElement] = []
-    for m in sorted(lengths):
-        for j in range(m):
-            lam = root_of_unity(m, j)
-            if lam not in candidates:
-                candidates.append(lam)
-    mat = permutation_matrix(p.images)
     spaces: dict[FieldElement, list[Vector]] = {}
-    total = 0
-    for lam in candidates:
-        shifted = [
-            [mat[i][j] - (lam if i == j else ZERO) for j in range(n)]
-            for i in range(n)
-        ]
-        ker = kernel_basis(shifted)
-        if ker:
-            spaces[lam] = ker
-            total += len(ker)
-    if total != n:
-        raise IncompleteEigenspaces(f"eigenspace dimensions sum to {total}, not {n}")
+    for cyc in cycles:
+        m = len(cyc)
+        for j in range(m):
+            v = [ZERO] * len(p.images)
+            for k, c in enumerate(cyc):
+                v[c] = root_of_unity(m, -j * k % m)
+            spaces.setdefault(root_of_unity(m, j), []).append(v)
     return spaces
 
 

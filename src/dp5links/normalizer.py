@@ -36,17 +36,7 @@ from typing import Iterable
 
 from .cyclo import FieldElement, Frozen, I_UNIT, ZERO, rational
 from .groups import FiniteGroup, Permutation, subgroups_of_order
-from .linalg import (
-    Grid,
-    coordinates_in_basis,
-    identity_grid,
-    mat_mul,
-    mat_vec,
-    rank,
-    serialize_grid,
-    solve,
-    transpose,
-)
+from .linalg import Grid, identity_grid, mat_mul, mat_vec, rank, serialize_grid, transpose
 from .projgeo import HYPERPLANE_BASIS, ProjPoint, hyperplane_basis_grid
 
 
@@ -55,7 +45,7 @@ class WrongGroup(ValueError):
 
 
 class NotOnHyperplane(ValueError):
-    """A vector expected in {sum x_i = 0} has no coordinates in its basis."""
+    """A point expected in {sum x_i = 0} has a nonzero coordinate sum."""
 
 
 class IntertwiningFailure(ArithmeticError):
@@ -67,22 +57,14 @@ class CosetsNotAGroup(ArithmeticError):
 
 
 def restricted_representation(g: FiniteGroup) -> dict[Permutation, Grid]:
-    """4x4 matrices of the permutation action on the hyperplane basis.
+    """4x4 matrices of the permutation action on the hyperplane basis, in closed form.
 
-    The images of the basis vectors are integer vectors, so one batched
-    elimination gives the coordinates of all of them.
+    The basis is b_j = e_j - e_{j+1}, so a hyperplane vector's coordinate c_i
+    is its prefix sum x_0 + ... + x_i (see apply_on_hyperplane).  h maps b_j
+    to e_{h(j)} - e_{h(j+1)}, whose i-th prefix sum is [h(j) <= i] - [h(j+1) <= i].
     """
-    basis = [[row[j] for row in HYPERPLANE_BASIS] for j in range(4)]
-    images = [h.apply_vector(v) for h in g.elements for v in basis]
-    coords = coordinates_in_basis(basis, images)
-    rep = {}
-    for k, h in enumerate(g.elements):
-        cols = coords[4 * k:4 * k + 4]
-        for j, col in enumerate(cols):
-            if col is None:
-                raise NotOnHyperplane(f"{h.to_cycles()} moves basis vector {j} off the hyperplane")
-        rep[h] = [[rational(cols[j][i]) for j in range(4)] for i in range(4)]
-    return rep
+    return {h: [[rational((h.images[j] <= i) - (h.images[j + 1] <= i)) for j in range(4)]
+                for i in range(4)] for h in g.elements}
 
 
 def quadratic_gram_on_hyperplane() -> Grid:
@@ -239,13 +221,17 @@ class NormalizerResult(Frozen):
 
 
 def apply_on_hyperplane(m: Grid, p: ProjPoint) -> ProjPoint:
-    """Image of a hyperplane point of P^4 under a 4x4 matrix in basis coords."""
-    b = hyperplane_basis_grid()
-    coords = solve(b, list(p.coords))
-    if coords is None:
+    """Image of a hyperplane point of P^4 under a 4x4 matrix in basis coords.
+
+    In the basis b_j = e_j - e_{j+1}, x = sum c_j b_j has x_0 = c_0,
+    x_i = c_i - c_{i-1} and x_4 = -c_3: the c_j are the prefix sums of x,
+    and the full sum is zero exactly on the hyperplane.
+    """
+    *coords, total = itertools.accumulate(p.coords)
+    if total:
         raise NotOnHyperplane(f"point {p!r} is not on the hyperplane")
     c = mat_vec(m, coords)
-    return ProjPoint.of([sum((b[i][j] * c[j] for j in range(4)), ZERO) for i in range(5)])
+    return ProjPoint.of([c[0], c[1] - c[0], c[2] - c[1], c[3] - c[2], -c[3]])
 
 
 def normalizer_classes(g: FiniteGroup, rep: dict[Permutation, Grid], group_classes: dict,

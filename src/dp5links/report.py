@@ -185,10 +185,8 @@ def check(cid: str, statement: str, stages: tuple[str, ...] = ()):
     """Register the decorated function as the check `cid` certifying `statement`.
 
     `stages` names every cached `Context` stage the check builds, including
-    those it builds through another stage (`pic` builds `cfg`).  Checks
-    sharing no stage never wait for each other's stages, so `run_checks_parallel`
-    may split them between two processes, a stage-free check to the worker;
-    they may still share group-side tables such as `census._fixed_point_orbits`.
+    those it builds through another stage (`pic` builds `cfg`); it is what
+    `worker_checks` splits the checks by.
     """
     def register(fn):
         STATEMENTS[cid] = statement
@@ -610,44 +608,23 @@ def _run_check(cid: str, ctx: Context) -> CheckResult:
     return CheckResult(cid, STATEMENTS[cid], status, certificate, elapsed)
 
 
-def stage_groups(ids: list[str]) -> list[set[str]]:
-    """The connected components of the graph joining each check to its stages.
-
-    Two checks fall in one group when a chain of checks, each sharing a
-    declared stage with the next, joins them; a check that declares no
-    stage is a group of its own.
-    """
-    groups: list[tuple[set[str], set[str]]] = []
-    for cid in ids:
-        stages, members = set(CHECK_STAGES[cid]), {cid}
-        for other in [g for g in groups if g[0] & stages]:
-            groups.remove(other)
-            stages |= other[0]
-            members |= other[1]
-        groups.append((stages, members))
-    return [members for _, members in groups]
-
-
-# The stage whose group stays in the main process, and without which no
-# worker is forked: the 27 lines (`cfg`) take longer than any other stage
-# and read none of the group-side tables (`census._fixed_point_orbits`,
-# `groups.subgroups_of_order`) that the censuses and the normalizer build.
-# The worker takes every other check, stage-free ones too, to even the two
-# out.  A split without `cfg` has each process build those tables: forking the
-# quadric side (both censuses, normalizer) on 2 cores measured 0.084 s median
-# wall against 0.088 s unforked, faster in only 3 of 6 pairs.
+# The stage that keeps its checks in the main process, and without which no
+# worker is forked: the 27 lines (`cfg`) take longer than any other stage and
+# read none of the group-side tables that the censuses and the normalizer
+# build.  Without `cfg` each process would build those tables for itself.
 _MAIN_STAGE = "cfg"
 
 
 def worker_checks(ids: list[str]) -> set[str]:
     """The checks of `ids` that `run_checks_parallel` hands to a worker: when
-    `ids` build `_MAIN_STAGE`, those outside the group of `stage_groups` that
-    builds it, stage-free checks included; otherwise none."""
-    if not any(_MAIN_STAGE in CHECK_STAGES[cid] for cid in ids):
+    some check builds `_MAIN_STAGE`, those sharing no declared stage with any
+    such check, stage-free checks included; otherwise none.  On this catalog
+    no declared stage is then built on both sides, for every selection."""
+    main_stages = {s for cid in ids if _MAIN_STAGE in CHECK_STAGES[cid]
+                   for s in CHECK_STAGES[cid]}
+    if not main_stages:
         return set()
-    return {cid for group in stage_groups(ids)
-            if not any(_MAIN_STAGE in CHECK_STAGES[c] for c in group)
-            for cid in group}
+    return {cid for cid in ids if main_stages.isdisjoint(CHECK_STAGES[cid])}
 
 
 # A cgroup CPU quota caps the CPUs a process gets below what its affinity

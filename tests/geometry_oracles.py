@@ -5,35 +5,51 @@ points.  These expand a form symbolically on a line or a plane and divide it
 by linear forms, as an independent reference implementation.  Polynomials
 are sparse dicts from exponent tuples to field elements.
 
-The package finds fixed loci by restricting one generator's eigenspace; the
-reference here intersects every generator's eigenspace and then the
-hyperplane, one span intersection each.  The package closes a point's orbit
-under the generators and tests each element for fixing it; the reference
-canonicalises the point's image under every element.  The package lists the
-normalizer's classes as cosets; the reference closes the projective group
-under its generators.
+The package writes a permutation's eigenspaces down in closed form; the
+reference here takes the kernel of P - lambda for each candidate root of
+unity.  The package finds fixed loci by restricting one generator's
+eigenspace; the reference intersects every generator's eigenspace, found
+by elimination, and then the hyperplane, one span intersection each.  The
+package closes a point's orbit under the generators and tests each element
+for fixing it; the reference canonicalises the point's image under every
+element.  The package lists the normalizer's classes as cosets; the
+reference closes the projective group under its generators.  The package
+reads hyperplane coordinates as prefix sums; the reference solves for them
+in the basis.
 """
 
 import itertools
 from typing import Sequence
 
-from dp5links.cyclo import FieldElement, ONE, ZERO
+from dp5links.cyclo import FieldElement, ONE, ZERO, rational, root_of_unity
 from dp5links.groups import (
     FiniteGroup,
     FixedLocusComponent,
     OrbitStabilizerViolation,
     Permutation,
+    UnsupportedEigenvalue,
     closure,
-    eigenspaces_of_permutation,
 )
-from dp5links.linalg import Vector, identity_grid, kernel_basis, mat_mul, rref, solve
+from dp5links.linalg import (
+    Grid,
+    Vector,
+    coordinates_in_basis,
+    identity_grid,
+    kernel_basis,
+    mat_mul,
+    mat_vec,
+    rref,
+    solve,
+)
 from dp5links.normalizer import NormalizerResult, canonical_projective
 from dp5links.projgeo import (
+    HYPERPLANE_BASIS,
     FactorizationFailure,
     HomogeneousForm,
     ProjLine,
     ProjPoint,
     SkewLines,
+    hyperplane_basis_grid,
 )
 
 
@@ -206,6 +222,36 @@ def intersect_spans(basis_a: list[Vector], basis_b: list[Vector]) -> list[Vector
     return [red[i] for i in range(len(pivots))]
 
 
+def permutation_matrix(images: Sequence[int]) -> Grid:
+    """Matrix P with P e_j = e_{images[j]} (columns permuted onto rows)."""
+    n = len(images)
+    return [[ONE if images[j] == i else ZERO for j in range(n)] for i in range(n)]
+
+
+def eigenspaces_by_elimination(p: Permutation) -> dict[FieldElement, list[Vector]]:
+    """groups.eigenspaces_of_permutation, as the kernel of P - lambda for each
+    m-th root of unity lambda, m a cycle length of p (1 for fixed points)."""
+    n = len(p.images)
+    lengths = {1}
+    for start in range(n):
+        m, j = 1, p.images[start]
+        while j != start:
+            m, j = m + 1, p.images[j]
+        lengths.add(m)
+    if any(m % 3 == 0 for m in lengths):
+        raise UnsupportedEigenvalue("cube roots of unity are not elements of Q(zeta_20)")
+    mat = permutation_matrix(p.images)
+    spaces: dict[FieldElement, list[Vector]] = {}
+    for lam in {root_of_unity(m, j) for m in lengths for j in range(m)}:
+        ker = kernel_basis([[x - lam if i == j else x for j, x in enumerate(row)]
+                            for i, row in enumerate(mat)])
+        if ker:
+            spaces[lam] = ker
+    if sum(map(len, spaces.values())) != n:
+        raise ArithmeticError(f"eigenspaces of {p.to_cycles()} do not span K^{n}")
+    return spaces
+
+
 def fixed_locus_by_intersection(h: FiniteGroup) -> list[FixedLocusComponent]:
     """groups.fixed_locus, by intersecting per-generator eigenspaces over all
     tuples of candidate eigenvalues, then with {sum x_i = 0}."""
@@ -214,7 +260,7 @@ def fixed_locus_by_intersection(h: FiniteGroup) -> list[FixedLocusComponent]:
     if not gens:
         spaces = [([tuple([ONE if i == j else ZERO for j in range(n)]) for i in range(n)], ())]
     else:
-        per_gen = [eigenspaces_of_permutation(g) for g in gens]
+        per_gen = [eigenspaces_by_elimination(g) for g in gens]
         spaces = []
         keys = [sorted(d.keys(), key=lambda lam: tuple(lam.coeffs)) for d in per_gen]
         for combo in itertools.product(*keys):
@@ -266,3 +312,20 @@ def normalizer_classes_by_closure(result: NormalizerResult) -> dict:
     ident_key = canonical_projective(ident)
     movers = [m for m in result.generator_matrices if canonical_projective(m) != ident_key]
     return closure([ident], movers, mat_mul, key=canonical_projective)
+
+
+def restricted_representation_by_elimination(g: FiniteGroup) -> dict[Permutation, Grid]:
+    """normalizer.restricted_representation, by one batched elimination for
+    the coordinates of every image of a hyperplane basis vector."""
+    basis = [[row[j] for row in HYPERPLANE_BASIS] for j in range(4)]
+    coords = coordinates_in_basis(basis, [h.apply_vector(v) for h in g.elements for v in basis])
+    return {h: [[rational(coords[4 * k + j][i]) for j in range(4)] for i in range(4)]
+            for k, h in enumerate(g.elements)}
+
+
+def apply_on_hyperplane_by_solve(m: Grid, p: ProjPoint) -> ProjPoint | None:
+    """normalizer.apply_on_hyperplane, solving for p's coordinates in the
+    hyperplane basis; None when p is off the hyperplane."""
+    b = hyperplane_basis_grid()
+    coords = solve(b, list(p.coords))
+    return None if coords is None else ProjPoint.of(mat_vec(b, mat_vec(m, coords)))

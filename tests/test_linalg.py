@@ -8,14 +8,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_f
 from sympy.polys.domains import ZZ
 
 from dp5links.cyclo import I_UNIT, ONE, ZERO, ZETA5, rational
-from dp5links import groups
-from dp5links.groups import (
-    IncompleteEigenspaces,
-    Permutation,
-    UnsupportedEigenvalue,
-    eigenspaces_of_permutation,
-    permutation_matrix,
-)
+from dp5links.groups import Permutation, UnsupportedEigenvalue, eigenspaces_of_permutation
 from dp5links.linalg import (
     DependentClasses,
     IntLattice,
@@ -24,10 +17,13 @@ from dp5links.linalg import (
     int_kernel,
     int_rank,
     kernel_basis,
+    mat_vec,
     orthogonal_complement,
     rank,
+    rref,
     smith_normal_form,
 )
+from geometry_oracles import eigenspaces_by_elimination, permutation_matrix
 
 CUBIC_GRAM = [
     [1, 0, 0, 0, 0, 0, 0],
@@ -95,11 +91,24 @@ def test_eigenspaces_identity_and_unsupported_order_three():
         eigenspaces_of_permutation(Permutation.from_cycles("(123)(45)"))
 
 
-def test_eigenspaces_raise_when_dimensions_fall_short(monkeypatch):
-    real = groups.kernel_basis
-    monkeypatch.setattr(groups, "kernel_basis", lambda m: real(m)[1:])
-    with pytest.raises(IncompleteEigenspaces):
-        eigenspaces_of_permutation(Permutation.from_cycles("(12345)"))
+def test_closed_form_eigenspaces_agree_with_elimination_on_all_120_permutations():
+    unsupported = 0
+    for images in itertools.permutations(range(5)):
+        p = Permutation(images)
+        try:
+            expected = eigenspaces_by_elimination(p)
+        except UnsupportedEigenvalue:  # a 3-cycle
+            unsupported += 1
+            with pytest.raises(UnsupportedEigenvalue):
+                eigenspaces_of_permutation(p)
+            continue
+        spaces = eigenspaces_of_permutation(p)
+        assert set(spaces) == set(expected), images
+        mat = permutation_matrix(images)
+        for lam, basis in spaces.items():
+            assert rref(basis) == rref(expected[lam]), (images, lam)
+            assert all(mat_vec(mat, v) == [lam * x for x in v] for v in basis), (images, lam)
+    assert unsupported == 40
 
 
 def test_eigenspace_dimensions_match_cycle_structure():

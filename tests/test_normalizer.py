@@ -24,9 +24,14 @@ from dp5links.normalizer import (
     require_intertwining,
     restricted_representation,
 )
-from dp5links.projgeo import membership
+from dp5links.projgeo import ProjPoint, membership
 
-from geometry_oracles import normalizer_classes_by_closure, point_at
+from geometry_oracles import (
+    apply_on_hyperplane_by_solve,
+    normalizer_classes_by_closure,
+    point_at,
+    restricted_representation_by_elimination,
+)
 
 
 def test_characters_exist_and_take_fourth_roots_on_the_generator(g20):
@@ -209,10 +214,25 @@ def test_outer_product_average_equals_conjugated_seed_average(g20):
         assert intertwiner(lam, rep, g20).matrix == total
 
 
-def test_restricted_representation_refuses_a_vector_off_the_hyperplane(g20, monkeypatch):
-    monkeypatch.setattr(normalizer, "coordinates_in_basis", lambda basis, vs: [None] * len(vs))
+def test_restricted_representation_matches_the_elimination_on_all_20_elements(g20):
+    rep = restricted_representation(g20)
+    assert rep == restricted_representation_by_elimination(g20)
+    assert list(rep) == list(g20.elements)
+
+
+def test_apply_on_hyperplane_matches_the_solve_on_the_census_points(
+        g20, normalizer_result, clebsch_census, quadric_census):
+    points = [p for census in (clebsch_census, quadric_census)
+              for orbits in census.orbits_by_length.values() for orbit in orbits for p in orbit]
+    assert len(points) == 33
+    rep = restricted_representation(g20)
+    matrices = [normalizer_result.involution] + [rep[h] for h in g20.generators]
+    for m, p in itertools.product(matrices, points):
+        assert apply_on_hyperplane(m, p) == apply_on_hyperplane_by_solve(m, p)
+    off = ProjPoint.of([ONE, ZERO, ZERO, ZERO, ZERO])
+    assert apply_on_hyperplane_by_solve(normalizer_result.involution, off) is None
     with pytest.raises(NotOnHyperplane):
-        restricted_representation(g20)
+        apply_on_hyperplane(normalizer_result.involution, off)
 
 
 def test_intertwining_failure_raises(g20, monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -24,7 +25,6 @@ from dp5links.report import (
     UnknownCheckId,
     run_checks,
     run_checks_parallel,
-    stage_groups,
     worker_checks,
 )
 
@@ -149,7 +149,8 @@ def test_a_full_report_pins_the_permutation_products(monkeypatch):
 def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
     # rref takes one inverse per pivot and multiplies only right of the pivot,
     # by the pivot row's nonzero entries; the normalizer lists its classes as
-    # two cosets and stabilizers are found without canonicalising images
+    # two cosets and stabilizers are found without canonicalising images;
+    # permutation eigenspaces and hyperplane coordinates are closed forms
     counts = Counter()
 
     def counted(name, real):
@@ -160,7 +161,7 @@ def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
     groups.subgroups_of_order.cache_clear()
     census._fixed_point_orbits.cache_clear()
     run_checks()
-    assert counts == {"mul": 17497, "inverse": 1169}
+    assert counts == {"mul": 16609, "inverse": 1080}
 
 
 def test_a_full_report_pins_the_point_images(monkeypatch):
@@ -257,13 +258,20 @@ def test_each_check_builds_exactly_the_stages_it_declares():
         assert set(CHECK_STAGES[cid]) == stages & set(vars(fresh)), cid
 
 
-def test_stage_groups_split_the_catalog_into_the_two_surfaces_and_two_loners():
-    groups = stage_groups(CHECK_IDS)
-    assert sorted(cid for group in groups for cid in group) == sorted(CHECK_IDS)
-    assert sorted(map(len, groups)) == [1, 1, 4, 10]
-    # the census check joins the cfg group only through dp5-orbit-descent
-    assert len(stage_groups(["clebsch-census-lt8", "lines-27"])) == 2
-    assert len(stage_groups(["clebsch-census-lt8", "lines-27", "dp5-orbit-descent"])) == 1
+def test_the_split_rule_holds_on_every_selection_of_the_catalog():
+    stages = {cid: frozenset(CHECK_STAGES[cid]) for cid in CHECK_IDS}
+    for bits in itertools.product((False, True), repeat=len(CHECK_IDS)):
+        ids = list(itertools.compress(CHECK_IDS, bits))
+        there = worker_checks(ids)
+        here = [stages[cid] for cid in ids if cid not in there]
+        main_stages = set().union(*(s for s in here if "cfg" in s))
+        if not main_stages:  # no worker without cfg
+            assert not there, ids
+            continue
+        # every main-process check declares cfg or shares a stage with one that does,
+        # and no declared stage is on both sides
+        assert all(s & main_stages for s in here), ids
+        assert set().union(*here).isdisjoint(set().union(*(stages[c] for c in there))), ids
 
 
 def test_the_worker_takes_the_staged_groups_beside_the_27_lines():
