@@ -1,11 +1,12 @@
-"""The 27 lines of the diagonal cubic by residuation closure.
+"""The 27 lines of the diagonal cubic in closed form.
 
-Fifteen lines have closed-form equations x_a + x_b = x_c + x_d = 0.  Two more
-join opposite points of the length-4 orbit.  Every further line is the third
-component of a plane section through two known meeting lines, read off
-three exact values of the cubic on that plane, or the image of such a line
-under the group.  The invariant skew families of the result are the two
-extremal contractions of the surface.
+Fifteen lines have the equations x_a + x_b = x_c + x_d = 0.  The other twelve
+are x_i = a zeta_5^(2 s(i)) + b zeta_5^(3 s(i)) for the bijections s of the
+coordinates onto Z/5, up to shifts and sign.  Two of them join points of the
+length-4 orbit; each of the remaining ten is certified as the third component
+of a plane section through two meeting lines of the first seventeen, read off
+three exact values of the cubic on that plane.  The invariant skew families
+of the result are the two extremal contractions of the surface.
 """
 
 from dp5links import (

@@ -1,11 +1,11 @@
-"""The birational automorphism group via intertwiner averaging.
+"""The birational automorphism group via intertwiners.
 
 The permutation action on the hyperplane is an irreducible 4-dimensional
-representation.  For each of the four linear characters an averaged seed
-matrix produces the unique intertwiner; the ones preserving the quadratic
-form generate, with the represented group, the quadric-preserving projective
-normalizer: order 40, a direct product of the group with a central
-involution that exchanges the two length-5 orbits.
+representation.  Each of the four linear characters has a unique intertwiner
+up to scalar, a Gauss-sum circulant restricted to the hyperplane; the ones
+preserving the quadratic form generate, with the represented group, the
+quadric-preserving projective normalizer: order 40, a direct product of the
+group with a central involution that exchanges the two length-5 orbits.
 """
 
 from dp5links import (

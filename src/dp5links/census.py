@@ -8,12 +8,12 @@ order |G|/r, and those points are simultaneous eigenvectors of the stabilizer,
 so enumerating subgroups and their fixed loci is exhaustive over the complex
 numbers, not merely over the field of definition.
 
-The 27-line enumeration is seeded with closed-form lines and completed by
-tritangent-plane residuation, which reads the residual line off three exact
-values of the cubic on the plane, and by transport under the coordinate
-permutations that fix the surface; no polynomial system is ever solved.  A
-tritangent plane is residuated at most once, and the closure stops at 27
-lines, all a smooth cubic surface carries.
+The 27 lines of the diagonal cubic are listed in closed form: 15 sign lines
+and 12 lines over Q(sqrt 5) spanned by two Fourier modes.  Each is checked on
+the surface, their incidence is decided once per orbit of line pairs, and
+each line tagged "residuation" is certified as the residual line of a
+tritangent plane, read off three exact values of the cubic on the plane; no
+polynomial system is ever solved.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import itertools
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .cyclo import FieldElement, Frozen, ONE, ZERO, ZETA5, rational
+from .cyclo import FieldElement, Frozen, ONE, ZERO, ZETA5, rational, root_of_unity
 from .groups import (
     FiniteGroup,
     Permutation,
@@ -50,7 +50,8 @@ class PositiveDimensionalFixedLocus(RuntimeError):
 
 
 class EnumerationIncomplete(RuntimeError):
-    """Residuation closure did not stabilize at 27 lines."""
+    """The listed lines are not 27 distinct lines of the surface, or a
+    "residuation" line is not the residual line of two listed lines."""
 
 
 class ActionNotClosed(RuntimeError):
@@ -232,28 +233,51 @@ class LineConfiguration(Frozen):
         }
 
 
-def _coordinate_lines() -> list[tuple[ProjLine, tuple[int, tuple]]]:
-    """The 15 lines {x_a + x_b = 0, x_c + x_d = 0}, keyed by singleton/pairs."""
+def sign_line(p1: tuple[int, int], p2: tuple[int, int]) -> ProjLine:
+    """The line {x_a + x_b = x_c + x_d = 0} of the hyperplane, for the pairs
+    p1 = (a, b) and p2 = (c, d): the span of e_a - e_b and e_c - e_d."""
+    def difference(a: int, b: int) -> list[FieldElement]:
+        v = [ZERO] * 5
+        v[a], v[b] = ONE, -ONE
+        return v
+
+    return ProjLine.span(difference(*p1), difference(*p2))
+
+
+def _coordinate_lines() -> list[tuple[ProjLine, str | None]]:
+    """The 15 sign lines, each with its contraction label or None: L_{k+1}
+    has singleton k and pairs {k+-1}, {k+-2} mod 5."""
     out = []
-    for single in range(5):
-        rest = [i for i in range(5) if i != single]
-        for partner in rest[1:]:
-            pair1 = (rest[0], partner)
-            pair2 = tuple(i for i in rest if i not in pair1)
-            v1 = [ZERO] * 5
-            v1[pair1[0]], v1[pair1[1]] = ONE, -ONE
-            v2 = [ZERO] * 5
-            v2[pair2[0]], v2[pair2[1]] = ONE, -ONE
-            out.append((ProjLine.span(v1, v2), (single, (pair1, pair2))))
+    for k in range(5):
+        a, *rest = (i for i in range(5) if i != k)
+        contraction = {frozenset(((k + 1) % 5, (k - 1) % 5)),
+                       frozenset(((k + 2) % 5, (k - 2) % 5))}
+        for b in rest:
+            c, d = (i for i in rest if i != b)
+            label = f"L{k + 1}" if {frozenset((a, b)), frozenset((c, d))} == contraction else None
+            out.append((sign_line((a, b), (c, d)), label))
     return out
 
 
-def _contraction_line_label(single: int, pairs) -> str | None:
-    """L_{k+1} has singleton k and pairs {k+-1}, {k+-2} mod 5."""
-    want = {frozenset(((single + 1) % 5, (single - 1) % 5)),
-            frozenset(((single + 2) % 5, (single - 2) % 5))}
-    have = {frozenset(pairs[0]), frozenset(pairs[1])}
-    return f"L{single + 1}" if want == have else None
+def _fourier_lines() -> list[tuple[ProjLine, str | None]]:
+    """The 12 lines x_i = a zeta_5^(2 sigma(i)) + b zeta_5^(3 sigma(i)), each with
+    its exceptional label or None.
+
+    sigma runs over the bijections of the coordinates onto Z/5 with sigma(0) = 0
+    and sigma(1) in {1, 2}: the span of the Fourier modes 2 and 3 is the same
+    for sigma + t and -sigma.  The cubic vanishes on it, since sum x_i^3 only
+    has the modes 6, 7, 8 and 9, none 0 mod 5.  When sigma(i) = m i the line
+    joins the length-4 orbit points with a = 2m and a = 3m: E1 (a = 1, 4) for
+    m = 2 and E2 (a = 2, 3) for m = 1.
+    """
+    out = []
+    for m in (1, 2):
+        for tail in itertools.permutations([v for v in range(1, 5) if v != m]):
+            sigma = (0, m, *tail)
+            line = ProjLine.span(*([root_of_unity(5, e * v % 5) for v in sigma] for e in (2, 3)))
+            linear = all(v == m * i % 5 for i, v in enumerate(sigma))
+            out.append((line, f"E{3 - m}" if linear else None))
+    return out
 
 
 def _preserving_generators(s: Surface, g: FiniteGroup) -> tuple[Permutation, ...]:
@@ -270,144 +294,70 @@ def _transport(line: ProjLine, p: Permutation) -> ProjLine:
 
 
 def lines27(s: Surface, g: FiniteGroup) -> LineConfiguration:
-    """All 27 lines by seeded residuation closure, with exact incidence.
+    """The 27 lines of Clebsch's diagonal cubic in closed form, with exact incidence.
 
-    Seeds are the 15 coordinate lines plus those pair-lines of the length-4
-    orbit that actually lie on the cubic (exactly two do; the other four lie
-    on the quadric instead and are rejected by the on-surface filter).  Every
-    other line is tagged "residuation": it is the residual line of a
-    tritangent plane, or its image under a generator of g that fixes both
-    forms of s (such a permutation maps lines of s to lines of s).  The
-    closure stops at 27 lines, which is sound because a smooth cubic surface
-    carries exactly 27 (Cayley-Salmon) and the smoothness of the cubic is
-    certified separately: 27 distinct lines on s are all of them.
+    They are the 15 sign lines tagged "coordinate" and the 12 Fourier lines
+    (Hirzebruch 1976; Dolgachev, Classical Algebraic Geometry, 9.5), of which
+    E1 and E2, through two points of the length-4 orbit each, are tagged
+    "pair-line" and the other 10 "residuation".  Unless all 27 are distinct
+    and lie on s, EnumerationIncomplete is raised.  They are all the lines of
+    s, because a smooth cubic surface carries exactly 27 (Cayley-Salmon) and
+    the smoothness of the cubic is certified separately.
 
-    The incidence is decided once per orbit of line pairs under those
-    generators: a coordinate permutation is a linear automorphism of P^4, so
-    it maps meeting pairs to meeting pairs.  The generators' permutations of
-    the lines are kept on the returned configuration.
+    The generators of g that fix both forms of s map lines of s to lines of
+    s.  They must permute the 27 lines (else ActionNotClosed), so one line
+    per orbit is tested on s.  The incidence is decided once per orbit of
+    line pairs under them: a coordinate permutation is a linear automorphism
+    of P^4, so it maps meeting pairs to meeting pairs.  Each "residuation"
+    line is then certified as the residual line of the first pair of meeting
+    lines with other tags that both meet it (three pairwise meeting lines of
+    a smooth cubic are coplanar).  The generators' permutations of the lines
+    are kept on the returned configuration.
     """
     if s.degree != 3:
         raise UnsupportedShape("line enumeration expects a cubic surface")
-    seeds: list[tuple[ProjLine, str]] = []
-    coord_meta: dict[ProjLine, tuple] = {}
-    for line, meta in _coordinate_lines():
-        if line_in_surface(line, s.form) and line_in_surface(line, s.hyperplane):
-            seeds.append((line, "coordinate"))
-            coord_meta[line] = meta
-    orbit4 = [p for p in length4_orbit_points() if s.contains(p)]
-    pair_line_points: dict[ProjLine, tuple[int, int]] = {}
-    if len(orbit4) == 4:
-        for i, j in itertools.combinations(range(4), 2):
-            line = line_through(orbit4[i], orbit4[j])
-            if line_in_surface(line, s.form) and line_in_surface(line, s.hyperplane):
-                seeds.append((line, "pair-line"))
-                pair_line_points[line] = (i, j)
-    tags: dict[ProjLine, str] = {}
-    for line, tag in seeds:
-        tags.setdefault(line, tag)
-    lines = list(tags)
-    if len(lines) < 2:
-        raise EnumerationIncomplete("need at least two starting lines on the surface")
-    gens = _preserving_generators(s, g)
+    # canonical order: the five contraction lines, other coordinate lines, E1, E2, residuals
+    records = [(0 if lab else 1, lab or "M", line) for line, lab in _coordinate_lines()]
+    records += [(2 if lab else 3, lab or "R", line) for line, lab in _fourier_lines()]
+    records.sort(key=lambda rec: (rec[0], rec[1], rec[2].sort_key()))
+    lines = [line for *_, line in records]
+    tags = [("coordinate", "coordinate", "pair-line", "residuation")[rank] for rank, *_ in records]
     index = {line: k for k, line in enumerate(lines)}
-    # images[a][i]: index of the image of line i under gens[a], once known
-    images: list[dict[int, int]] = [{} for _ in gens]
+    if len(index) != 27:
+        raise EnumerationIncomplete("the 27 listed lines are not distinct")
+    perms = {}
+    for p in _preserving_generators(s, g):
+        images = [index.get(_transport(line, p)) for line in lines]
+        if None in images:
+            raise ActionNotClosed(f"{p.to_cycles()} maps a line outside the configuration")
+        perms[p] = tuple(images)
+    unchecked = set(range(27))
+    while unchecked:
+        k = min(unchecked)
+        if not (line_in_surface(lines[k], s.form) and line_in_surface(lines[k], s.hyperplane)):
+            raise EnumerationIncomplete(f"a listed line does not lie on {s.name}")
+        unchecked -= closure([k], perms.values(), tuple.__getitem__).keys()
+    numbers = {"M": itertools.count(1), "R": itertools.count(1)}
+    labels = [lab + str(next(numbers[lab])) if lab in numbers else lab for _, lab, _ in records]
 
-    def add(line: ProjLine) -> int:
-        index[line] = len(lines)
-        lines.append(line)
-        tags[line] = "residuation"
-        return index[line]
+    def image(perm: tuple[int, ...], ab: tuple[int, int]) -> tuple[int, int]:
+        return perm[ab[0]], perm[ab[1]]
 
-    def image(a: int, t: int) -> int:
-        """Index of the image of line t under gens[a], added if new."""
-        if t not in images[a]:
-            line = _transport(lines[t], gens[a])
-            images[a][t] = index[line] if line in index else add(line)
-        return images[a][t]
-
-    # residuation closure: each unordered pair (i, j), i < j, is decided once.
-    # A meeting pair spans a tritangent plane holding its residual k, so the
-    # pairs (i, k) and (j, k) meet too, and their residuals j and i are known.
-    meets: dict[tuple[int, int], bool] = {}
-
-    def pair(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
-    while len(lines) < 27:
-        todo = [
-            ij for ij in itertools.combinations(range(len(lines)), 2)
-            if ij not in meets
-        ]
-        if not todo:
-            break
-        for i, j in todo:
-            if (i, j) in meets:
-                continue
-            meets[(i, j)] = lines[i].meets(lines[j])
-            if not meets[(i, j)]:
-                continue
-            c = residual_line(s.form, lines[i], lines[j], s.hyperplane)
-            k = index.get(c)
-            if k is None:
-                # a new line brings its orbit under gens, in discovery order
-                k = add(c)
-                closure([k], range(len(gens)), image)
-            meets[pair(i, k)] = meets[pair(j, k)] = True
-            if len(lines) >= 27:
-                break
-    if len(lines) != 27:
-        raise EnumerationIncomplete(f"closure stopped at {len(lines)} lines, expected 27")
-    for a, p in enumerate(gens):
-        for t in range(27):
-            if image(a, t) >= 27:
-                raise ActionNotClosed(f"{p.to_cycles()} maps a line outside the configuration")
-    # one decision per orbit of pairs: a pair the closure decided, else a meets call
+    incidence = [[0 if a == b else None for b in range(27)] for a in range(27)]
     for i, j in itertools.combinations(range(27), 2):
-        if (i, j) in meets:
-            continue
-        orbit = closure([(i, j)], images, lambda perm, ab: pair(perm[ab[0]], perm[ab[1]]))
-        known = next((meets[q] for q in orbit if q in meets), None)
-        value = lines[i].meets(lines[j]) if known is None else known
-        for q in orbit:
-            meets[q] = value
-    # canonical order: the five contraction lines, other coordinate lines, pair lines, residuals
-    def label_for(line: ProjLine) -> tuple[int, str]:
-        tag = tags[line]
-        if tag == "coordinate":
-            single, pairs = coord_meta[line]
-            lab = _contraction_line_label(single, pairs)
-            if lab:
-                return (0, lab)
-            return (1, "")
-        if tag == "pair-line":
-            i, j = pair_line_points[line]
-            return (2, f"E{1 if (i, j) == (0, 3) else 2}")
-        return (3, "")
-
-    keyed = sorted(lines, key=lambda l: (label_for(l)[0], label_for(l)[1], l.sort_key()))
-    labels: list[str] = []
-    m_count = r_count = 0
-    for line in keyed:
-        rank_, lab = label_for(line)
-        if rank_ == 0 or rank_ == 2:
-            labels.append(lab)
-        elif rank_ == 1:
-            m_count += 1
-            labels.append(f"M{m_count}")
-        else:
-            r_count += 1
-            labels.append(f"R{r_count}")
-    pos = [index[line] for line in keyed]
-    incidence = tuple(
-        tuple(int(a != b and meets[pair(a, b)]) for b in pos) for a in pos
-    )
-    cfg = LineConfiguration(s.name, tuple(keyed), tuple(labels), tuple(tags[l] for l in keyed),
-                            incidence)
-    where = {k: c for c, k in enumerate(pos)}
-    for p, perm in zip(gens, images):
-        cfg._permutations[p] = tuple(where[perm[k]] for k in pos)
+        if incidence[i][j] is None:
+            value = int(lines[i].meets(lines[j]))
+            for a, b in closure([(i, j)], perms.values(), image):
+                incidence[a][b] = incidence[b][a] = value
+    others = [k for k, tag in enumerate(tags) if tag != "residuation"]
+    for k in (k for k, tag in enumerate(tags) if tag == "residuation"):
+        plane = next(((lines[a], lines[b]) for a, b in itertools.combinations(others, 2)
+                      if incidence[a][b] and incidence[a][k] and incidence[b][k]), None)
+        if plane is None or residual_line(s.form, *plane, s.hyperplane) != lines[k]:
+            raise EnumerationIncomplete(f"{labels[k]} is not certified as a residual line")
+    incidence = tuple(map(tuple, incidence))
+    cfg = LineConfiguration(s.name, tuple(lines), tuple(labels), tuple(tags), incidence)
+    cfg._permutations.update(perms)
     return cfg
 
 

@@ -9,9 +9,10 @@ fixing each group element's class is an intertwiner T with
 
 and since the group is its own automorphism group, the full projective
 normalizer is generated by the representation together with these
-intertwiners.  Averaging a seed matrix against each of the four characters
-produces the intertwiners exactly; the ones preserving the quadratic form
-(up to scalar) generate, with rho(G), the quadric-preserving normalizer.
+intertwiners.  The characters factor through (Z/5)^x, so by Schur's lemma
+each intertwiner is a Gauss-sum circulant, written down in closed form on
+the hyperplane; the ones preserving the quadratic form (up to scalar)
+generate, with rho(G), the quadric-preserving normalizer.
 
 Identities over the whole group are tested on its generators only: rho is a
 homomorphism and lambda a character, so from the identity at a and at b,
@@ -32,9 +33,10 @@ checked by counting N: the cosets are disjoint and rho projectively faithful.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Iterable
 
-from .cyclo import FieldElement, Frozen, I_UNIT, ZERO, rational
+from .cyclo import FieldElement, Frozen, I_UNIT, ZERO, rational, root_of_unity
 from .groups import FiniteGroup, Permutation, subgroups_of_order
 from .linalg import Grid, identity_grid, mat_mul, mat_vec, rank, serialize_grid, transpose
 from .projgeo import HYPERPLANE_BASIS, ProjPoint, hyperplane_basis_grid
@@ -49,7 +51,7 @@ class NotOnHyperplane(ValueError):
 
 
 class IntertwiningFailure(ArithmeticError):
-    """A matrix fails T rho(h) = lambda(h) rho(h) T; for a seed average, an arithmetic defect."""
+    """A matrix fails T rho(h) = lambda(h) rho(h) T; for a closed form, an arithmetic defect."""
 
 
 class CosetsNotAGroup(ArithmeticError):
@@ -136,12 +138,21 @@ class Intertwiner(Frozen):
 
 
 def _group_tables(rep: dict[Permutation, Grid], g: FiniteGroup) -> tuple:
-    """What every character's intertwiner needs: rho(h^-1) for each h, the
-    projective classes of the represented group, each with a rho(h), and the
-    quadric's gram."""
-    inverses = {h: rep[h.inverse()] for h in g.elements}
+    """What every character's intertwiner needs: the pairs (u^n mod 5, t^-n),
+    n = 0..3, for the first element t of order 4 and the unit u with
+    t c t^-1 = c^u for the elements c of order 5; the projective classes of
+    the represented group, each with a rho(h); and the quadric's gram."""
+    c = next(h for h in g.elements if h.order() == 5)
+    t = next(h for h in g.elements if h.order() == 4)
+    conjugate, power, u = t * c * t.inverse(), c, 1
+    while power != conjugate:
+        power, u = power * c, u + 1
+    units = [(1, Permutation.identity())]
+    while len(units) < 4:
+        k, h = units[-1]
+        units.append((k * u % 5, h * t.inverse()))
     group_classes = {canonical_projective(rep[h]): rep[h] for h in g.elements}
-    return inverses, group_classes, quadratic_gram_on_hyperplane()
+    return units, group_classes, quadratic_gram_on_hyperplane()
 
 
 def require_intertwining(t: Grid, lam: Character, rep: dict[Permutation, Grid],
@@ -159,51 +170,56 @@ def require_intertwining(t: Grid, lam: Character, rep: dict[Permutation, Grid],
 
 
 def intertwiner(lam: Character, rep: dict[Permutation, Grid],
-                g: FiniteGroup, tables: tuple | None = None) -> Intertwiner | None:
-    """Nonzero T with T rho(h) = lambda(h) rho(h) T, by seed averaging.
+                g: FiniteGroup, tables: tuple | None = None) -> Intertwiner:
+    """T with T rho(h) = lambda(h) rho(h) T, written down as a Gauss-sum circulant.
 
-    The seeds are the matrix units E_rc in row-major order; the first nonzero
-    average is returned, after the identity is checked at the generators of
-    g, which decides it at every element.  rho(h) E_rc rho(h^-1) is the outer
-    product of column r of rho(h) and row c of rho(h^-1).  ``tables`` is
+    An element h with h c h^-1 = c^a for the 5-cycles c maps x to a x + b on
+    the coordinates.  The circulant T_chi[i][j] = (1/5) sum_{k != 0} chi(k)
+    zeta_5^(k(i-j)) acts as chi(k) on the Fourier mode k, as 0 on mode 0,
+    and T_chi P_h = chi(a)^-1 P_h T_chi; so it is lambda's intertwiner for
+    chi(u^n) = lambda(t^-n), with t and u read off g.  On the hyperplane
+    basis b_j = e_j - e_{j+1} the prefix sums of column j telescope to
+    tau(i - j) - tau(-1 - j), with tau(d) = T_chi[d][0], d mod 5.  This is
+    scaled by 5 T_chibar[0][0] (T_chibar is T_chi^-1 on the hyperplane):
+    by Schur's lemma the average of lambda(h) rho(h) E_rc rho(h^-1) over g
+    is 5 (T^-1)[c][r] T, so it is the seed average of E_00.  That entry is
+    1 for the trivial character and otherwise -1/5 times a Gauss sum, of
+    absolute value sqrt 5, so never 0.  The identity is checked at the
+    generators of g, which decides it at every element.  ``tables`` is
     ``_group_tables(rep, g)``, passed in when several characters share one
     representation.
     """
-    inverses, group_classes, gram = tables or _group_tables(rep, g)
-    for r, c in itertools.product(range(4), repeat=2):
-        total = [[ZERO] * 4 for _ in range(4)]
-        for h in g.elements:
-            w = lam(h)
-            inv_row = inverses[h][c]
-            for i, row in enumerate(rep[h]):
-                if row[r].is_zero():
-                    continue
-                x = w * row[r]
-                acc = total[i]
-                for j in range(4):
-                    acc[j] = acc[j] + x * inv_row[j]
-        if all(x.is_zero() for row in total for x in row):
-            continue
-        require_intertwining(total, lam, rep, g.generators)
-        # preserving: T^t gram T is a nonzero multiple of the gram
-        transported = mat_mul(mat_mul(transpose(total), gram), total)
-        entries = [(x, y) for tr, gr in zip(transported, gram) for x, y in zip(tr, gr)]
-        scales = {x / y for x, y in entries if not y.is_zero()}
-        preserving = (len(scales) == 1 and ZERO not in scales
-                      and all(x.is_zero() for x, y in entries if y.is_zero()))
-        square = mat_mul(total, total)
-        square_in_group = (
-            not all(x.is_zero() for row in square for x in row)
-            and canonical_projective(square) in group_classes
-        )
-        return Intertwiner(
-            character=lam.label,
-            matrix=total,
-            invertible=rank(total) == 4,
-            quadric_preserving=preserving,
-            square_in_group=square_in_group,
-        )
-    return None
+    units, group_classes, gram = tables or _group_tables(rep, g)
+    chi = {k: lam(h) for k, h in units}
+
+    def fourier(values: dict[int, FieldElement]) -> list[FieldElement]:
+        """5 T[d][0] for d in Z/5, for the character values {k: chi(k)}."""
+        return [sum((x * root_of_unity(5, k * d % 5) for k, x in values.items()), ZERO)
+                for d in range(5)]
+
+    tau = fourier(chi)
+    tau_bar = fourier({pow(k, -1, 5): x for k, x in chi.items()})
+    scale = (tau_bar[0] - tau_bar[-1]) * rational(Fraction(1, 5))
+    total = [[scale * (tau[i - j] - tau[-1 - j]) for j in range(4)] for i in range(4)]
+    require_intertwining(total, lam, rep, g.generators)
+    # preserving: T^t gram T is a nonzero multiple of the gram
+    transported = mat_mul(mat_mul(transpose(total), gram), total)
+    entries = [(x, y) for tr, gr in zip(transported, gram) for x, y in zip(tr, gr)]
+    scales = {x / y for x, y in entries if not y.is_zero()}
+    preserving = (len(scales) == 1 and ZERO not in scales
+                  and all(x.is_zero() for x, y in entries if y.is_zero()))
+    square = mat_mul(total, total)
+    square_in_group = (
+        not all(x.is_zero() for row in square for x in row)
+        and canonical_projective(square) in group_classes
+    )
+    return Intertwiner(
+        character=lam.label,
+        matrix=total,
+        invertible=rank(total) == 4,
+        quadric_preserving=preserving,
+        square_in_group=square_in_group,
+    )
 
 
 class NormalizerResult(Frozen):
@@ -264,10 +280,9 @@ def assemble_normalizer(g: FiniteGroup) -> NormalizerResult:
     tws, preserving = [], []
     for lam in characters_of_g20(g):
         t = intertwiner(lam, rep, g, tables)
-        if t is not None:
-            tws.append(t)
-            if t.quadric_preserving and t.invertible:
-                preserving.append((lam, t.matrix))
+        tws.append(t)
+        if t.quadric_preserving and t.invertible:
+            preserving.append((lam, t.matrix))
     generators = [rep[h] for h in g.generators] + [m for _, m in preserving]
     ident_key = canonical_projective(identity_grid(4))
     elements = normalizer_classes(g, rep, group_classes, preserving)

@@ -31,9 +31,10 @@ from .census import (
     lines27,
     orbit_census,
     quadric_surface,
+    sign_line,
     smoothness_check,
 )
-from .cyclo import I_UNIT, ONE, ZERO
+from .cyclo import I_UNIT, ONE
 from .groups import orbit_and_stabilizer, standard_groups
 from .jsontext import json_text
 from .normalizer import assemble_normalizer, involution_swaps_orbits
@@ -146,7 +147,6 @@ def _verbatim_orbit5() -> dict[str, list[ProjPoint]]:
 
 def _closed_form_lines() -> dict[str, ProjLine]:
     """L_k as pairs of sign forms: L1: x1+x4 = x2+x3 = 0 and its shifts."""
-    span = {}
     data = {
         "L1": ((1, 4), (2, 3)),
         "L2": ((0, 2), (3, 4)),
@@ -154,13 +154,7 @@ def _closed_form_lines() -> dict[str, ProjLine]:
         "L4": ((0, 1), (2, 4)),
         "L5": ((0, 3), (1, 2)),
     }
-    for lab, (p1, p2) in data.items():
-        v1 = [ZERO] * 5
-        v1[p1[0]], v1[p1[1]] = ONE, -ONE
-        v2 = [ZERO] * 5
-        v2[p2[0]], v2[p2[1]] = ONE, -ONE
-        span[lab] = ProjLine.span(v1, v2)
-    return span
+    return {lab: sign_line(p1, p2) for lab, (p1, p2) in data.items()}
 
 
 def _orbit_as_sorted(points) -> list:

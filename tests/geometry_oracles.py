@@ -15,12 +15,16 @@ for fixing it; the reference canonicalises the point's image under every
 element.  The package lists the normalizer's classes as cosets; the
 reference closes the projective group under its generators.  The package
 reads hyperplane coordinates as prefix sums; the reference solves for them
-in the basis.
+in the basis.  The package lists the 27 lines in closed form; the reference
+closes seed lines under residuation and the group.  The package writes each
+intertwiner down as a Gauss-sum circulant; the reference averages seed
+matrices over the group.
 """
 
 import itertools
 from typing import Sequence
 
+from dp5links.census import Surface
 from dp5links.cyclo import FieldElement, ONE, ZERO, rational, root_of_unity
 from dp5links.groups import (
     FiniteGroup,
@@ -41,7 +45,7 @@ from dp5links.linalg import (
     rref,
     solve,
 )
-from dp5links.normalizer import NormalizerResult, canonical_projective
+from dp5links.normalizer import Character, NormalizerResult, canonical_projective
 from dp5links.projgeo import (
     HYPERPLANE_BASIS,
     FactorizationFailure,
@@ -50,6 +54,9 @@ from dp5links.projgeo import (
     ProjPoint,
     SkewLines,
     hyperplane_basis_grid,
+    line_in_surface,
+    line_through,
+    residual_line,
 )
 
 
@@ -329,3 +336,82 @@ def apply_on_hyperplane_by_solve(m: Grid, p: ProjPoint) -> ProjPoint | None:
     b = hyperplane_basis_grid()
     coords = solve(b, list(p.coords))
     return None if coords is None else ProjPoint.of(mat_vec(b, mat_vec(m, coords)))
+
+
+def lines27_by_residuation(s: Surface, gens: Sequence[Permutation]) -> dict[ProjLine, str]:
+    """census.lines27's lines and tags {line: tag}, in discovery order, by
+    residuation closure.
+
+    The seeds are the sign lines {x_a + x_b = x_c + x_d = 0} and the lines
+    through two points of the length-4 orbit that lie on s.  Each pair of
+    known lines is decided once; a meeting pair adds its residual line
+    (tagged "residuation") with the residual's orbit under gens, which must
+    fix both forms of s, and the residual meets both lines of the pair.  The
+    closure stops at 27 lines or when every pair is decided.
+    """
+    def on_s(line: ProjLine) -> bool:
+        return line_in_surface(line, s.form) and line_in_surface(line, s.hyperplane)
+
+    def difference(a: int, b: int) -> list[FieldElement]:
+        return [ONE if i == a else -ONE if i == b else ZERO for i in range(5)]
+
+    def transport(p: Permutation, line: ProjLine) -> ProjLine:
+        return ProjLine.span(p.apply_vector(line.basis[0]), p.apply_vector(line.basis[1]))
+
+    seeds = []
+    for single in range(5):
+        a, *rest = [i for i in range(5) if i != single]
+        for b in rest:
+            c, d = [i for i in rest if i != b]
+            seeds.append((ProjLine.span(difference(a, b), difference(c, d)), "coordinate"))
+    orbit4 = [ProjPoint.of([root_of_unity(5, a * j % 5) for j in range(5)]) for a in range(1, 5)]
+    seeds += [(line_through(p, q), "pair-line") for p, q in itertools.combinations(orbit4, 2)]
+    tags: dict[ProjLine, str] = {}
+    for line, tag in seeds:
+        if on_s(line):
+            tags.setdefault(line, tag)
+    lines = list(tags)
+    index = {line: k for k, line in enumerate(lines)}
+    meets: dict[tuple[int, int], bool] = {}
+    while len(lines) < 27:
+        todo = [ij for ij in itertools.combinations(range(len(lines)), 2) if ij not in meets]
+        if not todo:
+            break
+        for i, j in todo:
+            if (i, j) in meets:
+                continue
+            meets[i, j] = lines[i].meets(lines[j])
+            if not meets[i, j]:
+                continue
+            residual = residual_line(s.form, lines[i], lines[j], s.hyperplane)
+            for line in closure([residual], gens, transport):
+                if line not in index:
+                    index[line] = len(lines)
+                    lines.append(line)
+                    tags[line] = "residuation"
+            k = index[residual]
+            meets[min(i, k), max(i, k)] = meets[min(j, k), max(j, k)] = True
+            if len(lines) >= 27:
+                break
+    return tags
+
+
+def seed_averages(lam: Character, rep: dict[Permutation, Grid], g: FiniteGroup):
+    """((r, c), sum over g of lam(h) rho(h) E_rc rho(h^-1)) for the matrix units
+    E_rc in row-major order.  rho(h) E_rc rho(h^-1) is the outer product of
+    column r of rho(h) and row c of rho(h^-1)."""
+    for r, c in itertools.product(range(4), repeat=2):
+        total = [[ZERO] * 4 for _ in range(4)]
+        for h in g.elements:
+            inv_row = rep[h.inverse()][c]
+            for i, row in enumerate(rep[h]):
+                x = lam(h) * row[r]
+                total[i] = [acc + x * y for acc, y in zip(total[i], inv_row)]
+        yield (r, c), total
+
+
+def intertwiner_by_seed_average(lam: Character, rep: dict[Permutation, Grid],
+                                g: FiniteGroup) -> Grid:
+    """normalizer.intertwiner's matrix, as the first nonzero seed average."""
+    return next(m for _, m in seed_averages(lam, rep, g)
+                if any(not x.is_zero() for row in m for x in row))

@@ -35,9 +35,13 @@ from dp5links.projgeo import (
     ProjLine,
     ProjPoint,
     line_in_surface,
+    line_through,
     membership,
     power_sum_form,
 )
+
+import geometry_oracles
+from geometry_oracles import lines27_by_residuation
 
 
 def test_clebsch_census_lengths(clebsch_census):
@@ -120,6 +124,10 @@ def test_lines27_basics(cfg, clebsch):
     assert cfg.tags.count("coordinate") == 15
     assert cfg.tags.count("pair-line") == 2
     assert cfg.tags.count("residuation") == 10
+    # E1 joins the length-4 orbit points with a = 1 and a = 4, E2 those with a = 2 and 3
+    pts = length4_orbit_points()
+    assert cfg.by_label("E1") == line_through(pts[0], pts[3])
+    assert cfg.by_label("E2") == line_through(pts[1], pts[2])
 
 
 def test_census_values_are_immutable(clebsch, clebsch_census, cfg, families):
@@ -136,31 +144,47 @@ def test_census_values_are_immutable(clebsch, clebsch_census, cfg, families):
 
 
 def test_lines27_residuates_once_per_tritangent_plane(clebsch, cfg, g20, monkeypatch):
-    import dp5links.census as census
-    from dp5links.projgeo import ProjLine
-
     real_residual, real_meets = census.residual_line, ProjLine.meets
-    planes, meets_calls = [], []
+    real_in_surface = census.line_in_surface
+    planes, meets_calls, tested = [], [], []
 
     def residual(cubic, a, b, hyperplane):
         c = real_residual(cubic, a, b, hyperplane)
-        planes.append(frozenset((a, b, c)))
+        planes.append((a, b, c))
         return c
 
     def meets(self, other):
-        meets_calls.append(frozenset((self, other)))
+        meets_calls.append((self, other))
         return real_meets(self, other)
 
     monkeypatch.setattr(census, "residual_line", residual)
     monkeypatch.setattr(ProjLine, "meets", meets)
+    monkeypatch.setattr(census, "line_in_surface",
+                        lambda line, form: tested.append(line) or real_in_surface(line, form))
     fresh = lines27(clebsch, g20)
     monkeypatch.undo()
-    # the seeds are G20-stable, and the first new residual brings its orbit of
-    # 10 lines; the incidence costs one meets call per undecided pair orbit
-    assert len(planes) == len(set(planes)) == 8
-    assert len(meets_calls) == len(set(meets_calls)) == 50
-    # the closure-built incidence equals a fresh pairwise recomputation
     assert fresh == cfg
+    # one line of each of the 4 line orbits is tested on both forms
+    assert len(tested) == 8 and len(set(tested)) == len(line_orbits(cfg, g20)) == 4
+    # one certificate per residuation line, each on its own tritangent plane
+    # through two lines of the other tags
+    tag = dict(zip(fresh.lines, fresh.tags))
+    assert len(planes) == len({frozenset(p) for p in planes}) == 10
+    assert {c for _, _, c in planes} == {line for line, t in tag.items() if t == "residuation"}
+    assert all(tag[a] != "residuation" != tag[b] for a, b, _ in planes)
+    # one meets call per orbit of line pairs under G20
+    index = {line: k for k, line in enumerate(cfg.lines)}
+    perms = [induced_line_permutation(cfg, el) for el in g20.elements]
+
+    def orbit(pair):
+        return frozenset(frozenset(perm[k] for k in pair) for perm in perms)
+
+    orbits = {orbit(ij) for ij in itertools.combinations(range(27), 2)}
+    called = [orbit({index[a], index[b]}) for a, b in meets_calls]
+    assert len(called) == len(set(called)) == len(orbits) == 27
+    # the lines and tags are those of the residuation closure, and the
+    # incidence equals a fresh pairwise recomputation
+    assert tag == lines27_by_residuation(clebsch, g20.generators)
     for i, j in itertools.combinations(range(27), 2):
         assert fresh.incidence[i][j] == int(fresh.lines[i].meets(fresh.lines[j]))
     # the generators' permutations it keeps are those a bare configuration computes
@@ -179,16 +203,20 @@ def test_lines27_transports_each_line_once_per_generator(clebsch, cfg, g20, monk
     assert len(calls) == len(set(calls)) == 54
 
 
-def test_lines27_under_the_trivial_group_is_pure_residuation(clebsch, cfg, g20, monkeypatch):
+def test_lines27_under_the_trivial_group_is_pure_residuation(clebsch, cfg, monkeypatch):
+    # with no group to transport by, the closure residuates 25 meeting pairs;
+    # the closed form gives the same configuration with no permutations kept
     residuals = []
-    real = census.residual_line
-    monkeypatch.setattr(census, "residual_line", lambda *a: residuals.append(a) or real(*a))
+    real = geometry_oracles.residual_line
+    monkeypatch.setattr(geometry_oracles, "residual_line",
+                        lambda *a: residuals.append(a) or real(*a))
+    assert lines27_by_residuation(clebsch, ()) == dict(zip(cfg.lines, cfg.tags))
+    assert len(residuals) == 25
     trivial = subgroup_closure([])
     assert census._preserving_generators(clebsch, trivial) == ()
     plain = lines27(clebsch, trivial)
     assert plain == cfg
     assert plain._permutations == {}
-    assert len(residuals) == 25
 
 
 def test_lines27_skips_a_generator_that_moves_a_form(clebsch, cfg, g20):
@@ -267,8 +295,7 @@ def test_skew_families(families, cfg):
 
 
 def test_lines27_closure_failure_reports(g20):
-    # x0^3 + x1^3 + x2^3 + x3^3 + 2 x4^3: only three coordinate lines survive,
-    # they are coplanar, and residuation cannot escape the plane
+    # x0^3 + x1^3 + x2^3 + x3^3 + 2 x4^3: only three of the listed lines lie on it
     terms = {tuple(3 if i == j else 0 for i in range(5)): (rational(2) if j == 4 else ONE)
              for j in range(5)}
     lopsided = Surface("lopsided", power_sum_form(5, 1), HomogeneousForm.of(5, 3, terms))

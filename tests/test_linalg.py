@@ -111,33 +111,6 @@ def test_closed_form_eigenspaces_agree_with_elimination_on_all_120_permutations(
     assert unsupported == 40
 
 
-def test_eigenspace_dimensions_match_cycle_structure():
-    rnd = random.Random(3)
-    for _ in range(30):
-        images = list(range(5))
-        rnd.shuffle(images)
-        p = Permutation(tuple(images))
-        lengths = []
-        seen = set()
-        for s in range(5):
-            if s in seen:
-                continue
-            n, j = 0, s
-            while j not in seen:
-                seen.add(j)
-                j = images[j]
-                n += 1
-            lengths.append(n)
-        if any(m % 3 == 0 for m in lengths):
-            with pytest.raises(UnsupportedEigenvalue):
-                eigenspaces_of_permutation(p)
-            continue
-        spaces = eigenspaces_of_permutation(p)
-        assert sum(len(v) for v in spaces.values()) == 5
-        # multiplicity of eigenvalue 1 is the number of cycles
-        assert len(spaces[ONE]) == len(lengths)
-
-
 def random_int_matrices() -> list[list[list[int]]]:
     """40 seeded integer matrices, 1..5 x 1..5, entries in [-8, 8]."""
     rnd = random.Random(12)

@@ -28,9 +28,11 @@ from dp5links.projgeo import ProjPoint, membership
 
 from geometry_oracles import (
     apply_on_hyperplane_by_solve,
+    intertwiner_by_seed_average,
     normalizer_classes_by_closure,
     point_at,
     restricted_representation_by_elimination,
+    seed_averages,
 )
 
 
@@ -170,47 +172,32 @@ def test_each_intertwiner_is_checked_at_the_two_generators(g20, monkeypatch):
 
 
 def test_intertwiner_unique_up_to_scalar(g20):
-    """A second nonzero seed average is a scalar multiple of the first."""
+    """Every nonzero seed average is a scalar multiple of the intertwiner."""
     rep = restricted_representation(g20)
-    lam = [c for c in characters_of_g20(g20) if c.order() == 2][0]
-    inverses = {h: rep[h.inverse()] for h in g20.elements}
-    averages = []
-    for r in range(4):
-        for c in range(4):
-            seed = [[ZERO] * 4 for _ in range(4)]
-            seed[r][c] = ONE
-            total = [[ZERO] * 4 for _ in range(4)]
-            for h in g20.elements:
-                term = mat_mul(mat_mul(rep[h], seed), inverses[h])
-                w = lam(h)
-                for i in range(4):
-                    for j in range(4):
-                        total[i][j] = total[i][j] + w * term[i][j]
-            if not all(x.is_zero() for row in total for x in row):
-                averages.append(total)
-            if len(averages) == 2:
-                break
-        if len(averages) == 2:
-            break
-    assert len(averages) == 2
-    assert canonical_projective(averages[0]) == canonical_projective(averages[1])
+    for lam in characters_of_g20(g20):
+        key = canonical_projective(intertwiner(lam, rep, g20).matrix)
+        averages = [m for _, m in seed_averages(lam, rep, g20)
+                    if any(not x.is_zero() for row in m for x in row)]
+        assert len(averages) >= 2
+        assert all(canonical_projective(m) == key for m in averages)
 
 
 def test_outer_product_average_equals_conjugated_seed_average(g20):
-    """The intertwiner is the first nonzero average of rho(h) E_rc rho(h^-1)."""
+    """The intertwiner is the first nonzero average of rho(h) E_rc rho(h^-1),
+    which the oracle takes as an average of outer products."""
     rep = restricted_representation(g20)
     inverses = {h: rep[h.inverse()] for h in g20.elements}
     for lam in characters_of_g20(g20):
-        for r, c in itertools.product(range(4), repeat=2):
-            seed = [[ONE if (i, j) == (r, c) else ZERO for j in range(4)] for i in range(4)]
-            total = [[ZERO] * 4 for _ in range(4)]
-            for h in g20.elements:
-                term = mat_mul(mat_mul(rep[h], seed), inverses[h])
-                for i in range(4):
-                    for j in range(4):
-                        total[i][j] = total[i][j] + lam(h) * term[i][j]
-            if any(not x.is_zero() for row in total for x in row):
-                break
+        (r, c), first = next((rc, m) for rc, m in seed_averages(lam, rep, g20)
+                             if any(not x.is_zero() for row in m for x in row))
+        seed = [[ONE if (i, j) == (r, c) else ZERO for j in range(4)] for i in range(4)]
+        total = [[ZERO] * 4 for _ in range(4)]
+        for h in g20.elements:
+            term = mat_mul(mat_mul(rep[h], seed), inverses[h])
+            for i in range(4):
+                for j in range(4):
+                    total[i][j] = total[i][j] + lam(h) * term[i][j]
+        assert first == total == intertwiner_by_seed_average(lam, rep, g20)
         assert intertwiner(lam, rep, g20).matrix == total
 
 

@@ -137,11 +137,13 @@ def test_a_full_report_pins_the_index_closures(monkeypatch):
 
 
 def test_a_full_report_pins_the_permutation_products(monkeypatch):
-    # 64 close the standard groups (4 + 10 * 2 + 20 * 2) and 26 build the
-    # characters of the order-20 group; the subgroup enumeration reads the
-    # Cayley table instead, and no span intersection is left in the package
+    # 64 close the standard groups (4 + 10 * 2 + 20 * 2), 26 build the
+    # characters of the order-20 group and 6 read off it the unit u with
+    # t c t^-1 = c^u and the powers of t^-1 the intertwiners need; the
+    # subgroup enumeration reads the Cayley table instead, and no span
+    # intersection is left in the package
     calls = _cold_report_counting(monkeypatch, groups.Permutation, "__mul__")
-    assert len(calls) == 90
+    assert len(calls) == 96
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "dp5links"]
     assert len(modules) > 1 and not [m for m in modules if hasattr(m, "intersect_spans")]
 
@@ -150,7 +152,8 @@ def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
     # rref takes one inverse per pivot and multiplies only right of the pivot,
     # by the pivot row's nonzero entries; the normalizer lists its classes as
     # two cosets and stabilizers are found without canonicalising images;
-    # permutation eigenspaces and hyperplane coordinates are closed forms
+    # permutation eigenspaces, hyperplane coordinates, the 27 lines and the
+    # intertwiners are closed forms
     counts = Counter()
 
     def counted(name, real):
@@ -161,7 +164,7 @@ def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
     groups.subgroups_of_order.cache_clear()
     census._fixed_point_orbits.cache_clear()
     run_checks()
-    assert counts == {"mul": 16609, "inverse": 1080}
+    assert counts == {"mul": 15096, "inverse": 1009}
 
 
 def test_a_full_report_pins_the_point_images(monkeypatch):
