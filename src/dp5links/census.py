@@ -198,22 +198,13 @@ def orbit_census(s: Surface, g: FiniteGroup, bound: int) -> OrbitCensus:
 # -- the 27 lines --------------------------------------------------------------
 
 
-class LineConfiguration(Frozen):
+class LineConfiguration(Frozen, eq=True):
     """The lines of a surface with labels, tags and incidence.
 
     The cached line permutations live in the instance dict.
     """
 
     __slots__ = ("surface", "lines", "labels", "tags", "incidence", "__dict__", "__weakref__")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not LineConfiguration:
-            return NotImplemented
-        return ((self.surface, self.lines, self.labels, self.tags, self.incidence)
-                == (other.surface, other.lines, other.labels, other.tags, other.incidence))
-
-    def __hash__(self) -> int:
-        return hash((self.surface, self.lines, self.labels, self.tags, self.incidence))
 
     def by_label(self, label: str) -> ProjLine:
         return self.lines[self.labels.index(label)]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 DEGREE = 8
@@ -47,37 +48,50 @@ _FRACTION_ZERO = Fraction(0)
 class Frozen:
     """Base of the immutable value classes: assigning an attribute raises.
 
-    A subclass names its fields once, in __slots__, and this constructor
-    fills them past the guard: positionally in __slots__ order, or by
-    keyword.  Dunder entries are not fields; a subclass lists "__dict__"
-    (and "__weakref__") only when it caches values in the instance dict.
-    The hot classes write their slots themselves with a slot descriptor's
-    __set__.  Copies and pickles carry the fields alone, written back past
-    the guard by __setstate__; instance-dict caches are rebuilt on use.
+    A subclass names its fields once, in __slots__; dunder entries are not
+    fields, and "__dict__" holds cached values.  The constructor fills the
+    fields past the guard, positionally or by keyword, as __setstate__ does
+    for copies and pickles.  A subclass declared with ``eq=True`` compares
+    and hashes by class and fields; the others, several holding dicts or
+    lists, keep identity equality.  Three classes write their constructor:
+    FieldElement, made some 15,000 times per report, sets its slots itself
+    (and keeps an equality that takes ints and Fractions); Permutation
+    checks for a bijection; IntLattice checks its gram matrix.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls, eq: bool = False):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("__"))
+        if eq:
+            get = attrgetter(*cls._fields)
+
+            def __eq__(self, other) -> bool:
+                if other.__class__ is not self.__class__:
+                    return NotImplemented
+                return get(self) == get(other)
+
+            def __hash__(self) -> int:
+                return hash(get(self))
+
+            cls.__eq__, cls.__hash__ = __eq__, __hash__
+
     def __init__(self, *args, **kwargs):
-        fields = _fields(type(self))
+        fields = self._fields
         values = dict(zip(fields, args), **kwargs)
         if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
             raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)})")
         self.__setstate__([values[name] for name in fields])
 
     def __getstate__(self):
-        return tuple(getattr(self, name) for name in _fields(type(self)))
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setstate__(self, state) -> None:
-        for name, value in zip(_fields(type(self)), state):
+        for name, value in zip(self._fields, state):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-def _fields(cls: type) -> list[str]:
-    return [name for name in cls.__slots__ if not name.startswith("__")]
 
 
 class DivisionByZero(ZeroDivisionError):

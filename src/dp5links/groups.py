@@ -35,7 +35,7 @@ class UnsupportedEigenvalue(ValueError):
     """Eigenvalue is a root of unity that does not lie in Q(zeta_20)."""
 
 
-class Permutation(Frozen):
+class Permutation(Frozen, eq=True):
     """Bijection of {0,...,4} (coordinate indices)."""
 
     __slots__ = ("images",)
@@ -43,15 +43,7 @@ class Permutation(Frozen):
     def __init__(self, images: tuple[int, ...]):
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a bijection: {images}")
-        _set_images(self, images)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Permutation:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
+        super().__init__(images)
 
     @staticmethod
     def identity(n: int = 5) -> "Permutation":
@@ -99,13 +91,10 @@ class Permutation(Frozen):
         return "".join("(" + "".join(str(k + 1) for k in cyc) + ")" for cyc in cycles)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        # (self * other)(j) = self(other(j)): other applied first.  A composite
-        # of two bijections of one set is a bijection, so __init__'s check is skipped.
+        # (self * other)(j) = self(other(j)): other applied first
         if len(self.images) != len(other.images):
             raise ValueError(f"cannot compose {self.images} with {other.images}")
-        product = _new(Permutation)
-        _set_images(product, tuple([self.images[j] for j in other.images]))
-        return product
+        return Permutation(tuple([self.images[j] for j in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -130,26 +119,13 @@ class Permutation(Frozen):
         return self.images
 
 
-# Slot writers that bypass the immutability guard in __setattr__.
-_new = object.__new__
-_set_images = Permutation.images.__set__
-
-
-class FiniteGroup(Frozen):
+class FiniteGroup(Frozen, eq=True):
     """Closure of a generating set, element list sorted canonically.
 
     The cached member set and Cayley table live in the instance dict.
     """
 
     __slots__ = ("generators", "elements", "__dict__", "__weakref__")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not FiniteGroup:
-            return NotImplemented
-        return self.generators == other.generators and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash((self.generators, self.elements))
 
     def order(self) -> int:
         return len(self.elements)

@@ -144,7 +144,7 @@ def transpose(a) -> Grid:
 IntGrid = list[list[int]]
 
 
-class IntLattice(Frozen):
+class IntLattice(Frozen, eq=True):
     """Free abelian group with an integer symmetric pairing."""
 
     __slots__ = ("rank", "gram", "labels", "_entries")
@@ -161,14 +161,6 @@ class IntLattice(Frozen):
         # (i, j, gram[i][j]) for the nonzero entries; the gram is nearly diagonal
         entries = tuple((i, j, x) for i, row in enumerate(gram) for j, x in enumerate(row) if x)
         super().__init__(rank, gram, labels, entries)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not IntLattice:
-            return NotImplemented
-        return (self.rank, self.gram, self.labels) == (other.rank, other.gram, other.labels)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.gram, self.labels))
 
     @staticmethod
     def from_gram(gram: Sequence[Sequence[int]], labels: Sequence[str] | None = None) -> "IntLattice":

@@ -31,21 +31,10 @@ class FactorizationFailure(ArithmeticError):
     """The plane through two lines of the surface lies on the surface."""
 
 
-class ProjPoint(Frozen):
+class ProjPoint(Frozen, eq=True):
     """Point of P^4 with normalized exact coordinates."""
 
     __slots__ = ("coords",)
-
-    def __init__(self, coords: tuple[FieldElement, ...]):
-        _set_coords(self, coords)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not ProjPoint:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
 
     @staticmethod
     def of(coords: Iterable) -> "ProjPoint":
@@ -73,21 +62,10 @@ class ProjPoint(Frozen):
         return "(" + " : ".join(repr(c) for c in self.coords) + ")"
 
 
-class ProjLine(Frozen):
+class ProjLine(Frozen, eq=True):
     """Line of P^4 as a canonical 2-row reduced echelon span."""
 
     __slots__ = ("basis",)
-
-    def __init__(self, basis: tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]):
-        _set_basis(self, basis)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not ProjLine:
-            return NotImplemented
-        return self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return hash(self.basis)
 
     @staticmethod
     def span(v1: Sequence[FieldElement], v2: Sequence[FieldElement]) -> "ProjLine":
@@ -118,11 +96,6 @@ class ProjLine(Frozen):
         return f"ProjLine{self.basis!r}"
 
 
-# Slot writers that bypass the immutability guard in __setattr__.
-_set_coords = ProjPoint.coords.__set__
-_set_basis = ProjLine.basis.__set__
-
-
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """Canonical line through two distinct points."""
     if p == q:
@@ -135,18 +108,10 @@ def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
 Monomial = tuple[int, ...]
 
 
-class HomogeneousForm(Frozen):
+class HomogeneousForm(Frozen, eq=True):
     """Homogeneous polynomial with exact coefficients, sparse exponent map."""
 
     __slots__ = ("nvars", "degree", "coeffs")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not HomogeneousForm:
-            return NotImplemented
-        return (self.nvars, self.degree, self.coeffs) == (other.nvars, other.degree, other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, self.degree, self.coeffs))
 
     @staticmethod
     def of(nvars: int, degree: int, terms: Mapping[Monomial, FieldElement] | Iterable

@@ -386,7 +386,6 @@ def check_picard_reconstruct(ctx: Context) -> dict:
     pic = ctx.pic
     _require(pic.rank == 7, f"rank {pic.rank} != 7")
     _require(pic.degree() == 3, f"(-K)^2 = {pic.degree()} != 3")
-    pic.check_action_invariants()
     # basis stability: three distinct sixers give matching invariant data
     sixers = find_sixers(ctx.cfg, limit=3)
     _require(len(sixers) == 3, "expected at least three sixers")

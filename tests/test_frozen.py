@@ -1,4 +1,5 @@
-"""The value classes share one immutability guard and one constructor, cyclo.Frozen."""
+"""The value classes share one immutability guard, one constructor and one
+equality rule, cyclo.Frozen."""
 
 import ast
 import copy
@@ -25,8 +26,12 @@ VALUE_CLASSES = {
 }
 # their cached_property values live in the instance dict
 WITH_DICT = {"FiniteGroup", "LineConfiguration"}
-# the hot slot writers, and IntLattice, which validates before the shared constructor
-OWN_INIT = {"FieldElement", "Permutation", "ProjPoint", "ProjLine", "IntLattice"}
+# FieldElement writes its slots itself; Permutation and IntLattice validate
+# before the shared constructor
+OWN_INIT = {"FieldElement", "Permutation", "IntLattice"}
+# declared with eq=True: equal and hashed by class and fields
+BY_VALUE = {"ProjPoint", "ProjLine", "HomogeneousForm", "Permutation", "FiniteGroup",
+            "LineConfiguration", "IntLattice"}
 
 
 def value_classes() -> dict[str, type]:
@@ -53,6 +58,12 @@ def fields(cls: type) -> list[str]:
 def test_frozen_is_the_only_class_that_defines_setattr():
     found = [f"{path}:{node.name}" for path, node in class_nodes() if defines(node, "__setattr__")]
     assert found == ["cyclo.py:Frozen"]
+
+
+def test_only_field_elements_define_their_own_equality_and_hash():
+    for name in ("__eq__", "__hash__"):
+        found = [f"{path}:{node.name}" for path, node in class_nodes() if defines(node, name)]
+        assert found == ["cyclo.py:FieldElement"], name
 
 
 def test_only_the_slot_writers_and_int_lattice_write_their_own_constructor():
@@ -163,3 +174,25 @@ def test_copies_and_pickles_keep_the_fields_and_stay_frozen(samples, name):
             twin.anything = None
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             setattr(twin, fields(cls)[0], None)
+
+
+def test_exactly_the_declared_classes_compare_by_value():
+    for name, cls in value_classes().items():
+        by_identity = cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+        assert by_identity == (name not in BY_VALUE | {"FieldElement"}), name
+
+
+@pytest.mark.parametrize("name", sorted(BY_VALUE))
+def test_value_equality_reads_every_field(samples, name):
+    value = samples[name]
+    cls = type(value)
+    values = value.__getstate__()
+    twin = object.__new__(cls)
+    twin.__setstate__(values)
+    assert twin is not value and twin == value and not twin != value
+    assert hash(twin) == hash(value) == hash(values[0] if len(values) == 1 else values)
+    assert value != object() and value != values
+    for k, field in enumerate(fields(cls)):
+        other = object.__new__(cls)
+        other.__setstate__(values[:k] + (object(),) + values[k + 1:])
+        assert other != value and value != other, field

@@ -8,8 +8,14 @@ its digest.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import dp5links
 from dp5links.report import run_checks
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
@@ -31,3 +37,15 @@ def test_verify_all_equals_golden_report():
 def test_verify_all_markdown_has_the_recorded_digest():
     text = run_checks().to_markdown().encode("utf-8")
     assert hashlib.sha256(text).hexdigest() == MARKDOWN_SHA256
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_the_report_bytes_do_not_depend_on_the_hash_seed(seed):
+    # the value classes hash their fields, which include strings
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(dp5links.__file__).parent.parent),
+                                                      env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "dp5links.cli", "verify", "all", "--format", "json"],
+                         env=env, capture_output=True, timeout=300, check=False)
+    assert out.returncode == 0, out.stderr.decode()
+    assert out.stdout == GOLDEN.read_bytes()
