@@ -19,10 +19,9 @@ polynomial system is ever solved.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache, cached_property
 
-from .cyclo import FieldElement, Frozen, ONE, ZERO, ZETA5, rational, root_of_unity
+from .cyclo import FieldElement, Frozen, ONE, ZERO, ZETA5, root_of_unity
 from .groups import (
     FiniteGroup,
     Permutation,
@@ -31,12 +30,12 @@ from .groups import (
     orbit_and_stabilizer,
     subgroups_of_order,
 )
-from .linalg import mat_mul, rank, transpose
+from .linalg import rank
 from .projgeo import (
     HomogeneousForm,
     ProjLine,
     ProjPoint,
-    hyperplane_basis_grid,
+    hyperplane_gram,
     line_in_surface,
     line_through,
     membership,
@@ -284,6 +283,15 @@ def _transport(line: ProjLine, p: Permutation) -> ProjLine:
     return ProjLine.span(p.apply_vector(line.basis[0]), p.apply_vector(line.basis[1]))
 
 
+def _line_permutation(lines: tuple[ProjLine, ...], index: dict[ProjLine, int],
+                      p: Permutation) -> tuple[int, ...]:
+    """The index of each line's image under p, or ActionNotClosed."""
+    images = tuple(index.get(_transport(line, p)) for line in lines)
+    if None in images:
+        raise ActionNotClosed(f"{p.to_cycles()} maps a line outside the configuration")
+    return images
+
+
 def lines27(s: Surface, g: FiniteGroup) -> LineConfiguration:
     """The 27 lines of Clebsch's diagonal cubic in closed form, with exact incidence.
 
@@ -296,14 +304,16 @@ def lines27(s: Surface, g: FiniteGroup) -> LineConfiguration:
     the smoothness of the cubic is certified separately.
 
     The generators of g that fix both forms of s map lines of s to lines of
-    s.  They must permute the 27 lines (else ActionNotClosed), so one line
-    per orbit is tested on s.  The incidence is decided once per orbit of
-    line pairs under them: a coordinate permutation is a linear automorphism
-    of P^4, so it maps meeting pairs to meeting pairs.  Each "residuation"
-    line is then certified as the residual line of the first pair of meeting
-    lines with other tags that both meet it (three pairwise meeting lines of
-    a smooth cubic are coplanar).  The generators' permutations of the lines
-    are kept on the returned configuration.
+    s.  They must permute the 27 lines (else ActionNotClosed), so testing
+    one line per orbit on s certifies every listed line on s.  The incidence
+    is decided once per orbit of line pairs under them: a coordinate
+    permutation is a linear automorphism of P^4, so it maps meeting pairs to
+    meeting pairs.  Each "residuation" line is then certified as the
+    residual line of the first pair of meeting lines with other tags that
+    both meet it (three pairwise meeting lines of a smooth cubic are
+    coplanar); residual_line does not test that pair on s again.  The
+    generators' permutations of the lines are kept on the returned
+    configuration.
     """
     if s.degree != 3:
         raise UnsupportedShape("line enumeration expects a cubic surface")
@@ -311,17 +321,12 @@ def lines27(s: Surface, g: FiniteGroup) -> LineConfiguration:
     records = [(0 if lab else 1, lab or "M", line) for line, lab in _coordinate_lines()]
     records += [(2 if lab else 3, lab or "R", line) for line, lab in _fourier_lines()]
     records.sort(key=lambda rec: (rec[0], rec[1], rec[2].sort_key()))
-    lines = [line for *_, line in records]
+    lines = tuple(line for *_, line in records)
     tags = [("coordinate", "coordinate", "pair-line", "residuation")[rank] for rank, *_ in records]
     index = {line: k for k, line in enumerate(lines)}
     if len(index) != 27:
         raise EnumerationIncomplete("the 27 listed lines are not distinct")
-    perms = {}
-    for p in _preserving_generators(s, g):
-        images = [index.get(_transport(line, p)) for line in lines]
-        if None in images:
-            raise ActionNotClosed(f"{p.to_cycles()} maps a line outside the configuration")
-        perms[p] = tuple(images)
+    perms = {p: _line_permutation(lines, index, p) for p in _preserving_generators(s, g)}
     unchecked = set(range(27))
     while unchecked:
         k = min(unchecked)
@@ -344,10 +349,10 @@ def lines27(s: Surface, g: FiniteGroup) -> LineConfiguration:
     for k in (k for k, tag in enumerate(tags) if tag == "residuation"):
         plane = next(((lines[a], lines[b]) for a, b in itertools.combinations(others, 2)
                       if incidence[a][b] and incidence[a][k] and incidence[b][k]), None)
-        if plane is None or residual_line(s.form, *plane, s.hyperplane) != lines[k]:
+        if plane is None or residual_line(s.form, *plane) != lines[k]:
             raise EnumerationIncomplete(f"{labels[k]} is not certified as a residual line")
     incidence = tuple(map(tuple, incidence))
-    cfg = LineConfiguration(s.name, tuple(lines), tuple(labels), tuple(tags), incidence)
+    cfg = LineConfiguration(s.name, lines, tuple(labels), tuple(tags), incidence)
     cfg._permutations.update(perms)
     return cfg
 
@@ -360,13 +365,7 @@ def induced_line_permutation(cfg: LineConfiguration, g: Permutation) -> tuple[in
     perm = cfg._permutations.get(g)
     if perm is None:
         index = {line: i for i, line in enumerate(cfg.lines)}
-        out = []
-        for line in cfg.lines:
-            k = index.get(_transport(line, g))
-            if k is None:
-                raise ActionNotClosed(f"{g.to_cycles()} maps a line outside the configuration")
-            out.append(k)
-        perm = cfg._permutations[g] = tuple(out)
+        perm = cfg._permutations[g] = _line_permutation(cfg.lines, index, g)
     return perm
 
 
@@ -466,21 +465,6 @@ def _diagonal_cubic_coefficients(f: HomogeneousForm) -> list[FieldElement] | Non
     return coeffs
 
 
-def _quadratic_gram(f: HomogeneousForm) -> list[list[FieldElement]]:
-    n = f.nvars
-    half = rational(Fraction(1, 2))
-    gram = [[ZERO] * n for _ in range(n)]
-    for mono, c in f.coeffs:
-        support = [i for i, e in enumerate(mono) if e]
-        if len(support) == 1:
-            gram[support[0]][support[0]] = c
-        else:
-            i, j = support
-            gram[i][j] = c * half
-            gram[j][i] = c * half
-    return gram
-
-
 # the sign choices (eps_1..eps_4) of the square roots s_i in smoothness_check
 _SIGN_PATTERNS = tuple(itertools.product((1, -1), repeat=4))
 
@@ -498,9 +482,7 @@ def smoothness_check(s: Surface) -> dict:
     in K and vanishes iff some factor does.
     """
     if s.degree == 2:
-        gram5 = _quadratic_gram(s.form)
-        hyper = hyperplane_basis_grid()
-        r = rank(mat_mul(transpose(hyper), mat_mul(gram5, hyper)))
+        r = rank(hyperplane_gram(s.form))
         return {
             "surface": s.name,
             "method": "restricted-quadratic-rank",

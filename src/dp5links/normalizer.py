@@ -37,9 +37,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .cyclo import FieldElement, Frozen, I_UNIT, ZERO, rational, root_of_unity
-from .groups import FiniteGroup, Permutation, subgroups_of_order
+from .groups import FiniteGroup, Permutation
 from .linalg import Grid, identity_grid, mat_mul, mat_vec, rank, serialize_grid, transpose
-from .projgeo import HYPERPLANE_BASIS, ProjPoint, hyperplane_basis_grid
+from .projgeo import HYPERPLANE_BASIS, ProjPoint, hyperplane_gram, power_sum_form
 
 
 class WrongGroup(ValueError):
@@ -69,12 +69,6 @@ def restricted_representation(g: FiniteGroup) -> dict[Permutation, Grid]:
                 for i in range(4)] for h in g.elements}
 
 
-def quadratic_gram_on_hyperplane() -> Grid:
-    """Gram matrix of sum x_i^2 restricted to the hyperplane basis."""
-    b = hyperplane_basis_grid()
-    return mat_mul(transpose(b), b)
-
-
 def canonical_projective(m: Grid) -> tuple:
     """Scale so the first nonzero entry (row-major) is 1; hashable key.
 
@@ -99,24 +93,32 @@ class Character(Frozen):
         return len(imgs)
 
 
-def characters_of_g20(g: FiniteGroup) -> list[Character]:
-    """The four linear characters, factoring through the C4 quotient."""
+def _semidirect_generators(g: FiniteGroup) -> tuple[Permutation, Permutation, int]:
+    """t, c and u in 1..4 with t c t^-1 = c^u, for the first elements t of order 4
+    and c of order 5 of g; WrongGroup unless g has order 20 and they exist.
+    Then the 20 products t^a c^b are all of g: <c> is its only order-5 subgroup."""
     if g.order() != 20:
         raise WrongGroup(f"group has order {g.order()}, expected 20")
-    cls5 = subgroups_of_order(g, 5)
-    if len(cls5) != 1 or len(cls5[0]) != 1:
-        raise WrongGroup("no unique (normal) subgroup of order 5")
-    c5 = cls5[0][0].element_set()
-    t = next(h for h in g.elements if h.order() == 4)
-    cosets = {}
+    t = next((h for h in g.elements if h.order() == 4), None)
+    c = next((h for h in g.elements if h.order() == 5), None)
+    if t is None or c is None:
+        raise WrongGroup("no element of order 4, or none of order 5")
+    conjugate, power, u = t * c * t.inverse(), c, 1
+    while power != conjugate and u < 4:
+        power, u = power * c, u + 1
+    if power != conjugate:
+        raise WrongGroup(f"{t.to_cycles()} does not normalise <{c.to_cycles()}>")
+    return t, c, u
+
+
+def characters_of_g20(g: FiniteGroup) -> list[Character]:
+    """The four linear characters, factoring through the C4 quotient g/<c>."""
+    t, c, _ = _semidirect_generators(g)
+    cosets, h = {}, Permutation.identity()
     for a in range(4):
-        ta = Permutation.identity()
-        for _ in range(a):
-            ta = t * ta
-        for h in c5:
-            cosets[ta * h] = a
-    if len(cosets) != 20:
-        raise WrongGroup("coset decomposition by the 5-part failed")
+        for _ in range(5):  # h runs over t^a c^b and, as c^5 = 1, ends at t^a
+            cosets[h], h = a, h * c
+        h = t * h
     chars = []
     for k in range(4):
         values = {h: I_UNIT ** (k * a) for h, a in cosets.items()}
@@ -142,17 +144,13 @@ def _group_tables(rep: dict[Permutation, Grid], g: FiniteGroup) -> tuple:
     n = 0..3, for the first element t of order 4 and the unit u with
     t c t^-1 = c^u for the elements c of order 5; the projective classes of
     the represented group, each with a rho(h); and the quadric's gram."""
-    c = next(h for h in g.elements if h.order() == 5)
-    t = next(h for h in g.elements if h.order() == 4)
-    conjugate, power, u = t * c * t.inverse(), c, 1
-    while power != conjugate:
-        power, u = power * c, u + 1
+    t, _, u = _semidirect_generators(g)
     units = [(1, Permutation.identity())]
     while len(units) < 4:
         k, h = units[-1]
         units.append((k * u % 5, h * t.inverse()))
     group_classes = {canonical_projective(rep[h]): rep[h] for h in g.elements}
-    return units, group_classes, quadratic_gram_on_hyperplane()
+    return units, group_classes, hyperplane_gram(power_sum_form(5, 2))
 
 
 def require_intertwining(t: Grid, lam: Character, rep: dict[Permutation, Grid],

@@ -9,6 +9,7 @@ which keeps every coordinate directly comparable with the classical models.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .cyclo import FieldElement, Frozen, ONE, ZERO, rational
@@ -21,10 +22,6 @@ class CoincidentPoints(ValueError):
 
 class SkewLines(ValueError):
     """Residuation needs two coplanar (meeting) lines."""
-
-
-class NotOnSurface(ValueError):
-    """A line required to lie on the surface does not."""
 
 
 class FactorizationFailure(ArithmeticError):
@@ -177,9 +174,19 @@ HYPERPLANE_BASIS: tuple[tuple[int, ...], ...] = (
 )
 
 
-def hyperplane_basis_grid() -> list[list[FieldElement]]:
-    """HYPERPLANE_BASIS as a 5x4 matrix over K."""
-    return [[rational(x) for x in row] for row in HYPERPLANE_BASIS]
+def hyperplane_gram(form: HomogeneousForm) -> list[list[FieldElement]]:
+    """Gram matrix of a quadratic form on the HYPERPLANE_BASIS vectors b_j = e_j - e_{j+1}.
+
+    With G[i][i] the coefficient of x_i^2 and G[i][j] half that of x_i x_j,
+    the entry at (i, j) is G(b_i, b_j) = G[i][j] - G[i][j+1] - G[i+1][j] + G[i+1][j+1].
+    """
+    half = rational(Fraction(1, 2))
+    g = [[ZERO] * 5 for _ in range(5)]
+    for mono, c in form.coeffs:
+        i, j = (k for k, e in enumerate(mono) for _ in range(e))
+        g[i][j] = g[j][i] = c if i == j else c * half
+    return [[g[i][j] - g[i][j + 1] - g[i + 1][j] + g[i + 1][j + 1] for j in range(4)]
+            for i in range(4)]
 
 
 def line_in_surface(line: ProjLine, form: HomogeneousForm) -> bool:
@@ -203,9 +210,11 @@ def membership(p: ProjPoint, forms: Iterable[HomogeneousForm]) -> bool:
     return all(f.evaluate(p.coords).is_zero() for f in forms)
 
 
-def residual_line(cubic: HomogeneousForm, a: ProjLine, b: ProjLine,
-                  hyperplane: HomogeneousForm) -> ProjLine:
-    """Third line of the plane section spanned by two meeting lines.
+def residual_line(cubic: HomogeneousForm, a: ProjLine, b: ProjLine) -> ProjLine:
+    """Third line of the plane section spanned by two meeting lines of the cubic.
+
+    The caller certifies that a and b lie on the surface; they are not
+    tested again here.
 
     Let x be the meeting point, y a basis row of a and z one of b, each
     chosen independent of x.  In plane coordinates s x + t y + r z the line
@@ -219,9 +228,6 @@ def residual_line(cubic: HomogeneousForm, a: ProjLine, b: ProjLine,
     """
     if a == b:
         raise ValueError("the two lines must be distinct")
-    for line in (a, b):
-        if not (line_in_surface(line, cubic) and line_in_surface(line, hyperplane)):
-            raise NotOnSurface(f"line {line!r} is not on the surface")
     (a0, a1), (b0, b1) = a.basis, b.basis
     ker = kernel_basis([[c0, c1, -d0, -d1] for c0, c1, d0, d1 in zip(a0, a1, b0, b1)])
     if len(ker) != 1:

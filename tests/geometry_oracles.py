@@ -18,13 +18,16 @@ reads hyperplane coordinates as prefix sums; the reference solves for them
 in the basis.  The package lists the 27 lines in closed form; the reference
 closes seed lines under residuation and the group.  The package writes each
 intertwiner down as a Gauss-sum circulant; the reference averages seed
-matrices over the group.
+matrices over the group.  The package writes a quadratic form's gram on the
+hyperplane entrywise; the reference multiplies B^T G B.  The package writes
+the Picard action matrices from the line permutation; the reference inverts
+the matrix of a basis of line classes.
 """
 
 import itertools
 from typing import Sequence
 
-from dp5links.census import Surface
+from dp5links.census import LineConfiguration, Surface, induced_line_permutation
 from dp5links.cyclo import FieldElement, ONE, ZERO, rational, root_of_unity
 from dp5links.groups import (
     FiniteGroup,
@@ -44,8 +47,10 @@ from dp5links.linalg import (
     mat_vec,
     rref,
     solve,
+    transpose,
 )
 from dp5links.normalizer import Character, NormalizerResult, canonical_projective
+from dp5links.picard import PicardLattice
 from dp5links.projgeo import (
     HYPERPLANE_BASIS,
     FactorizationFailure,
@@ -53,7 +58,6 @@ from dp5links.projgeo import (
     ProjLine,
     ProjPoint,
     SkewLines,
-    hyperplane_basis_grid,
     line_in_surface,
     line_through,
     residual_line,
@@ -330,6 +334,49 @@ def restricted_representation_by_elimination(g: FiniteGroup) -> dict[Permutation
             for k, h in enumerate(g.elements)}
 
 
+def hyperplane_basis_grid() -> list[list[FieldElement]]:
+    """HYPERPLANE_BASIS as a 5x4 matrix B over K."""
+    return [[rational(x) for x in row] for row in HYPERPLANE_BASIS]
+
+
+def hyperplane_gram_by_products(form: HomogeneousForm) -> Grid:
+    """projgeo.hyperplane_gram, as B^T G B for the polar matrix G of the form."""
+    g = [[ZERO] * 5 for _ in range(5)]
+    for mono, c in form.coeffs:
+        support = [i for i, e in enumerate(mono) if e]
+        if len(support) == 1:
+            g[support[0]][support[0]] = c
+        else:
+            i, j = support
+            g[i][j] = g[j][i] = c / rational(2)
+    b = hyperplane_basis_grid()
+    return mat_mul(transpose(b), mat_mul(g, b))
+
+
+def picard_actions_by_inversion(cfg: LineConfiguration, g: FiniteGroup, pic: PicardLattice,
+                                sixer: Sequence[int]) -> list[tuple[tuple[int, ...], ...]]:
+    """picard.reconstruct_picard's action matrices, by inverting the matrix of a
+    basis of line classes: the sixer, then the first line meeting exactly two
+    of its members.  A generator's matrix is the images of the basis classes
+    times the inverse."""
+    classes = [dc.vector for dc in pic.marked]
+    two = next(k for k in range(len(classes))
+               if k not in sixer and sum(cfg.incidence[k][s] for s in sixer) == 2)
+    basis_idx = list(sixer) + [two]
+    # column j of the inverse of the basis matrix: the coordinates of e_j
+    inverse_cols = coordinates_in_basis([classes[k] for k in basis_idx],
+                                        [[int(i == j) for i in range(7)] for j in range(7)])
+    assert None not in inverse_cols
+    out = []
+    for gen in g.generators:
+        perm = induced_line_permutation(cfg, gen)
+        images = [classes[perm[k]] for k in basis_idx]
+        out.append(tuple(
+            tuple(sum(img[i] * c for img, c in zip(images, col)) for col in inverse_cols)
+            for i in range(7)))
+    return out
+
+
 def apply_on_hyperplane_by_solve(m: Grid, p: ProjPoint) -> ProjPoint | None:
     """normalizer.apply_on_hyperplane, solving for p's coordinates in the
     hyperplane basis; None when p is off the hyperplane."""
@@ -383,7 +430,7 @@ def lines27_by_residuation(s: Surface, gens: Sequence[Permutation]) -> dict[Proj
             meets[i, j] = lines[i].meets(lines[j])
             if not meets[i, j]:
                 continue
-            residual = residual_line(s.form, lines[i], lines[j], s.hyperplane)
+            residual = residual_line(s.form, lines[i], lines[j])
             for line in closure([residual], gens, transport):
                 if line not in index:
                     index[line] = len(lines)

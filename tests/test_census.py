@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from dp5links import census
+from dp5links import census, projgeo
 from dp5links.census import (
     ActionNotClosed,
     DuplicatePoints,
@@ -148,8 +148,8 @@ def test_lines27_residuates_once_per_tritangent_plane(clebsch, cfg, g20, monkeyp
     real_in_surface = census.line_in_surface
     planes, meets_calls, tested = [], [], []
 
-    def residual(cubic, a, b, hyperplane):
-        c = real_residual(cubic, a, b, hyperplane)
+    def residual(cubic, a, b):
+        c = real_residual(cubic, a, b)
         planes.append((a, b, c))
         return c
 
@@ -159,12 +159,14 @@ def test_lines27_residuates_once_per_tritangent_plane(clebsch, cfg, g20, monkeyp
 
     monkeypatch.setattr(census, "residual_line", residual)
     monkeypatch.setattr(ProjLine, "meets", meets)
-    monkeypatch.setattr(census, "line_in_surface",
-                        lambda line, form: tested.append(line) or real_in_surface(line, form))
+    for module in (census, projgeo):
+        monkeypatch.setattr(module, "line_in_surface",
+                            lambda line, form: tested.append(line) or real_in_surface(line, form))
     fresh = lines27(clebsch, g20)
     monkeypatch.undo()
     assert fresh == cfg
-    # one line of each of the 4 line orbits is tested on both forms
+    # one line of each of the 4 line orbits is tested on both forms, and
+    # residual_line tests none of its certified inputs again
     assert len(tested) == 8 and len(set(tested)) == len(line_orbits(cfg, g20)) == 4
     # one certificate per residuation line, each on its own tritangent plane
     # through two lines of the other tags

@@ -66,7 +66,7 @@ def test_only_field_elements_define_their_own_equality_and_hash():
         assert found == ["cyclo.py:FieldElement"], name
 
 
-def test_only_the_slot_writers_and_int_lattice_write_their_own_constructor():
+def test_field_element_permutation_and_int_lattice_define_their_own_constructor():
     subclasses = [node for _, node in class_nodes()
                   if any(isinstance(base, ast.Name) and base.id == "Frozen" for base in node.bases)]
     assert {node.name for node in subclasses} == VALUE_CLASSES

@@ -1,10 +1,11 @@
 import itertools
+import signal
 
 import pytest
 
 from dp5links.census import length4_orbit_points
 from dp5links.cyclo import FieldElement, I_UNIT, ONE, ZERO
-from dp5links.groups import group_from_cycles
+from dp5links.groups import Permutation, group_from_cycles, subgroup_closure
 from dp5links.linalg import mat_mul
 from dp5links import normalizer
 from dp5links.normalizer import (
@@ -20,14 +21,14 @@ from dp5links.normalizer import (
     intertwiner,
     involution_swaps_orbits,
     normalizer_classes,
-    quadratic_gram_on_hyperplane,
     require_intertwining,
     restricted_representation,
 )
-from dp5links.projgeo import ProjPoint, membership
+from dp5links.projgeo import HomogeneousForm, ProjPoint, hyperplane_gram, membership, power_sum_form
 
 from geometry_oracles import (
     apply_on_hyperplane_by_solve,
+    hyperplane_gram_by_products,
     intertwiner_by_seed_average,
     normalizer_classes_by_closure,
     point_at,
@@ -69,6 +70,35 @@ def test_wrong_group_rejected():
         characters_of_g20(group_from_cycles("(12345)", "(12)"))
     with pytest.raises(WrongGroup):
         characters_of_g20(group_from_cycles("(12345)"))
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("assemble_normalizer did not return")
+
+
+@pytest.mark.parametrize("group", [
+    group_from_cycles("(12345)", "(12)"),
+    group_from_cycles("(12345)"),
+    group_from_cycles("(2354)"),
+], ids=["S5", "C5", "C4"])
+def test_assemble_normalizer_rejects_a_wrong_group_promptly(group):
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(10)
+    try:
+        with pytest.raises(WrongGroup):
+            assemble_normalizer(group)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_an_order_20_group_without_an_element_of_order_4_is_rejected():
+    # D5 x C2 on seven letters: (12345)(67) has order 10, and no element order 4
+    d5_c2 = subgroup_closure([Permutation.from_cycles("(12345)(67)", 7),
+                              Permutation.from_cycles("(25)(34)", 7)], n=7)
+    assert d5_c2.order() == 20
+    with pytest.raises(WrongGroup, match="order 4"):
+        characters_of_g20(d5_c2)
 
 
 def test_representation_is_a_homomorphism(g20):
@@ -321,7 +351,7 @@ def rational_two():
 
 
 def test_quadratic_gram_is_the_a4_form():
-    gram = quadratic_gram_on_hyperplane()
+    gram = hyperplane_gram(power_sum_form(5, 2))
     expected = [
         [2, -1, 0, 0],
         [-1, 2, -1, 0],
@@ -331,6 +361,14 @@ def test_quadratic_gram_is_the_a4_form():
     for i in range(4):
         for j in range(4):
             assert gram[i][j] == FieldElement([expected[i][j]])
+
+
+def test_hyperplane_gram_matches_the_basis_products():
+    # sum x_i^2, and a form with cross terms and a non-rational coefficient
+    mixed = HomogeneousForm.of(5, 2, {(2, 0, 0, 0, 0): ONE, (1, 1, 0, 0, 0): I_UNIT,
+                                      (0, 0, 1, 0, 1): FieldElement([3]), (0, 0, 0, 2, 0): -ONE})
+    for form in (power_sum_form(5, 2), mixed):
+        assert hyperplane_gram(form) == hyperplane_gram_by_products(form)
 
 
 def _coset_inputs(g20):
@@ -387,14 +425,14 @@ def test_a_quadric_preserving_chi1_intertwiner_is_refused(g20, monkeypatch):
 def test_closure_skips_the_scalar_generator(g20, monkeypatch):
     # the trivial character's intertwiner is 5 I, projectively the identity:
     # it stays a serialised generator, and its coset is the represented group,
-    # listed with no products.  67 products per normalizer: 29 for the gram and
-    # the four intertwiners, 20 for the coset of T_chi2, 4 for the products of
-    # the two intertwiners and 14 for the involution search
+    # listed with no products.  66 products per normalizer: 28 for the four
+    # intertwiners (the gram is written entrywise), 20 for the coset of T_chi2,
+    # 4 for the products of the two intertwiners and 14 for the involution search
     real = normalizer.mat_mul
     calls = []
     monkeypatch.setattr(normalizer, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
     res = assemble_normalizer(g20)
-    assert len(calls) == 67
+    assert len(calls) == 66
     scalar = [[FieldElement([5 * (i == j)]) for j in range(4)] for i in range(4)]
     assert res.generator_matrices[2] == scalar
     assert len(res.generator_matrices) == 4 and res.order == 40

@@ -28,6 +28,8 @@ from dp5links.picard import (
     selfmap_degree,
 )
 
+from geometry_oracles import picard_actions_by_inversion
+
 
 def test_reconstruction_rank_and_degree(pic):
     assert pic.rank == 7
@@ -127,6 +129,28 @@ def test_sixer_stability(cfg, g20):
         alt = reconstruct_picard(cfg, g20, sixer=sixer)
         assert alt.degree() == 3
         assert invariant_rank(alt) == 2
+
+
+def test_action_matrices_match_the_basis_inversion(cfg, g20):
+    # the default sixer and three alternatives
+    sixers = find_sixers(cfg, limit=4)
+    assert len(sixers) == 4 and sixers[0] == find_sixers(cfg, limit=1)[0]
+    for sixer in sixers:
+        pic = reconstruct_picard(cfg, g20, sixer=sixer)
+        assert list(pic.actions) == picard_actions_by_inversion(cfg, g20, pic, sixer)
+
+
+def test_a_sixer_alone_has_no_line_to_write_h_with(cfg, g20):
+    sixer = find_sixers(cfg, limit=1)[0]
+    alone = LineConfiguration(
+        cfg.surface,
+        tuple(cfg.lines[k] for k in sixer),
+        tuple(cfg.labels[k] for k in sixer),
+        tuple(cfg.tags[k] for k in sixer),
+        tuple(tuple(cfg.incidence[i][j] for j in sixer) for i in sixer),
+    )
+    with pytest.raises(InconsistentIncidence, match="exactly two"):
+        reconstruct_picard(alone, g20)
 
 
 def test_no_sixer_on_truncated_configuration(cfg, g20):

@@ -10,7 +10,6 @@ from dp5links.projgeo import (
     CoincidentPoints,
     FactorizationFailure,
     HomogeneousForm,
-    NotOnSurface,
     ProjLine,
     ProjPoint,
     SkewLines,
@@ -124,7 +123,7 @@ def test_certified_lines_contain_their_sampled_points():
 def test_residual_of_two_coordinate_lines():
     a = coordinate_line((0, 1), (3, 4))
     b = coordinate_line((0, 1), (2, 3))
-    r = residual_line(CUBIC, a, b, HYPER)
+    r = residual_line(CUBIC, a, b)
     assert r == coordinate_line((0, 1), (2, 4))
     assert line_in_surface(r, CUBIC)
 
@@ -133,7 +132,7 @@ def test_residual_output_is_always_on_surface_and_coplanar():
     pts = [eigenpoint(a) for a in (1, 2, 3, 4)]
     e1 = line_through(pts[0], pts[3])
     l1 = coordinate_line((1, 4), (2, 3))
-    r = residual_line(CUBIC, e1, l1, HYPER)
+    r = residual_line(CUBIC, e1, l1)
     assert line_in_surface(r, CUBIC) and line_in_surface(r, HYPER)
     stacked = [list(v) for v in e1.basis] + [list(v) for v in l1.basis] + [list(v) for v in r.basis]
     assert rank(stacked) == 3  # all three lines in one plane
@@ -144,7 +143,7 @@ def test_plane_section_is_exactly_the_product_of_three_linear_factors():
     pts = [eigenpoint(a) for a in (1, 2, 3, 4)]
     e1 = line_through(pts[0], pts[3])
     l1 = coordinate_line((1, 4), (2, 3))
-    r = residual_line(CUBIC, e1, l1, HYPER)
+    r = residual_line(CUBIC, e1, l1)
     plane = plane_of(e1, l1)
     ternary = coeff_map(restrict_to_plane(CUBIC, plane))
     product = {(0, 0, 0): ONE}
@@ -162,7 +161,7 @@ def test_residual_matches_division_on_every_meeting_pair(cfg):
     assert len(pairs) == 135
     branches, eckardt = set(), 0
     for a, b in pairs:
-        r = residual_line(CUBIC, a, b, HYPER)
+        r = residual_line(CUBIC, a, b)
         assert r == residual_line_by_division(CUBIC, a, b)
         p, q, u, v = meeting_coefficients(a, b)
         branches.add((q.is_zero(), v.is_zero()))
@@ -189,19 +188,15 @@ def test_residual_of_a_plane_on_the_surface_raises_factorization_failure():
     b = coordinate_line((1, 2), (2, 3))
     assert line_in_surface(a, form) and line_in_surface(b, form)
     with pytest.raises(FactorizationFailure):
-        residual_line(form, a, b, HYPER)
+        residual_line(form, a, b)
 
 
-def test_residual_rejects_skew_and_off_surface_lines():
+def test_residual_rejects_skew_lines():
     pts = [eigenpoint(a) for a in (1, 2, 3, 4)]
     e1 = line_through(pts[0], pts[3])
     e2 = line_through(pts[1], pts[2])
     with pytest.raises(SkewLines):
-        residual_line(CUBIC, e1, e2, HYPER)
-    off = line_through(pts[0], pts[1])  # a quadric ruling, not on the cubic
-    l1 = coordinate_line((1, 4), (2, 3))
-    with pytest.raises(NotOnSurface):
-        residual_line(CUBIC, off, l1, HYPER)
+        residual_line(CUBIC, e1, e2)
 
 
 @pytest.mark.parametrize("rows", [1])
@@ -214,7 +209,7 @@ def test_residual_with_degenerate_kernel_raises_factorization_failure(monkeypatc
     a = coordinate_line((0, 1), (3, 4))
     b = coordinate_line((0, 1), (2, 3))
     with pytest.raises(FactorizationFailure):
-        residual_line(CUBIC, a, b, HYPER)
+        residual_line(CUBIC, a, b)
 
 
 def test_divide_by_linear_detects_remainders():
