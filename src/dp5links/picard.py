@@ -358,21 +358,20 @@ def divisor_relation_check(pic: PicardLattice) -> dict:
 # -- quadric-side lattices ---------------------------------------------------------
 
 
-def _ruling_data(quadric: Surface) -> tuple[list[ProjPoint], list[dict]]:
-    """The length-4 orbit on the quadric and its on-quadric pair lines."""
-    pts = length4_orbit_points()
-    rulings = []
+@functools.cache
+def _ruling_data(quadric: Surface) -> tuple[tuple[ProjPoint, ...], tuple[tuple[IntVec, int], ...]]:
+    """The length-4 orbit on the quadric and its on-quadric pair lines, once
+    per quadric and immutable: each line as its two point indices and its
+    ruling, 0 for the first line's and 1 for the other (same iff disjoint)."""
+    pts = tuple(length4_orbit_points())
+    lines = {}
     for i, j in itertools.combinations(range(4), 2):
         line = line_through(pts[i], pts[j])
         if line_in_surface(line, quadric.form):
-            rulings.append({"points": (i, j), "line": line})
-    return pts, rulings
-
-
-def _ruling_family(rulings: list[dict], line) -> int:
-    """0 for the first ruling's family, 1 for the other: same family iff disjoint."""
-    first = rulings[0]["line"]
-    return 0 if line == first or not first.meets(line) else 1
+            lines[i, j] = line
+    first = next(iter(lines.values()), None)
+    return pts, tuple((ij, 0 if line == first or not first.meets(line) else 1)
+                      for ij, line in lines.items())
 
 
 def ruling_blowup_check(quadric: Surface) -> dict:
@@ -388,13 +387,11 @@ def ruling_blowup_check(quadric: Surface) -> dict:
     if len(rulings) != 4:
         raise InconsistentIncidence(f"expected 4 on-quadric pair lines, found {len(rulings)}")
     lattice = _minus_one_extension(_U_HEAD, 4, ("f1", "f2", "g1", "g2", "g3", "g4"))
-    family_of = [_ruling_family(rulings, r["line"]) for r in rulings]
     minus_k = (2, 2, -1, -1, -1, -1)
     transforms = []
-    for r, fam in zip(rulings, family_of):
+    for (i, j), fam in rulings:
         v = [0] * 6
         v[fam] = 1
-        i, j = r["points"]
         v[2 + i] = -1
         v[2 + j] = -1
         transforms.append({
@@ -410,7 +407,7 @@ def ruling_blowup_check(quadric: Surface) -> dict:
     del_pezzo = blowup5_minus_one_classes()
     return {
         "orbit_points": [p.serialize() for p in pts],
-        "on_quadric_pairs": [list(r["points"]) for r in rulings],
+        "on_quadric_pairs": [list(ij) for ij, _ in rulings],
         "proper_transforms": transforms,
         "minus_two_count": len(transforms),
         "five_point_blowup_minus_one_classes": len(del_pezzo),
@@ -540,17 +537,17 @@ def selfmap_degree(quadric: Surface, g: FiniteGroup,
     labels = ("f1", "f2") + tuple(f"g{i}" for i in range(1, 6)) + tuple(f"g'{i}" for i in range(1, 6))
     lattice = _minus_one_extension(_U_HEAD, 10, labels)
     pts, rulings = _ruling_data(quadric)
-    partition = [_ruling_family(rulings, r["line"]) for r in rulings]
+    family = dict(rulings)
     actions = []
     swap_flags = []
     for gen in g.generators:
-        # does the generator preserve the two ruling families?
-        img_partition = []
-        for r in rulings:
-            i, j = r["points"]
-            img = line_through(gen.apply_point(pts[i]), gen.apply_point(pts[j]))
-            img_partition.append(_ruling_family(rulings, img))
-        swaps = img_partition != partition
+        # does the generator preserve the two ruling families?  Permuting the
+        # orbit points by sigma, it maps the pair line {i, j} onto {sigma i, sigma j}
+        sigma = [pts.index(gen.apply_point(p)) for p in pts]
+        images = [tuple(sorted((sigma[i], sigma[j]))) for i, j in family]
+        if any(ij not in family for ij in images):
+            raise InconsistentIncidence("a generator moves a ruling off the four rulings")
+        swaps = [family[ij] for ij in images] != list(family.values())
         in_d10 = gen in d10
         if swaps == in_d10:
             raise InconsistentIncidence(

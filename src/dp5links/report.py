@@ -13,10 +13,6 @@ runs are byte-identical.
 from __future__ import annotations
 
 import itertools
-import marshal
-import os
-import sys
-import threading
 import time
 from functools import cached_property
 from typing import Callable
@@ -179,8 +175,8 @@ def check(cid: str, statement: str, stages: tuple[str, ...] = ()):
     """Register the decorated function as the check `cid` certifying `statement`.
 
     `stages` names every cached `Context` stage the check builds, including
-    those it builds through another stage (`pic` builds `cfg`); it is what
-    `worker_checks` splits the checks by.
+    those it builds through another stage (`pic` builds `cfg`); `--timings`
+    prints them beside the check's wall time.
     """
     def register(fn):
         STATEMENTS[cid] = statement
@@ -538,16 +534,15 @@ def check_thm_g40(ctx: Context) -> dict:
 
 class CheckResult:
     def __init__(self, check_id: str, statement: str, status: str, certificate: dict,
-                 wall_time_ms: float = 0.0, process: str = "main"):
+                 wall_time_ms: float = 0.0):
         self.check_id = check_id
         self.statement = statement
         self.status = status  # pass | fail | error
         self.certificate = certificate
         self.wall_time_ms = wall_time_ms
-        self.process = process  # main | worker
 
     def serialize(self) -> dict:
-        # wall time and process are left out: reports must be byte-deterministic
+        # wall time is left out: reports must be byte-deterministic
         return {"id": self.check_id, "statement": self.statement, "status": self.status,
                 "certificate": self.certificate}
 
@@ -557,7 +552,6 @@ class Report:
         self.version = version
         self.conventions = conventions
         self.checks = [] if checks is None else checks
-        self.timeline: dict[str, float] = {}  # perf_counter stamps by event, not serialized
 
     @property
     def overall(self) -> str:
@@ -601,133 +595,6 @@ def _run_check(cid: str, ctx: Context) -> CheckResult:
     return CheckResult(cid, STATEMENTS[cid], status, certificate, elapsed)
 
 
-# The stage that keeps its checks in the main process, and without which no
-# worker is forked: the 27 lines (`cfg`) take longer than any other stage and
-# read none of the group-side tables that the censuses and the normalizer
-# build.  Without `cfg` each process would build those tables for itself.
-_MAIN_STAGE = "cfg"
-
-
-def worker_checks(ids: list[str]) -> set[str]:
-    """The checks of `ids` that `run_checks_parallel` hands to a worker: when
-    some check builds `_MAIN_STAGE`, those sharing no declared stage with any
-    such check, stage-free checks included; otherwise none.  On this catalog
-    no declared stage is then built on both sides, for every selection."""
-    main_stages = {s for cid in ids if _MAIN_STAGE in CHECK_STAGES[cid]
-                   for s in CHECK_STAGES[cid]}
-    if not main_stages:
-        return set()
-    return {cid for cid in ids if main_stages.isdisjoint(CHECK_STAGES[cid])}
-
-
-# A cgroup CPU quota caps the CPUs a process gets below what its affinity
-# lists (a container started with one CPU's quota on a larger host): the
-# v2 file holds "quota period", the v1 files one number each.
-_CPU_QUOTA_FILES = (
-    ("/sys/fs/cgroup/cpu.max",),
-    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
-)
-
-
-def _cpu_quota() -> float | None:
-    """The CPUs the cgroup CPU quota allows this process, or None when unlimited."""
-    for paths in _CPU_QUOTA_FILES:
-        try:
-            fields = []
-            for path in paths:
-                with open(path, encoding="ascii") as fh:
-                    fields += fh.read().split()
-        except OSError:
-            continue
-        try:
-            return int(fields[0]) / int(fields[1]) if int(fields[0]) > 0 else None
-        except (IndexError, ValueError, ZeroDivisionError):  # "max", garbage
-            return None
-    return None
-
-
-def _can_fork() -> bool:
-    """Whether a forked worker is safe here and gets a CPU of its own."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    quota = _cpu_quota()
-    return cpus >= 2 and (quota is None or quota >= 2)
-
-
-# How long the main process waits for the worker once its own checks are
-# done.  A worker still running then (say, deadlocked on a lock another
-# thread of a host process held at the fork) is killed and its checks are
-# run here instead.
-_WORKER_WAIT_S = 60.0
-
-
-def _run_split(ctx: Context, here: list[str], there: list[str],
-               timeline: dict[str, float]) -> list[CheckResult]:
-    """Run `here` in this process and `there` in a forked worker.
-
-    The worker sends (id, status, certificate, wall ms) rows back through a
-    pipe with marshal.  When the fork fails, the worker exits non-zero,
-    outlasts `_WORKER_WAIT_S` or its rows do not load, this process runs
-    `there` itself, so the results never depend on the worker.  It stamps
-    `timeline` at the fork, at this process's last check and at the join.
-    """
-    sys.stdout.flush()
-    sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    timeline["fork"] = time.perf_counter()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: run everything here
-        os.close(read_fd)
-        os.close(write_fd)
-        return [_run_check(cid, ctx) for cid in here + there]
-    if pid == 0:  # the worker: leaves only through os._exit
-        code = 1
-        try:
-            os.close(read_fd)
-            rows = [(r.check_id, r.status, r.certificate, r.wall_time_ms)
-                    for r in (_run_check(cid, ctx) for cid in there)]
-            with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps(rows))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    import select  # only on this path, so a run that does not fork never loads it
-    chunks, complete = [], False
-    try:
-        results = [_run_check(cid, ctx) for cid in here]
-        timeline["main's last check"] = time.perf_counter()
-        deadline = time.monotonic() + _WORKER_WAIT_S
-        while select.select([read_fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
-            chunk = os.read(read_fd, 1 << 16)
-            if not chunk:
-                complete = True
-                break
-            chunks.append(chunk)
-    finally:
-        os.close(read_fd)
-        if not complete:  # interrupted or out of time: the worker is not waited for
-            import signal
-            os.kill(pid, signal.SIGKILL)
-        _, wait_status = os.waitpid(pid, 0)
-        timeline["worker joined"] = time.perf_counter()
-    rows = None
-    if complete and os.waitstatus_to_exitcode(wait_status) == 0:
-        try:
-            rows = marshal.loads(b"".join(chunks))
-        except (EOFError, ValueError, TypeError):
-            pass
-    if rows is None:
-        return results + [_run_check(cid, ctx) for cid in there]
-    return results + [CheckResult(cid, STATEMENTS[cid], status, certificate, ms, "worker")
-                      for cid, status, certificate, ms in rows]
-
-
 def _selected(selection: list[str] | None) -> list[str]:
     """The ids of `selection` (all by default) in catalog order."""
     if not selection:
@@ -738,44 +605,12 @@ def _selected(selection: list[str] | None) -> list[str]:
     return [cid for cid in STATEMENTS if cid in set(selection)]
 
 
-def _report(results: list[CheckResult]) -> Report:
-    results.sort(key=lambda r: r.check_id)
-    return Report(__version__, dict(CONVENTIONS), results)
-
-
 def run_checks(selection: list[str] | None = None,
                context: Context | None = None) -> Report:
     """Run the selected checks (all by default) in this process and assemble
-    the report; a passed `context` is used, and so filled in, by the checks."""
+    the report, ordered by check id; a passed `context` is used, and so
+    filled in, by the checks."""
     ctx = context if context is not None else Context()
-    return _report([_run_check(cid, ctx) for cid in _selected(selection)])
-
-
-def run_checks_parallel(selection: list[str] | None = None) -> Report:
-    """The report of `run_checks(selection)`, made on two CPUs when that pays.
-
-    This is what `dp5links verify` runs.  It builds a `Context` and forks
-    once when `worker_checks` gives the worker some checks, `os.fork`
-    exists, the process may use at least two CPUs (affinity, capped by a
-    cgroup CPU quota) and no other thread is alive.  The two processes
-    share no stage; the worker builds again the group-side tables its
-    censuses or normalizer read, so the two use more CPU than one.  The
-    report is the same bytes either way, and its `timeline` holds the
-    times of the fork, the main process's last check and the join.
-    Library code should call `run_checks`: its checks run in the calling
-    process, so patched `CHECK_FUNCTIONS` entries, profilers and the caches
-    the run fills all see every check.
-    """
-    ids = _selected(selection)
-    ctx = Context()
-    there = worker_checks(ids)
-    timeline: dict[str, float] = {}
-    if not there or not _can_fork():
-        results = [_run_check(cid, ctx) for cid in ids]
-    else:
-        results = _run_split(ctx, [cid for cid in ids if cid not in there],
-                             [cid for cid in ids if cid in there], timeline)
-    timeline.setdefault("main's last check", time.perf_counter())
-    report = _report(results)
-    report.timeline = timeline
-    return report
+    results = [_run_check(cid, ctx) for cid in _selected(selection)]
+    results.sort(key=lambda r: r.check_id)
+    return Report(__version__, dict(CONVENTIONS), results)

@@ -1,11 +1,8 @@
 import ast
-import itertools
 import json
 import os
 import subprocess
 import sys
-import threading
-import time
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
@@ -13,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dp5links
-from dp5links import census, groups, picard, report
+from dp5links import census, groups, picard
 from dp5links.cli import main
 from dp5links.cyclo import FieldElement
 from dp5links.report import (
@@ -24,8 +21,6 @@ from dp5links.report import (
     Context,
     UnknownCheckId,
     run_checks,
-    run_checks_parallel,
-    worker_checks,
 )
 
 # the catalog in definition order
@@ -35,12 +30,6 @@ CHECK_IDS = [
     "ruling-minus2", "picard-reconstruct", "invariant-ranks", "contractions-two",
     "divisor-relations", "selfmap-degree", "dp5-orbit-descent", "thm-g40",
 ]
-# what a forked worker runs in `verify all`: the quadric's stage group and
-# the two stage-free checks
-WORKER_CHECKS = {"clebsch-smooth", "quadric-census-lt8", "general-position-k1-k2",
-                 "ruling-minus2", "selfmap-degree", "thm-g40"}
-# a small selection that forks: the 27 lines beside the quadric's census
-SMALL_SPLIT = ["lines-27", "quadric-census-lt8"]
 GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
 
 
@@ -157,7 +146,10 @@ def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
     # before residual_line stopped re-testing its certified inputs on the
     # surface, the Picard action matrices were written from the line
     # permutation instead of by a 7x14 basis inversion over the field, and
-    # the quadric's hyperplane gram was written entrywise instead of as B^T G B
+    # the quadric's hyperplane gram was written entrywise instead of as B^T G B.
+    # 12,972 and 981 before the quadric's four rulings and their families were
+    # computed once per quadric and each generator's ruling swap read off its
+    # permutation of the length-4 orbit, not from 8 image lines and their meets
     counts = Counter()
 
     def counted(name, real):
@@ -168,14 +160,16 @@ def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
     groups.subgroups_of_order.cache_clear()
     census._fixed_point_orbits.cache_clear()
     run_checks()
-    assert counts == {"mul": 12972, "inverse": 981}
+    assert counts == {"mul": 12283, "inverse": 911}
 
 
 def test_a_full_report_pins_the_point_images(monkeypatch):
     # the 9 orbits closed under the 2 generators of the order-20 group: 8 of
     # the censuses' fixed points and the length-4 orbit again, 80 images in
-    # all; 40 more in checks
-    assert len(_cold_report_counting(monkeypatch, groups.Permutation, "apply_point")) == 120
+    # all; 32 more in checks.  120 before selfmap-degree read each generator's
+    # ruling swap off its permutation of the 4 orbit points (4 images) instead
+    # of moving both points of each of the 4 rulings (8 images)
+    assert len(_cold_report_counting(monkeypatch, groups.Permutation, "apply_point")) == 112
 
 
 def test_a_full_report_contracts_each_family_once(monkeypatch):
@@ -265,206 +259,29 @@ def test_each_check_builds_exactly_the_stages_it_declares():
         assert set(CHECK_STAGES[cid]) == stages & set(vars(fresh)), cid
 
 
-def test_the_split_rule_holds_on_every_selection_of_the_catalog():
-    stages = {cid: frozenset(CHECK_STAGES[cid]) for cid in CHECK_IDS}
-    for bits in itertools.product((False, True), repeat=len(CHECK_IDS)):
-        ids = list(itertools.compress(CHECK_IDS, bits))
-        there = worker_checks(ids)
-        here = [stages[cid] for cid in ids if cid not in there]
-        main_stages = set().union(*(s for s in here if "cfg" in s))
-        if not main_stages:  # no worker without cfg
-            assert not there, ids
-            continue
-        # every main-process check declares cfg or shares a stage with one that does,
-        # and no declared stage is on both sides
-        assert all(s & main_stages for s in here), ids
-        assert set().union(*here).isdisjoint(set().union(*(stages[c] for c in there))), ids
-
-
-def test_the_worker_takes_the_staged_groups_beside_the_27_lines():
-    assert worker_checks(CHECK_IDS) == WORKER_CHECKS
-    assert worker_checks(SMALL_SPLIT) == {"quadric-census-lt8"}
-    assert worker_checks(["lines-27", "clebsch-orbit-4", "thm-g40"]) == {"clebsch-orbit-4",
-                                                                       "thm-g40"}
-    # without the 27 lines each process would build the same group-side tables
-    assert worker_checks(["clebsch-census-lt8", "quadric-census-lt8"]) == set()
-    quadric_side = [cid for cid in CHECK_IDS if not {"cfg", "pic", "families"}
-                    & set(CHECK_STAGES[cid])]
-    assert worker_checks(quadric_side) == set()
-    # stage-free checks go to the worker, but get no process of their own
-    assert worker_checks(["lines-27", "clebsch-smooth", "ruling-minus2"]) == {"clebsch-smooth",
-                                                                             "ruling-minus2"}
-    assert worker_checks(["clebsch-smooth", "ruling-minus2"]) == set()
-    assert worker_checks(["picard-reconstruct", "divisor-relations"]) == set()
-
-
-@pytest.mark.parametrize("files, cpus", [
-    ({"cpu.max": "max 100000\n"}, None),
-    ({"cpu.max": "200000 100000\n"}, 2.0),
-    ({"cpu.max": "150000 100000\n"}, 1.5),
-    ({"cfs_quota_us": "-1\n", "cfs_period_us": "100000\n"}, None),
-    ({"cfs_quota_us": "100000\n", "cfs_period_us": "100000\n"}, 1.0),
-    ({}, None),
-])
-def test_the_cgroup_cpu_quota_is_read_from_either_cgroup_version(tmp_path, monkeypatch,
-                                                                 files, cpus):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    monkeypatch.setattr(report, "_CPU_QUOTA_FILES", (
-        (str(tmp_path / "cpu.max"),),
-        (str(tmp_path / "cfs_quota_us"), str(tmp_path / "cfs_period_us")),
-    ))
-    assert report._cpu_quota() == cpus
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Make run_checks_parallel see two usable CPUs, so that it forks on any host."""
-    if not hasattr(os, "fork"):
-        pytest.skip("needs os.fork")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(report, "_CPU_QUOTA_FILES", ())
-
-
-@pytest.fixture(scope="module")
-def sequential_report():
-    return run_checks()
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _processes(rep) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {}
-    for c in rep.checks:
-        out.setdefault(c.process, set()).add(c.check_id)
-    return out
-
-
-def test_a_forked_report_equals_the_sequential_one_and_the_golden(two_cpus,
-                                                                 sequential_report):
-    forked = run_checks_parallel()
-    _assert_no_child_left()
-    assert _processes(forked)["worker"] == WORKER_CHECKS
-    assert set(_processes(sequential_report)) == {"main"}
-    assert forked.to_json() == sequential_report.to_json()
-    assert forked.to_json().encode("utf-8") == GOLDEN.read_bytes()
-    assert forked.to_markdown() == sequential_report.to_markdown()
-    # repr tells a tuple from a list, a bool from an int and an int from a float
-    assert ([(c.check_id, c.status, repr(c.certificate)) for c in forked.checks]
-            == [(c.check_id, c.status, repr(c.certificate)) for c in sequential_report.checks])
-
-
-def test_run_checks_never_forks_and_fills_a_passed_context(two_cpus):
+def test_run_checks_fills_a_passed_context():
     ctx = Context()
-    assert set(_processes(run_checks(["lines-27", "thm-g40"], context=ctx))) == {"main"}
+    run_checks(["lines-27", "thm-g40"], context=ctx)
     assert {"cfg", "quadric_census", "normalizer"} <= set(vars(ctx))
-    assert set(_processes(run_checks(SMALL_SPLIT))) == {"main"}
 
 
-def test_no_fork_on_one_cpu_under_a_one_cpu_quota_or_beside_another_thread(two_cpus,
-                                                                           monkeypatch,
-                                                                           tmp_path):
-    assert set(_processes(run_checks_parallel(SMALL_SPLIT))) == {"main", "worker"}
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        beside_a_thread = run_checks_parallel(SMALL_SPLIT)
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert set(_processes(beside_a_thread)) == {"main"}
-    (tmp_path / "cpu.max").write_text("100000 100000\n")
-    monkeypatch.setattr(report, "_CPU_QUOTA_FILES", ((str(tmp_path / "cpu.max"),),))
-    assert set(_processes(run_checks_parallel(SMALL_SPLIT))) == {"main"}
-    monkeypatch.setattr(report, "_CPU_QUOTA_FILES", ())
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert set(_processes(run_checks_parallel(SMALL_SPLIT))) == {"main"}
-    _assert_no_child_left()
-
-
-def test_a_worker_that_dies_is_replaced_by_a_run_in_the_main_process(two_cpus, monkeypatch):
-    main_pid = os.getpid()
-    real = CHECK_FUNCTIONS["thm-g40"]
-
-    def dies_in_the_worker(ctx):
-        if os.getpid() != main_pid:
-            os._exit(3)
-        return real(ctx)
-
-    monkeypatch.setitem(CHECK_FUNCTIONS, "thm-g40", dies_in_the_worker)
-    rep = run_checks_parallel()
-    _assert_no_child_left()
-    assert set(_processes(rep)) == {"main"}
-    assert rep.to_json().encode("utf-8") == GOLDEN.read_bytes()
-
-
-def test_a_worker_that_hangs_is_killed_and_replaced(two_cpus, monkeypatch):
-    main_pid = os.getpid()
-    real = CHECK_FUNCTIONS["thm-g40"]
-
-    def hangs_in_the_worker(ctx):
-        if os.getpid() != main_pid:
-            time.sleep(120)
-        return real(ctx)
-
-    monkeypatch.setitem(CHECK_FUNCTIONS, "thm-g40", hangs_in_the_worker)
-    monkeypatch.setattr(report, "_WORKER_WAIT_S", 0.5)
-    start = time.monotonic()
-    rep = run_checks_parallel()
-    assert time.monotonic() - start < 60  # killed, not waited for
-    _assert_no_child_left()
-    assert set(_processes(rep)) == {"main"}
-    assert rep.to_json().encode("utf-8") == GOLDEN.read_bytes()
-
-
-def test_a_failed_fork_runs_every_check_in_the_main_process(two_cpus, monkeypatch):
-    def no_fork():
-        raise BlockingIOError("Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    rep = run_checks_parallel(SMALL_SPLIT)
-    assert [(c.check_id, c.status, c.process) for c in rep.checks] == [
-        ("lines-27", "pass", "main"), ("quadric-census-lt8", "pass", "main")]
-
-
-def test_an_error_in_the_worker_is_reported_as_in_a_sequential_run(two_cpus, monkeypatch):
-    def exploding(_):
-        raise RuntimeError("boom")
-
-    monkeypatch.setitem(CHECK_FUNCTIONS, "quadric-census-lt8", exploding)
-    forked = run_checks_parallel(SMALL_SPLIT)
-    _assert_no_child_left()
-    sequential = run_checks(SMALL_SPLIT)
-    by_id = {c.check_id: c for c in forked.checks}
-    assert by_id["quadric-census-lt8"].process == "worker"
-    assert by_id["quadric-census-lt8"].certificate == {"error": "RuntimeError: boom"}
-    assert forked.to_json() == sequential.to_json()
-
-
-def test_an_interrupt_in_the_main_process_kills_the_worker(two_cpus, monkeypatch):
-    main_pid = os.getpid()
-    real = CHECK_FUNCTIONS["thm-g40"]
-
-    def stalls_in_the_worker(ctx):
-        if os.getpid() != main_pid:
-            time.sleep(60)
-        return real(ctx)
-
+def test_an_interrupt_in_a_check_propagates_out_of_the_cli(monkeypatch):
     def interrupted(_):
         raise KeyboardInterrupt
 
-    monkeypatch.setitem(CHECK_FUNCTIONS, "thm-g40", stalls_in_the_worker)
     monkeypatch.setitem(CHECK_FUNCTIONS, "lines-27", interrupted)
-    start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         main(["verify", "all"])
-    assert time.monotonic() - start < 30  # killed, not waited for
-    _assert_no_child_left()
+
+
+def test_the_cli_never_forks(monkeypatch, tmp_path):
+    def no_fork():
+        raise AssertionError("verify forked")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--format", "json", "--output", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN.read_bytes()
 
 
 def test_cli_writes_the_report_to_stdout_once():
@@ -477,12 +294,8 @@ def test_cli_writes_the_report_to_stdout_once():
     assert out.returncode == 0, out.stderr
     assert out.stdout == GOLDEN.read_bytes()
     *rows, timeline = out.stderr.decode().splitlines()
-    processes = {line.rsplit("(", 1)[1].split(";")[0] for line in rows}
-    assert len(rows) == len(CHECK_IDS)
+    assert [row.split(":", 1)[0] for row in rows] == sorted(CHECK_IDS)
+    assert [row.split(" (", 1)[1] for row in rows] == [
+        f"stages: {', '.join(CHECK_STAGES[cid]) or '-'})" for cid in sorted(CHECK_IDS)]
     events = [event.rsplit(" at ", 1)[0] for event in timeline.split(": ", 1)[1].split(", ")]
-    if report._can_fork():
-        assert processes == {"main", "worker"}
-        assert events == ["fork", "main's last check", "worker joined", "report written"]
-    else:
-        assert processes == {"main"}
-        assert events == ["main's last check", "report written"]
+    assert events == ["checks done", "report written"]
