@@ -69,7 +69,7 @@ class NormNotConstant(ArithmeticError):
     """The sign-pattern norm kept a square-root term (an arithmetic defect)."""
 
 
-class Surface(Frozen):
+class Surface(Frozen, eq=True):
     """Surface in P^4 cut by the hyperplane form and one defining form."""
 
     __slots__ = ("name", "hyperplane", "form")

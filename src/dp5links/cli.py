@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 import time
 
@@ -30,6 +32,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_to(path: str | None, write) -> None:
+    """Stream the report through write to the file at path, or to standard
+    output.  A report file is complete or absent: if writing fails, the
+    partial file is removed and the error raised."""
+    if not path:
+        write(sys.stdout)
+        return
+    fh = open(path, "w", encoding="utf-8")  # failing here, it made no file
+    try:
+        with fh:
+            write(fh)
+    except BaseException:
+        if stat.S_ISREG(os.lstat(path).st_mode):  # never a device, pipe or link
+            os.remove(path)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     args = build_parser().parse_args(argv)
@@ -47,16 +66,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown check id(s): {exc}", file=sys.stderr)
         return 2
     checks_done = time.perf_counter()
-    text = report.to_json() if args.format == "json" else report.to_markdown()
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"cannot write {args.output}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+    write = report.write_json if args.format == "json" else report.write_markdown
+    try:
+        _write_to(args.output, write)
+    except OSError as exc:
+        print(f"cannot write {args.output or 'standard output'}: {exc}", file=sys.stderr)
+        return 2
     if args.timings:
         written = time.perf_counter()
         for c in report.checks:

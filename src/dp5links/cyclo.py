@@ -340,8 +340,11 @@ class FieldElement(Frozen):
         d = self.den
         out = []
         for x in self.num:
-            g = gcd(x, d)  # gcd(0, d) = d gives "0/1"
-            out.append(f"{x // g}/{d // g}")
+            if x:
+                g = gcd(x, d)
+                out.append(f"{x // g}/{d // g}")
+            else:  # one shared string for the most common coefficient
+                out.append("0/1")
         return out
 
     @staticmethod

@@ -61,11 +61,11 @@ class OrbitsNotDisjoint(ValueError):
     """The two length-5 orbits were expected to be disjoint."""
 
 
-class DivisorClass(Frozen):
+class DivisorClass(Frozen, eq=True):
     __slots__ = ("label", "vector")
 
 
-class PicardLattice(Frozen):
+class PicardLattice(Frozen, eq=True):
     __slots__ = ("lattice", "anticanonical", "marked", "actions", "action_names")
 
     @property
@@ -278,7 +278,8 @@ def contract(pic: PicardLattice, family: list[str]) -> tuple[PicardLattice, IntG
 
 @functools.cache
 def contraction(pic: PicardLattice, family: tuple[str, ...]) -> tuple[PicardLattice, IntMat]:
-    """contract(pic, family), once per (lattice, family) and immutable: three checks share two."""
+    """contract(pic, family), once per (lattice, family) and immutable: three checks share two.
+    Lattices compare by value, so every report shares the same two entries."""
     target, basis = contract(pic, list(family))
     return target, tuple(map(tuple, basis))
 
@@ -361,8 +362,9 @@ def divisor_relation_check(pic: PicardLattice) -> dict:
 @functools.cache
 def _ruling_data(quadric: Surface) -> tuple[tuple[ProjPoint, ...], tuple[tuple[IntVec, int], ...]]:
     """The length-4 orbit on the quadric and its on-quadric pair lines, once
-    per quadric and immutable: each line as its two point indices and its
-    ruling, 0 for the first line's and 1 for the other (same iff disjoint)."""
+    per quadric (by value, so once for every report) and immutable: each line
+    as its two point indices and its ruling, 0 for the first line's and 1 for
+    the other (same iff disjoint)."""
     pts = tuple(length4_orbit_points())
     lines = {}
     for i, j in itertools.combinations(range(4), 2):

@@ -12,6 +12,7 @@ runs are byte-identical.
 
 from __future__ import annotations
 
+import io
 import itertools
 import time
 from functools import cached_property
@@ -32,7 +33,7 @@ from .census import (
 )
 from .cyclo import I_UNIT, ONE
 from .groups import orbit_and_stabilizer, standard_groups
-from .jsontext import json_text
+from .jsontext import write_json
 from .normalizer import assemble_normalizer, involution_swaps_orbits
 from .picard import (
     contraction,
@@ -562,22 +563,39 @@ class Report:
                 "conventions": self.conventions, "checks": [c.serialize() for c in self.checks],
                 "overall": self.overall}
 
+    def write_json(self, fh) -> None:
+        """Write the JSON report to the text file fh as it is produced."""
+        write_json(self.serialize(), fh)
+        fh.write("\n")
+
+    def write_markdown(self, fh) -> None:
+        """Write the markdown report to the text file fh as it is produced."""
+        write = fh.write
+        write(f"# Verification report\n\nTool version: {self.version} (schema {SCHEMA_VERSION})"
+              "\n\n## Conventions\n\n")
+        for key in sorted(self.conventions):
+            write(f"- **{key}**: {self.conventions[key]}\n")
+        write("\n## Summary\n\n| check | status | claim |\n| --- | --- | --- |\n")
+        for c in self.checks:
+            write(f"| `{c.check_id}` | {c.status.upper()} | {c.statement} |\n")
+        write(f"\n**Overall: {self.overall.upper()}**\n\n## Certificates\n")
+        for c in self.checks:
+            write(f"\n### `{c.check_id}`\n\n{c.statement}\n\n```json\n")
+            write_json(c.certificate, fh)
+            write("\n```\n")
+
     def to_json(self) -> str:
-        return json_text(self.serialize()) + "\n"
+        return _written(self.write_json)
 
     def to_markdown(self) -> str:
-        version = f"Tool version: {self.version} (schema {SCHEMA_VERSION})"
-        lines = ["# Verification report", "", version, "", "## Conventions", ""]
-        for key in sorted(self.conventions):
-            lines.append(f"- **{key}**: {self.conventions[key]}")
-        lines += ["", "## Summary", "", "| check | status | claim |", "| --- | --- | --- |"]
-        for c in self.checks:
-            lines.append(f"| `{c.check_id}` | {c.status.upper()} | {c.statement} |")
-        lines += ["", f"**Overall: {self.overall.upper()}**", "", "## Certificates", ""]
-        for c in self.checks:
-            lines += [f"### `{c.check_id}`", "", c.statement, "", "```json",
-                      json_text(c.certificate), "```", ""]
-        return "\n".join(lines)
+        return _written(self.write_markdown)
+
+
+def _written(writer) -> str:
+    """The text that writer writes to a file."""
+    buf = io.StringIO()
+    writer(buf)
+    return buf.getvalue()
 
 
 def _run_check(cid: str, ctx: Context) -> CheckResult:

@@ -31,7 +31,7 @@ WITH_DICT = {"FiniteGroup", "LineConfiguration"}
 OWN_INIT = {"FieldElement", "Permutation", "IntLattice"}
 # declared with eq=True: equal and hashed by class and fields
 BY_VALUE = {"ProjPoint", "ProjLine", "HomogeneousForm", "Permutation", "FiniteGroup",
-            "LineConfiguration", "IntLattice"}
+            "LineConfiguration", "IntLattice", "Surface", "PicardLattice", "DivisorClass"}
 
 
 def value_classes() -> dict[str, type]:

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import dp5links
+from dp5links.cli import main
 from dp5links.report import run_checks
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
@@ -34,9 +35,12 @@ def test_verify_all_equals_golden_report():
     assert run_checks().to_json().encode("utf-8") == GOLDEN.read_bytes()
 
 
-def test_verify_all_markdown_has_the_recorded_digest():
+def test_verify_all_markdown_has_the_recorded_digest(tmp_path):
     text = run_checks().to_markdown().encode("utf-8")
     assert hashlib.sha256(text).hexdigest() == MARKDOWN_SHA256
+    out = tmp_path / "report.md"
+    assert main(["verify", "all", "--format", "markdown", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MARKDOWN_SHA256
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])

@@ -55,13 +55,13 @@ def counting(act):
 @checked
 @given(generator_sets)
 def test_subgroup_closure_has_the_oracle_order_and_is_closed(gens):
+    # the oracle's elements form a group, so equal sets give equal orders and closure
     h = subgroup_closure(gens)
     oracle = PermutationGroup([SympyPermutation(list(g.images)) for g in gens]
                               or [SympyPermutation(list(range(5)))])
-    assert h.order() == oracle.order()
+    assert {p.images for p in h.elements} == {tuple(q.array_form) for q in oracle.elements}
     members = h.element_set()
     assert len(members) == h.order()
-    assert all(a * b in members for a in h.elements for b in h.elements)
 
 
 @checked

@@ -1,4 +1,5 @@
 import ast
+import errno
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dp5links
-from dp5links import census, groups, picard
+from dp5links import census, cli, groups, picard
 from dp5links.cli import main
 from dp5links.cyclo import FieldElement
 from dp5links.report import (
@@ -99,11 +100,17 @@ def test_errors_are_reported_not_raised(ctx, monkeypatch):
     assert report.overall == "fail"
 
 
+def _clear_module_caches() -> None:
+    # keyed by value, so a report built earlier in this process would fill them
+    for cached in (groups.subgroups_of_order, census._fixed_point_orbits, picard.contraction,
+                   picard._ruling_data):
+        cached.cache_clear()
+
+
 def _cold_report_counting(monkeypatch, module, name: str) -> list:
-    """Run a full report with empty group-side caches, recording the
+    """Run a full report with empty module-level caches, recording the
     arguments of every call to ``module.name``."""
-    groups.subgroups_of_order.cache_clear()
-    census._fixed_point_orbits.cache_clear()
+    _clear_module_caches()
     real = getattr(module, name)
     calls = []
     monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
@@ -157,8 +164,7 @@ def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
 
     for attr, name in (("__mul__", "mul"), ("__rmul__", "mul"), ("inverse", "inverse")):
         monkeypatch.setattr(FieldElement, attr, counted(name, getattr(FieldElement, attr)))
-    groups.subgroups_of_order.cache_clear()
-    census._fixed_point_orbits.cache_clear()
+    _clear_module_caches()
     run_checks()
     assert counts == {"mul": 12283, "inverse": 911}
 
@@ -249,6 +255,69 @@ def test_cli_rejects_unwritable_output(tmp_path):
     target = tmp_path / "missing-dir" / "report.json"
     code = main(["verify", "clebsch-smooth", "--format", "json", "--output", str(target)])
     assert code == 2
+
+
+class FullDisk:
+    """A text file that takes its first kilobyte, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh, self.room = fh, 1024
+
+    def write(self, text: str) -> int:
+        self.fh.write(text[:self.room])
+        if len(text) > self.room:
+            self.room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(text)
+        return len(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+def test_a_failed_write_of_the_output_leaves_no_file(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(open(*args, **kwargs)),
+                        raising=False)
+    assert main(["verify", "clebsch-smooth", "--format", "json", "--output", str(out)]) == 2
+    assert f"cannot write {out}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_failed_write_through_a_link_keeps_the_link(monkeypatch, tmp_path):
+    # only a regular file is removed: never a link such as /dev/stdout, or a device
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    link.symlink_to(target)
+    monkeypatch.setitem(CHECK_FUNCTIONS, "clebsch-smooth", lambda ctx: {"x": 0.5})
+    with pytest.raises(TypeError):
+        main(["verify", "clebsch-smooth", "--format", "json", "--output", str(link)])
+    assert link.is_symlink() and target.exists()
+
+
+def test_a_certificate_that_cannot_be_written_leaves_no_file(monkeypatch, tmp_path):
+    out = tmp_path / "report.json"
+    monkeypatch.setitem(CHECK_FUNCTIONS, "clebsch-smooth", lambda ctx: {"x": 0.5})
+    with pytest.raises(TypeError, match="float"):
+        main(["verify", "clebsch-smooth", "--format", "json", "--output", str(out)])
+    assert not out.exists()
+
+
+def test_no_module_level_cache_grows_after_the_first_report():
+    caches = {f"{name}.{attr}": value
+              for name, module in list(sys.modules.items()) if name.split(".")[0] == "dp5links"
+              for attr, value in vars(module).items()
+              if hasattr(value, "cache_info") and value.__module__ == name}
+    assert {"dp5links.picard.contraction", "dp5links.picard._ruling_data",
+            "dp5links.groups.subgroups_of_order",
+            "dp5links.census._fixed_point_orbits"} <= set(caches)
+    sizes = []
+    for _ in range(3):
+        run_checks()
+        sizes.append({name: cached.cache_info().currsize for name, cached in caches.items()})
+    assert sizes[2] == sizes[0]
 
 
 def test_each_check_builds_exactly_the_stages_it_declares():
