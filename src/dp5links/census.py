@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from functools import cache, cached_property
 
-from .cyclo import FieldElement, Frozen, ONE, ZERO, ZETA5, root_of_unity
+from .cyclo import FieldElement, Frozen, ONE, ZERO, root_of_unity
 from .groups import (
     FiniteGroup,
     Permutation,
@@ -92,7 +92,7 @@ def quadric_surface() -> Surface:
 
 def length4_orbit_points() -> list[ProjPoint]:
     """The four eigenvector points (1 : z^a : z^2a : z^3a : z^4a), z = zeta_5."""
-    return [ProjPoint.of([ZETA5 ** ((a * j) % 5) for j in range(5)]) for a in (1, 2, 3, 4)]
+    return [ProjPoint.of([root_of_unity(5, a * j) for j in range(5)]) for a in (1, 2, 3, 4)]
 
 
 # -- orbit census -------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
+from operator import add, attrgetter, sub
 from typing import Iterable, Sequence, Union
 
 DEGREE = 8
@@ -125,6 +125,10 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _fold(p)
 
 
+# z^k folded, for k < 20: the product x z^i * y z^j (i, j < 8) is xy z^(i+j)
+_ZETA_POWERS = tuple(tuple(_fold([int(i == k) for i in range(20)])) for k in range(20))
+
+
 def _galois(k: int, a: Sequence[int]) -> list[int]:
     """sigma_k (zeta -> zeta^k) on an integer coefficient vector."""
     p = [0] * 20
@@ -176,9 +180,7 @@ class FieldElement(Frozen):
     @staticmethod
     def zeta_power(k: int) -> "FieldElement":
         """zeta_20^k, any integer k."""
-        p = [0] * 20
-        p[k % 20] = 1
-        return _element(_fold(p), 1)
+        return _element(_ZETA_POWERS[k % 20], 1)
 
     # -- ring structure ------------------------------------------------
 
@@ -200,7 +202,7 @@ class FieldElement(Frozen):
             return o
         da, db = self.den, o.den
         if da == db:
-            return _element([x + y for x, y in zip(self.num, o.num)], da)
+            return _element(list(map(add, self.num, o.num)), da)
         return _element([x * db + y * da for x, y in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
@@ -213,7 +215,7 @@ class FieldElement(Frozen):
             return self
         da, db = self.den, o.den
         if da == db:
-            return _element([x - y for x, y in zip(self.num, o.num)], da)
+            return _element(list(map(sub, self.num, o.num)), da)
         return _element([x * db - y * da for x, y in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other: Coercible) -> "FieldElement":
@@ -245,6 +247,15 @@ class FieldElement(Frozen):
                 return o
             if a == _MINUS_ONE_NUM:
                 return -o
+        if a.count(0) == 7 and b.count(0) == 7:  # monomials: one nonzero numerator each
+            x, y = sum(a), sum(b)
+            xy, den = x * y, self.den * o.den
+            g = gcd(xy, den)
+            xy //= g
+            e = _new(FieldElement)
+            _set_num(e, tuple([xy * t for t in _ZETA_POWERS[a.index(x) + b.index(y)]]))
+            _set_den(e, den // g)
+            return e
         return _element(_mul(a, b), self.den * o.den)
 
     __rmul__ = __mul__
@@ -267,8 +278,9 @@ class FieldElement(Frozen):
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def inverse(self) -> "FieldElement":
@@ -276,12 +288,11 @@ class FieldElement(Frozen):
         a, d = self.num, self.den
         if a == _ZERO_NUM:
             raise DivisionByZero("inverse of the zero element")
-        terms = [(i, x) for i, x in enumerate(a) if x]
-        if len(terms) == 1:  # (x z^i)^-1 = z^(20-i) / x
-            (i, norm), = terms
-            adj = [0] * 20
-            adj[-i % 20] = d
-            adj = _fold(adj)
+        if d == 1 and (a == _ONE_NUM or a == _MINUS_ONE_NUM):
+            return self
+        if a.count(0) == 7:  # (x z^i)^-1 = z^(20-i) / x = -z^(10-i) / x
+            norm = sum(a)
+            adj = [-d * t for t in _ZETA_POWERS[10 - a.index(norm)]]
         else:
             s11 = _galois(11, a)
             b = _mul(a, s11)
@@ -338,14 +349,8 @@ class FieldElement(Frozen):
     def serialize(self) -> list[str]:
         """Eight strings "num/den" in power-basis order (bit-exact)."""
         d = self.den
-        out = []
-        for x in self.num:
-            if x:
-                g = gcd(x, d)
-                out.append(f"{x // g}/{d // g}")
-            else:  # one shared string for the most common coefficient
-                out.append("0/1")
-        return out
+        # one shared string for the most common coefficient
+        return [f"{x // (g := gcd(x, d))}/{d // g}" if x else "0/1" for x in self.num]
 
     @staticmethod
     def deserialize(data: Sequence[str]) -> "FieldElement":
@@ -385,5 +390,4 @@ I_UNIT = FieldElement.zeta_power(5)    # imaginary unit
 SQRT5 = ONE + 2 * (ZETA5 + ZETA5 ** 4)
 
 
-def rational(q: Rat) -> FieldElement:
-    return FieldElement.from_rational(q)
+rational = FieldElement.from_rational

@@ -1,11 +1,11 @@
 """Exact dense linear algebra over Q(zeta_20) and integer-lattice routines.
 
 Matrices are plain row grids, and they are tiny (at most 12x12), so one
-routine, ``rref``, does every elimination over K: fraction-preserving Gaussian
+forward pass, ``_echelon``, does every elimination over K: Gaussian
 elimination with first-nonzero pivoting, deterministic, no pivot heuristics.
-Left of each pivot column the pivot row is zero, so ``rref`` scales and
-eliminates only the columns right of the pivot, and skips the pivot row's
-zero entries.
+It scales and clears only right of each pivot, at the pivot row's nonzero
+entries, and leaves a pivot equal to ONE unscaled.  ``rank`` counts its
+pivots; ``rref`` adds back substitution.
 Integer ranks and coordinates are taken over the rationals inside K; a Smith
 normal form with least-entry pivots, which ends without an iteration cap,
 serves only saturated kernels.
@@ -36,11 +36,12 @@ def serialize_grid(m) -> list[list[list[str]]]:
 
 # -- elimination over K -----------------------------------------------------
 
-def rref(m) -> tuple[Grid, list[int]]:
-    """Reduced row echelon form and pivot column indices.
+def _echelon(m) -> tuple[Grid, list[int]]:
+    """Row echelon form with pivots ONE, and the pivot column indices.
 
     Pivoting takes the first row with a nonzero entry in the current column;
-    exact arithmetic makes this deterministic and safe.
+    exact arithmetic makes this deterministic and safe.  Only the rows below
+    a pivot are cleared.
     """
     a = _as_grid(m)
     if not a:
@@ -54,16 +55,11 @@ def rref(m) -> tuple[Grid, list[int]]:
             continue
         row = a[pivot_row]
         a[pivot_row] = a[r]
-        inv = row[c].inverse()
-        # row[:c] is zero, so only the columns right of c change anywhere
-        tail = [x * inv for x in row[c + 1:]]
-        a[r] = row[:c] + [ONE] + tail
-        for i in range(nrows):
-            f = a[i][c]
-            if i != r and f:
-                other = a[i]
-                a[i] = other[:c] + [ZERO] + [x - f * y if y else x
-                                             for x, y in zip(other[c + 1:], tail)]
+        if row[c] != ONE:
+            inv = row[c].inverse()
+            row = row[:c] + [ONE] + [x * inv for x in row[c + 1:]]
+        a[r] = row
+        _clear(a, range(r + 1, nrows), c, row)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -71,8 +67,31 @@ def rref(m) -> tuple[Grid, list[int]]:
     return a, pivots
 
 
+def _clear(a: Grid, rows, c: int, pivot_row: Vector) -> None:
+    """Subtract multiples of pivot_row (ONE at column c, zero left of it) from rows."""
+    tail = pivot_row[c + 1:]
+    for i in rows:
+        f = a[i][c]
+        if f:
+            other = a[i]
+            a[i] = other[:c] + [ZERO] + [x - f * y if y else x
+                                         for x, y in zip(other[c + 1:], tail)]
+
+
+def rref(m) -> tuple[Grid, list[int]]:
+    """Reduced row echelon form and pivot column indices.
+
+    Back substitution on the echelon form from the last pivot up, so a pivot
+    row is zero at the later pivot columns when it clears the rows above.
+    """
+    a, pivots = _echelon(m)
+    for r in range(len(pivots) - 1, 0, -1):
+        _clear(a, range(r), pivots[r], a[r])
+    return a, pivots
+
+
 def rank(m) -> int:
-    return len(rref(m)[1])
+    return len(_echelon(m)[1])
 
 
 def kernel_basis(m) -> list[Vector]:
@@ -110,19 +129,17 @@ def solve(a, b: Sequence[FieldElement]) -> Vector | None:
 
 
 def mat_mul(a, b) -> Grid:
-    ga, gb = _as_grid(a), _as_grid(b)
-    n, k = len(ga), len(gb)
-    m = len(gb[0]) if k else 0
+    gb = _as_grid(b)
+    m = len(gb[0]) if gb else 0
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = ZERO
-            for t in range(k):
-                if ga[i][t] and gb[t][j]:
-                    s = s + ga[i][t] * gb[t][j]
-            row.append(s)
-        out.append(row)
+    for row in a:
+        acc = [ZERO] * m
+        for x, brow in zip(row, gb):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] = acc[j] + x * y
+        out.append(acc)
     return out
 
 
@@ -170,6 +187,7 @@ class IntLattice(Frozen, eq=True):
         return IntLattice(n, tuple(tuple(int(x) for x in row) for row in gram), tuple(labels))
 
     def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
+        # a generator over the few nonzero entries beats four chained maps here
         return sum(u[i] * x * v[j] for i, j, x in self._entries)
 
     def serialize(self) -> dict:

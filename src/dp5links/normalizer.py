@@ -36,7 +36,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable
 
-from .cyclo import FieldElement, Frozen, I_UNIT, ZERO, rational, root_of_unity
+from .cyclo import FieldElement, Frozen, ZERO, rational, root_of_unity
 from .groups import FiniteGroup, Permutation
 from .linalg import Grid, identity_grid, mat_mul, mat_vec, rank, serialize_grid, transpose
 from .projgeo import HYPERPLANE_BASIS, ProjPoint, hyperplane_gram, power_sum_form
@@ -121,7 +121,7 @@ def characters_of_g20(g: FiniteGroup) -> list[Character]:
         h = t * h
     chars = []
     for k in range(4):
-        values = {h: I_UNIT ** (k * a) for h, a in cosets.items()}
+        values = {h: root_of_unity(4, k * a) for h, a in cosets.items()}
         chars.append(Character(label=f"chi{k}", values=values))
     return chars
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import mul
 
 from .census import (
     LineConfiguration,
@@ -108,7 +109,7 @@ class PicardLattice(Frozen, eq=True):
 
 
 def apply_matrix(m, v) -> IntVec:
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 # heads of the lattices head + <-1>^m below: <1> (the cubic's h) and the

@@ -39,8 +39,10 @@ class ProjPoint(Frozen, eq=True):
         lead = next((c for c in cs if not c.is_zero()), None)
         if lead is None:
             raise ValueError("all coordinates are zero")
-        inv = lead.inverse()
-        return ProjPoint(tuple(c * inv for c in cs))
+        if lead != ONE:
+            inv = lead.inverse()
+            cs = [c * inv for c in cs]
+        return ProjPoint(tuple(cs))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -52,8 +54,8 @@ class ProjPoint(Frozen, eq=True):
     def deserialize(data: Sequence[Sequence[str]]) -> "ProjPoint":
         return ProjPoint.of([FieldElement.deserialize(c) for c in data])
 
-    def sort_key(self) -> tuple:
-        return tuple(tuple(c.coeffs) for c in self.coords)
+    def sort_key(self) -> tuple:  # x/1 orders as x, so no Fractions for integer numerators
+        return tuple(c.num if c.den == 1 else c.coeffs for c in self.coords)
 
     def __repr__(self) -> str:
         return "(" + " : ".join(repr(c) for c in self.coords) + ")"
@@ -87,7 +89,7 @@ class ProjLine(Frozen, eq=True):
         return ProjLine.span(rows[0], rows[1])
 
     def sort_key(self) -> tuple:
-        return tuple(tuple(tuple(c.coeffs) for c in row) for row in self.basis)
+        return tuple(tuple(c.num if c.den == 1 else c.coeffs for c in row) for row in self.basis)
 
     def __repr__(self) -> str:
         return f"ProjLine{self.basis!r}"
@@ -135,9 +137,13 @@ class HomogeneousForm(Frozen, eq=True):
         for mono, c in self.coeffs:
             term = c
             for x, e in zip(point, mono):
-                for _ in range(e):
-                    term = term * x
-            total = total + term
+                if e:
+                    if not x:  # the monomial vanishes
+                        break
+                    for _ in range(e):
+                        term = term * x
+            else:
+                total = total + term
         return total
 
     def serialize(self) -> list[dict]:

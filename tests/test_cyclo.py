@@ -17,6 +17,7 @@ from dp5links.cyclo import (
     ZERO,
     ZETA,
     ZETA5,
+    _element,
     _fold,
     _mul,
     galois_apply,
@@ -184,3 +185,35 @@ def test_power_negative_exponent():
     a = FieldElement([1, 2, 0, 0, 1, 0, 0, 0])
     assert a ** -1 == a.inverse()
     assert a ** 0 == ONE
+
+
+def test_power_squares_only_below_its_top_bit(monkeypatch):
+    # one product per set bit of n and one squaring per bit below the top one
+    calls = []
+    real = FieldElement.__mul__
+    monkeypatch.setattr(FieldElement, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    a = FieldElement([1, 2, 0, 0, 1, 0, 0, 0])
+    for n in range(1, 17):
+        calls.clear()
+        a ** n
+        assert len(calls) == bin(n).count("1") + n.bit_length() - 1, n
+
+
+def test_product_of_two_monomials_matches_the_convolution_and_sympy():
+    # signed coefficients whose product shares a factor with the denominator
+    pairs = [(Fraction(-6, 5), Fraction(10, 3)), (Fraction(3, 4), Fraction(-2, 9)),
+             (Fraction(-4), Fraction(-1, 2)), (Fraction(2), Fraction(-3))]
+    for i in range(DEGREE):
+        for j in range(DEGREE):
+            for x, y in pairs:
+                a = FieldElement([x if k == i else 0 for k in range(DEGREE)])
+                b = FieldElement([y if k == j else 0 for k in range(DEGREE)])
+                product = a * b
+                generic = _element(_mul(a.num, b.num), a.den * b.den)
+                assert (product.num, product.den) == (generic.num, generic.den)
+                assert product.coeffs == tuple(x * y * c for c in remainder_coeffs(i + j))
+
+
+def test_inverse_of_plus_minus_one_is_the_operand():
+    for unit in (ONE, -ONE, rational(1), rational(-1)):
+        assert unit.inverse() is unit

@@ -5,7 +5,9 @@ columns and rows that are combinations of earlier rows.  On rational entries
 ``rref`` is compared with sympy's ``Matrix.rref()``.  On entries from K the
 reduced row echelon form is unique, so it is checked for its defining shape
 and for invariance under row permutations and invertible row operations;
-``rank``, ``kernel_basis`` and ``solve`` are checked against each other.
+``rank``, ``kernel_basis`` and ``solve`` are checked against each other,
+and ``rank``, which stops at an echelon form, against sympy's rank on
+rational entries and against the pivots of ``rref`` on entries from K.
 """
 
 from datetime import timedelta
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dp5links.cyclo import ONE, ZERO, FieldElement, rational
-from dp5links.linalg import kernel_basis, mat_vec, rank, rref, solve
+from dp5links.linalg import kernel_basis, mat_vec, rank, rref, solve, transpose
 
 checked = settings(deadline=timedelta(milliseconds=2000), max_examples=100)
 
@@ -28,6 +30,8 @@ monomials = st.builds(lambda q, k: rational(q) * FieldElement.zeta_power(k),
 k_entries = st.one_of(st.just(ZERO), st.just(ZERO), small.map(rational), monomials,
                       st.builds(lambda a, b: a + b, monomials, monomials))
 nonzero_k = k_entries.filter(bool)
+# pivots of exactly +-1, which elimination treats apart, besides general ones
+unit_k_entries = st.one_of(st.just(ONE), st.just(-ONE), k_entries)
 
 
 @st.composite
@@ -98,6 +102,20 @@ def test_rref_of_rational_matrices_matches_sympy(m):
     expected, expected_pivots = to_sympy(m).rref()
     assert to_sympy(red) == expected
     assert pivots == list(expected_pivots)
+
+
+@checked
+@given(matrices(rational_entries))
+def test_rank_of_rational_matrices_matches_sympy(m):
+    assert rank(m) == to_sympy(m).rank()
+
+
+@checked
+@given(matrices(unit_k_entries), st.data())
+def test_rank_counts_the_pivots_of_rref_and_of_the_transpose(m, data):
+    zero_rows = data.draw(st.sets(st.integers(0, len(m) - 1), max_size=len(m)))
+    m = [[ZERO] * len(row) if i in zero_rows else row for i, row in enumerate(m)]
+    assert rank(m) == len(rref(m)[1]) == rank(transpose(m))
 
 
 @checked

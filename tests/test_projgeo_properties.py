@@ -3,6 +3,7 @@
 line_in_surface decides whether a form vanishes along a line by evaluating
 it at d + 1 points of the line; restrict_to_line expands the restricted
 binary form symbolically.  The two must agree on every form and line.
+Point and line sort keys must order as the Fraction coefficients do.
 """
 
 from datetime import timedelta
@@ -11,9 +12,9 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dp5links.cyclo import DEGREE, FieldElement, ONE, ZERO
+from dp5links.cyclo import DEGREE, FieldElement, ONE, ZERO, rational
 from dp5links.linalg import kernel_basis
-from dp5links.projgeo import HomogeneousForm, ProjLine, line_in_surface
+from dp5links.projgeo import HomogeneousForm, ProjLine, ProjPoint, line_in_surface
 
 from geometry_oracles import coeff_map, is_zero_form, poly_add, poly_mul, restrict_to_line
 
@@ -93,3 +94,28 @@ def test_the_last_evaluation_point_is_needed():
     form = HomogeneousForm.of(NVARS, 3, {(1, 2, 0, 0, 0): ONE, (2, 1, 0, 0, 0): -ONE})
     assert not line_in_surface(line, form)
     assert not is_zero_form(restrict_to_line(form, line))
+
+
+# few values, so that equal numerators over different denominators are common
+near = st.sampled_from([rational(q) * z for q in (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+                        for z in (ONE, FieldElement([0, 1]))])
+mixed_vectors = st.lists(st.one_of(near, scalars), min_size=NVARS, max_size=NVARS)
+
+
+def fraction_key(rows):
+    return tuple(tuple(tuple(c.coeffs) for c in row) for row in rows)
+
+
+@checked
+@given(mixed_vectors, mixed_vectors, mixed_vectors, mixed_vectors)
+def test_sort_keys_order_as_the_fraction_coefficients(v1, v2, v3, v4):
+    assume(any(v1) and any(v2))
+    p, q = ProjPoint.of(v1), ProjPoint.of(v2)
+    assert (p.sort_key() < q.sort_key()) == (fraction_key([p.coords]) < fraction_key([q.coords]))
+    assert (p.sort_key() == q.sort_key()) == (p == q)
+    try:
+        a, b = ProjLine.span(v1, v2), ProjLine.span(v3, v4)
+    except ValueError:
+        return
+    assert (a.sort_key() < b.sort_key()) == (fraction_key(a.basis) < fraction_key(b.basis))
+    assert (a.sort_key() == b.sort_key()) == (a == b)

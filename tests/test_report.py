@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dp5links
-from dp5links import census, cli, groups, picard
+from dp5links import census, cli, cyclo, groups, picard
 from dp5links.cli import main
 from dp5links.cyclo import FieldElement
 from dp5links.report import (
@@ -156,7 +156,12 @@ def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
     # the quadric's hyperplane gram was written entrywise instead of as B^T G B.
     # 12,972 and 981 before the quadric's four rulings and their families were
     # computed once per quadric and each generator's ruling swap read off its
-    # permutation of the length-4 orbit, not from 8 image lines and their meets
+    # permutation of the length-4 orbit, not from 8 image lines and their meets.
+    # 12,283 and 911 before rank stopped at an echelon form, pivots and lead
+    # coordinates equal to ONE went unscaled, +-1 returned itself as its
+    # inverse, forms skipped monomials at a zero coordinate, powers stopped
+    # squaring after their top bit and the length-4 orbit and the characters
+    # took their roots of unity in closed form
     counts = Counter()
 
     def counted(name, real):
@@ -164,9 +169,12 @@ def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
 
     for attr, name in (("__mul__", "mul"), ("__rmul__", "mul"), ("inverse", "inverse")):
         monkeypatch.setattr(FieldElement, attr, counted(name, getattr(FieldElement, attr)))
+    # the 20-slot convolutions, in products and inverses; 3,339 before a
+    # product of two monomials read its power of zeta from a table
+    monkeypatch.setattr(cyclo, "_mul", counted("convolution", cyclo._mul))
     _clear_module_caches()
     run_checks()
-    assert counts == {"mul": 12283, "inverse": 911}
+    assert counts == {"mul": 9588, "inverse": 455, "convolution": 2038}
 
 
 def test_a_full_report_pins_the_point_images(monkeypatch):
