@@ -78,10 +78,12 @@ class Frozen:
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        values = dict(zip(fields, args), **kwargs)
-        if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
-            raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)})")
-        self.__setstate__([values[name] for name in fields])
+        if kwargs or len(args) != len(fields):  # all fields positional: no dict to build
+            values = dict(zip(fields, args), **kwargs)
+            if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)})")
+            args = [values[name] for name in fields]
+        self.__setstate__(args)
 
     def __getstate__(self):
         return tuple(getattr(self, name) for name in self._fields)
@@ -140,8 +142,7 @@ def _galois(k: int, a: Sequence[int]) -> list[int]:
 
 def _element(num: Sequence[int], den: int) -> "FieldElement":
     """The canonical element num/den in lowest terms; den must be positive."""
-    g = gcd(den, *num)
-    if g != 1:
+    if den != 1 and (g := gcd(den, *num)) != 1:  # x/1 is in lowest terms
         num = [x // g for x in num]
         den //= g
     e = _new(FieldElement)
@@ -169,11 +170,8 @@ class FieldElement(Frozen):
 
     @staticmethod
     def from_rational(q: Rat) -> "FieldElement":
-        if q.__class__ is int:  # q/1 is in lowest terms: no Fraction, no gcd
-            e = _new(FieldElement)
-            _set_num(e, (q,) + _ZERO_NUM[1:])
-            _set_den(e, 1)
-            return e
+        if q.__class__ is int:  # q/1 needs no Fraction
+            return _element((q,) + _ZERO_NUM[1:], 1)
         q = Fraction(q)
         return _element((q.numerator,) + _ZERO_NUM[1:], q.denominator)
 
@@ -202,7 +200,7 @@ class FieldElement(Frozen):
             return o
         da, db = self.den, o.den
         if da == db:
-            return _element(list(map(add, self.num, o.num)), da)
+            return _element(tuple(map(add, self.num, o.num)), da)
         return _element([x * db + y * da for x, y in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
@@ -215,7 +213,7 @@ class FieldElement(Frozen):
             return self
         da, db = self.den, o.den
         if da == db:
-            return _element(list(map(sub, self.num, o.num)), da)
+            return _element(tuple(map(sub, self.num, o.num)), da)
         return _element([x * db - y * da for x, y in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other: Coercible) -> "FieldElement":

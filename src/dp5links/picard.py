@@ -86,11 +86,11 @@ class PicardLattice(Frozen, eq=True):
         raise KeyError(label)
 
     def check_action_invariants(self) -> None:
-        pair, gram = self.lattice.pair, self.lattice.gram
+        gram = self.lattice.gram
         for m in self.actions:
             # M^T G M = G: the images of the basis pair as the basis does
-            cols = list(zip(*m))
-            if any(pair(u, v) != x for u, row in zip(cols, gram) for v, x in zip(cols, row)):
+            cols = tuple(zip(*m))
+            if tuple(apply_matrix(cols, apply_matrix(gram, c)) for c in cols) != gram:
                 raise InconsistentIncidence("action matrix is not a gram isometry")
             img = apply_matrix(m, self.anticanonical)
             if img != tuple(self.anticanonical):
@@ -190,12 +190,13 @@ def reconstruct_picard(cfg: LineConfiguration, g: FiniteGroup,
         classes.append(tuple(v))
     anticanonical = (3, -1, -1, -1, -1, -1, -1)
     for i in range(n):
-        if lattice.pair(classes[i], classes[i]) != -1:
+        w = apply_matrix(lattice.gram, classes[i])  # G c_i: pairing with c_i is a dot product
+        if sum(map(mul, w, classes[i])) != -1:
             raise InconsistentIncidence("line class with self-intersection != -1")
-        if lattice.pair(classes[i], anticanonical) != 1:
+        if sum(map(mul, w, anticanonical)) != 1:
             raise InconsistentIncidence("line class with anticanonical degree != 1")
         for j in range(i + 1, n):
-            if lattice.pair(classes[i], classes[j]) != cfg.incidence[i][j]:
+            if sum(map(mul, w, classes[j])) != cfg.incidence[i][j]:
                 raise InconsistentIncidence(
                     f"classes of {cfg.labels[i]}, {cfg.labels[j]} disagree with incidence"
                 )
