@@ -495,25 +495,16 @@ def smoothness_check(s: Surface) -> dict:
             raise UnsupportedShape("smoothness certificate needs a diagonal cubic")
         ratios = [diag[0] / diag[i] for i in range(1, 5)]
         # arithmetic in K[s1..s4]/(s_i^2 - ratios[i]); elements keyed by bitmask
-        def ring_mul(a: dict[int, FieldElement], b: dict[int, FieldElement]) -> dict:
-            out: dict[int, FieldElement] = {}
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    coeff = c1 * c2
-                    common = m1 & m2
-                    for bit in range(4):
-                        if common >> bit & 1:
-                            coeff = coeff * ratios[bit]
-                    key = m1 ^ m2
-                    out[key] = out.get(key, ZERO) + coeff
-            return {k: v for k, v in out.items() if not v.is_zero()}
-
         product: dict[int, FieldElement] = {0: ONE}
-        for signs in _SIGN_PATTERNS:
-            factor = {0: ONE}
+        for signs in _SIGN_PATTERNS:  # product * (1 + sum(sign_i s_i)), no unit products
+            out = dict(product)
             for bit, sign in enumerate(signs):
-                factor[1 << bit] = ONE if sign == 1 else -ONE
-            product = ring_mul(product, factor)
+                b = 1 << bit
+                for m, c in product.items():
+                    term = c * ratios[bit] if m & b else c  # s_i^2 = ratios[i]
+                    acc = out.get(m ^ b, ZERO)
+                    out[m ^ b] = acc + term if sign == 1 else acc - term
+            product = {k: v for k, v in out.items() if not v.is_zero()}
         if not set(product) <= {0}:
             raise NormNotConstant("the product over all sign patterns must lie in K")
         norm = product.get(0, ZERO)

@@ -200,7 +200,7 @@ class FieldElement(Frozen):
             return o
         da, db = self.den, o.den
         if da == db:
-            return _element(tuple(map(add, self.num, o.num)), da)
+            return _element(list(map(add, self.num, o.num)), da)
         return _element([x * db + y * da for x, y in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
@@ -213,7 +213,7 @@ class FieldElement(Frozen):
             return self
         da, db = self.den, o.den
         if da == db:
-            return _element(tuple(map(sub, self.num, o.num)), da)
+            return _element(list(map(sub, self.num, o.num)), da)
         return _element([x * db - y * da for x, y in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other: Coercible) -> "FieldElement":

@@ -3,6 +3,7 @@ import itertools
 import weakref
 
 import pytest
+import sympy
 
 from dp5links import census, projgeo
 from dp5links.census import (
@@ -365,6 +366,23 @@ def test_smoothness_detects_singular_diagonal_cubic():
     witness = ProjPoint.of([rational(1), rational(-1), rational(-1),
                             rational(1) / 2, rational(1) / 2])
     assert membership(witness, [singular.hyperplane, singular.form])
+
+
+def test_smoothness_norm_of_a_diagonal_cubic_matches_sympy():
+    # ratios a_0/a_i other than 1: the norm is the product of
+    # 1 + sum(eps_i sqrt(a_0/a_i)) over all sign patterns, a nonzero rational
+    coeffs = [2, 1, 3, 5, 7]
+    terms = {tuple(3 if i == j else 0 for i in range(5)): rational(coeffs[j])
+             for j in range(5)}
+    cert = smoothness_check(Surface("diagonal-cubic", power_sum_form(5, 1),
+                                    HomogeneousForm.of(5, 3, terms)))
+    roots = [sympy.sqrt(sympy.Rational(coeffs[0], a)) for a in coeffs[1:]]
+    expected = sympy.Integer(1)
+    for signs in itertools.product((1, -1), repeat=4):
+        expected = sympy.expand(expected * (1 + sum(e * r for e, r in zip(signs, roots))))
+    assert expected.is_Rational and expected != 0
+    assert cert["smooth"]
+    assert cert["norm"] == [f"{expected.p}/{expected.q}"] + ["0/1"] * 7
 
 
 def test_smoothness_rejects_a_norm_left_with_square_root_terms(clebsch, monkeypatch):
