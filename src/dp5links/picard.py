@@ -89,7 +89,7 @@ class PicardLattice(Frozen, eq=True):
         gram = self.lattice.gram
         for m in self.actions:
             # M^T G M = G: the images of the basis pair as the basis does
-            cols = tuple(zip(*m))
+            cols = list(zip(*m))
             if tuple(apply_matrix(cols, apply_matrix(gram, c)) for c in cols) != gram:
                 raise InconsistentIncidence("action matrix is not a gram isometry")
             img = apply_matrix(m, self.anticanonical)
