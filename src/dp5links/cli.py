@@ -8,6 +8,7 @@ import stat
 import sys
 import time
 
+from .cyclo import table_sizes
 from .report import CHECK_STAGES, STATEMENTS, UnknownCheckId, run_checks
 
 
@@ -28,7 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--timings", action="store_true",
                         help="print per-check wall times and the stages each check "
                              "declares, then when the checks were done and the report "
-                             "written, to standard error")
+                             "written, then the field's distinct values and computed "
+                             "operations, to standard error")
     return parser
 
 
@@ -79,6 +81,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{c.check_id}: {c.wall_time_ms:.1f} ms (stages: {stages})", file=sys.stderr)
         print(f"timeline: checks done at {(checks_done - start) * 1000:.1f} ms, "
               f"report written at {(written - start) * 1000:.1f} ms", file=sys.stderr)
+        # read from the field's tables, so no operation keeps a counter; after
+        # an emptying at cyclo.TABLE_CAP they count from that emptying
+        sizes = table_sizes()
+        print(f"field: {sizes['values']} distinct values; {sizes['products']} products, "
+              f"{sizes['sums']} sums and {sizes['inverses']} inverses computed",
+              file=sys.stderr)
     return 0 if report.overall == "pass" else 1
 
 

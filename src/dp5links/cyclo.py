@@ -21,12 +21,37 @@ b = a sigma_11(a) and c = b sigma_9(b) the norm N(a) = c sigma_3(c) is
 rational and 1/a = sigma_11(a) sigma_9(b) sigma_3(c) / N(a).  There is no
 floating-point code path; all comparisons are exact.
 
-Values are immutable and hashable, hence freely shareable between threads.
+Values are hash-consed.  A report does its arithmetic on a few hundred
+distinct small values, so one shared element stands for each value, and the
+results of products, sums, differences, negations and inverses are looked
+up, not recomputed.  Every element carries a serial number; serials come
+from one counter and are never reused, so a serial denotes one value for the
+life of the process (an object id is reused once its object dies and could
+not).  Every path that makes an element from its numerators (_element,
+negation, the monomial product and the constructor) looks the value up in
+the value table and takes the serial of the element found there, or enters
+a new element with a fresh serial; the constructor returns a new object
+that carries the shared element's serial.  A copy or a pickle is a distinct
+object with a fresh serial of its own.  The memos map operand serials to
+results: an operation first looks up its operands' serials and computes
+only on a miss.  When any table reaches TABLE_CAP entries, the value table
+and every memo are emptied together, which costs later lookups their hits
+and nothing else.  Equality and hashing stay by value; identity is only a
+fast path of equality.
+
+Elements are immutable and safe to share between threads.  Each step on
+the tables is one dict or counter operation, atomic under the interpreter
+lock; two threads that make the same new value at once can enter two
+elements for it, each with its own serial, and two that miss on the same
+operation both compute it and store equal results; threads that store at
+once can take a table an entry or two past TABLE_CAP before it is emptied.
+Either way every result is right, so the tables take no lock.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 from operator import add, attrgetter, sub
 from typing import Iterable, Sequence, Union
@@ -44,19 +69,22 @@ _ONE_NUM = (1,) + _ZERO_NUM[1:]
 _MINUS_ONE_NUM = (-1,) + _ZERO_NUM[1:]
 _FRACTION_ZERO = Fraction(0)
 
+# the size at which the value table and the memos are emptied together
+TABLE_CAP = 1 << 16
+
 
 class Frozen:
     """Base of the immutable value classes: assigning an attribute raises.
 
-    A subclass names its fields once, in __slots__; dunder entries are not
-    fields, and "__dict__" holds cached values.  The constructor fills the
-    fields past the guard, positionally or by keyword, as __setstate__ does
-    for copies and pickles.  A subclass declared with ``eq=True`` compares
-    and hashes by class and fields; the others, several holding dicts or
-    lists, keep identity equality.  Three classes write their constructor:
-    FieldElement, made some 15,000 times per report, sets its slots itself
-    (and keeps an equality that takes ints and Fractions); Permutation
-    checks for a bijection; IntLattice checks its gram matrix.
+    A subclass names its fields once, in __slots__; entries that begin with
+    two underscores are not fields, and "__dict__" holds cached values.  The
+    constructor fills the fields past the guard, positionally or by keyword,
+    as __setstate__ does for copies and pickles.  A subclass declared with
+    ``eq=True`` compares and hashes by class and fields; the others, several
+    holding dicts or lists, keep identity equality.  Three classes write
+    their constructor: FieldElement, made some 15,000 times per report, sets
+    its slots itself (and keeps an equality that takes ints and Fractions);
+    Permutation checks for a bijection; IntLattice checks its gram matrix.
     """
 
     __slots__ = ()
@@ -141,20 +169,50 @@ def _galois(k: int, a: Sequence[int]) -> list[int]:
 
 
 def _element(num: Sequence[int], den: int) -> "FieldElement":
-    """The canonical element num/den in lowest terms; den must be positive."""
+    """The shared element num/den in lowest terms; den must be positive."""
     if den != 1 and (g := gcd(den, *num)) != 1:  # x/1 is in lowest terms
         num = [x // g for x in num]
         den //= g
-    e = _new(FieldElement)
-    _set_num(e, tuple(num))
-    _set_den(e, den)
+    return _intern(tuple(num), den)
+
+
+def _intern(num: tuple[int, ...], den: int) -> "FieldElement":
+    """The shared element num/den, which must already be in lowest terms."""
+    key = (num, den)
+    e = _values.get(key)
+    if e is None:
+        e = _new(FieldElement)
+        _set_num(e, num)
+        _set_den(e, den)
+        _set_serial(e, next(_serials))
+        _remember(_values, key, e)
     return e
+
+
+def _remember(table: dict, key, value):
+    """Store value under key, emptying every table first if this one is full."""
+    if len(table) >= TABLE_CAP:
+        clear_tables()
+    table[key] = value
+    return value
+
+
+def clear_tables() -> None:
+    """Empty the value table and the memos of products, sums, differences,
+    negations and inverses."""
+    for table in _TABLES.values():
+        table.clear()
+
+
+def table_sizes() -> dict[str, int]:
+    """The number of entries in the value table and in each memo."""
+    return {name: len(table) for name, table in _TABLES.items()}
 
 
 class FieldElement(Frozen):
     """An element of Q(zeta_20): integer numerators over a common denominator."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "__serial")
 
     def __init__(self, coeffs: Iterable[Rat]):
         cs = [Fraction(c) for c in coeffs]
@@ -165,6 +223,12 @@ class FieldElement(Frozen):
         e = _element(_fold(p), den)
         _set_num(self, e.num)
         _set_den(self, e.den)
+        _set_serial(self, e.__serial)
+
+    def __setstate__(self, state) -> None:
+        # a copy or a pickle is a distinct object, so it takes a fresh serial
+        Frozen.__setstate__(self, state)
+        _set_serial(self, next(_serials))
 
     # -- constructors -------------------------------------------------
 
@@ -181,6 +245,8 @@ class FieldElement(Frozen):
         return _element(_ZETA_POWERS[k % 20], 1)
 
     # -- ring structure ------------------------------------------------
+    # Each operation looks its operands' serials up in its memo and computes
+    # only on a miss (module docstring).
 
     @staticmethod
     def _coerce(x: Coercible) -> "FieldElement":
@@ -194,14 +260,9 @@ class FieldElement(Frozen):
         o = other if other.__class__ is FieldElement else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.num == _ZERO_NUM:
-            return self
-        if self.num == _ZERO_NUM:
-            return o
-        da, db = self.den, o.den
-        if da == db:
-            return _element(list(map(add, self.num, o.num)), da)
-        return _element([x * db + y * da for x, y in zip(self.num, o.num)], da * db)
+        key = (self.__serial, o.__serial)
+        e = _sums.get(key)
+        return _remember(_sums, key, _sum(self, o)) if e is None else e
 
     __radd__ = __add__
 
@@ -209,52 +270,26 @@ class FieldElement(Frozen):
         o = other if other.__class__ is FieldElement else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.num == _ZERO_NUM:
-            return self
-        da, db = self.den, o.den
-        if da == db:
-            return _element(list(map(sub, self.num, o.num)), da)
-        return _element([x * db - y * da for x, y in zip(self.num, o.num)], da * db)
+        key = (self.__serial, o.__serial)
+        e = _differences.get(key)
+        return _remember(_differences, key, _difference(self, o)) if e is None else e
 
     def __rsub__(self, other: Coercible) -> "FieldElement":
         o = self._coerce(other)
         return NotImplemented if o is NotImplemented else o - self
 
     def __neg__(self) -> "FieldElement":
-        # negation keeps lowest terms, so no gcd is needed
-        e = _new(FieldElement)
-        _set_num(e, tuple([-x for x in self.num]))
-        _set_den(e, self.den)
-        return e
+        key = self.__serial
+        e = _negations.get(key)
+        return _remember(_negations, key, _negation(self)) if e is None else e
 
     def __mul__(self, other: Coercible) -> "FieldElement":
         o = other if other.__class__ is FieldElement else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self.num, o.num
-        if a == _ZERO_NUM or b == _ZERO_NUM:
-            return ZERO
-        # half of all products in a report have an operand of exactly +-1
-        if o.den == 1:
-            if b == _ONE_NUM:
-                return self
-            if b == _MINUS_ONE_NUM:
-                return -self
-        if self.den == 1:
-            if a == _ONE_NUM:
-                return o
-            if a == _MINUS_ONE_NUM:
-                return -o
-        if a.count(0) == 7 and b.count(0) == 7:  # monomials: one nonzero numerator each
-            x, y = sum(a), sum(b)
-            xy, den = x * y, self.den * o.den
-            g = gcd(xy, den)
-            xy //= g
-            e = _new(FieldElement)
-            _set_num(e, tuple([xy * t for t in _ZETA_POWERS[a.index(x) + b.index(y)]]))
-            _set_den(e, den // g)
-            return e
-        return _element(_mul(a, b), self.den * o.den)
+        key = (self.__serial, o.__serial)
+        e = _products.get(key)
+        return _remember(_products, key, _product(self, o)) if e is None else e
 
     __rmul__ = __mul__
 
@@ -283,28 +318,9 @@ class FieldElement(Frozen):
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse through the Galois norm tower (module docstring)."""
-        a, d = self.num, self.den
-        if a == _ZERO_NUM:
-            raise DivisionByZero("inverse of the zero element")
-        if d == 1 and (a == _ONE_NUM or a == _MINUS_ONE_NUM):
-            return self
-        if a.count(0) == 7:  # (x z^i)^-1 = z^(20-i) / x = -z^(10-i) / x
-            norm = sum(a)
-            adj = [-d * t for t in _ZETA_POWERS[10 - a.index(norm)]]
-        else:
-            s11 = _galois(11, a)
-            b = _mul(a, s11)
-            s9 = _galois(9, b)
-            c = _mul(b, s9)
-            s3 = _galois(3, c)
-            n = _mul(c, s3)
-            if any(n[1:]):
-                raise IrrationalNorm(f"norm of {self!r} is not rational")
-            norm = n[0]
-            adj = [x * d for x in _mul(_mul(s11, s9), s3)]
-        if norm < 0:
-            norm, adj = -norm, [-x for x in adj]
-        return _element(adj, norm)
+        key = self.__serial
+        e = _inverses.get(key)
+        return _remember(_inverses, key, _inverse(self)) if e is None else e
 
     # -- predicates and views -------------------------------------------
 
@@ -318,6 +334,8 @@ class FieldElement(Frozen):
         return self.num == _ZERO_NUM
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         o = other if other.__class__ is FieldElement else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -361,6 +379,95 @@ class FieldElement(Frozen):
 _new = object.__new__
 _set_num = FieldElement.num.__set__
 _set_den = FieldElement.den.__set__
+_set_serial = FieldElement._FieldElement__serial.__set__
+
+_serials = count()
+# (numerators, denominator) -> the shared element of that value
+_values: dict[tuple, FieldElement] = {}
+# operand serials -> result
+_products: dict[tuple[int, int], FieldElement] = {}
+_sums: dict[tuple[int, int], FieldElement] = {}
+_differences: dict[tuple[int, int], FieldElement] = {}
+_negations: dict[int, FieldElement] = {}
+_inverses: dict[int, FieldElement] = {}
+_TABLES = {"values": _values, "products": _products, "sums": _sums,
+           "differences": _differences, "negations": _negations, "inverses": _inverses}
+
+
+# The ring operations themselves, unmemoised: the memos call them on a miss.
+
+def _sum(a: FieldElement, b: FieldElement) -> FieldElement:
+    if b.num == _ZERO_NUM:
+        return a
+    if a.num == _ZERO_NUM:
+        return b
+    da, db = a.den, b.den
+    if da == db:
+        return _element(list(map(add, a.num, b.num)), da)
+    return _element([x * db + y * da for x, y in zip(a.num, b.num)], da * db)
+
+
+def _difference(a: FieldElement, b: FieldElement) -> FieldElement:
+    if b.num == _ZERO_NUM:
+        return a
+    da, db = a.den, b.den
+    if da == db:
+        return _element(list(map(sub, a.num, b.num)), da)
+    return _element([x * db - y * da for x, y in zip(a.num, b.num)], da * db)
+
+
+def _negation(a: FieldElement) -> FieldElement:
+    # negation keeps lowest terms, so no gcd is needed
+    return _intern(tuple([-x for x in a.num]), a.den)
+
+
+def _product(a: FieldElement, b: FieldElement) -> FieldElement:
+    x, y = a.num, b.num
+    if x == _ZERO_NUM or y == _ZERO_NUM:
+        return ZERO
+    # half of all products in a report have an operand of exactly +-1
+    if b.den == 1:
+        if y == _ONE_NUM:
+            return a
+        if y == _MINUS_ONE_NUM:
+            return -a
+    if a.den == 1:
+        if x == _ONE_NUM:
+            return b
+        if x == _MINUS_ONE_NUM:
+            return -b
+    if x.count(0) == 7 and y.count(0) == 7:  # monomials: one nonzero numerator each
+        s, t = sum(x), sum(y)
+        st, den = s * t, a.den * b.den
+        g = gcd(st, den)
+        st //= g
+        return _intern(tuple([st * z for z in _ZETA_POWERS[x.index(s) + y.index(t)]]), den // g)
+    return _element(_mul(x, y), a.den * b.den)
+
+
+def _inverse(a: FieldElement) -> FieldElement:
+    x, d = a.num, a.den
+    if x == _ZERO_NUM:
+        raise DivisionByZero("inverse of the zero element")
+    if d == 1 and (x == _ONE_NUM or x == _MINUS_ONE_NUM):
+        return a
+    if x.count(0) == 7:  # (x z^i)^-1 = z^(20-i) / x = -z^(10-i) / x
+        norm = sum(x)
+        adj = [-d * t for t in _ZETA_POWERS[10 - x.index(norm)]]
+    else:
+        s11 = _galois(11, x)
+        b = _mul(x, s11)
+        s9 = _galois(9, b)
+        c = _mul(b, s9)
+        s3 = _galois(3, c)
+        n = _mul(c, s3)
+        if any(n[1:]):
+            raise IrrationalNorm(f"norm of {a!r} is not rational")
+        norm = n[0]
+        adj = [t * d for t in _mul(_mul(s11, s9), s3)]
+    if norm < 0:
+        norm, adj = -norm, [-t for t in adj]
+    return _element(adj, norm)
 
 
 def galois_apply(k: int, a: FieldElement) -> FieldElement:
@@ -380,8 +487,8 @@ def root_of_unity(n: int, j: int = 1) -> FieldElement:
     return FieldElement.zeta_power((20 // n) * j)
 
 
-ZERO = FieldElement([0])
-ONE = FieldElement([1])
+ZERO = FieldElement.from_rational(0)
+ONE = FieldElement.from_rational(1)
 ZETA = FieldElement.zeta_power(1)      # zeta_20
 ZETA5 = FieldElement.zeta_power(4)     # primitive fifth root of unity
 I_UNIT = FieldElement.zeta_power(5)    # imaginary unit

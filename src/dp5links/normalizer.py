@@ -36,7 +36,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable
 
-from .cyclo import FieldElement, Frozen, ZERO, rational, root_of_unity
+from .cyclo import FieldElement, Frozen, ONE, ZERO, rational, root_of_unity
 from .groups import FiniteGroup, Permutation
 from .linalg import Grid, identity_grid, mat_mul, mat_vec, rank, serialize_grid, transpose
 from .projgeo import HYPERPLANE_BASIS, ProjPoint, hyperplane_gram, power_sum_form
@@ -75,9 +75,11 @@ def canonical_projective(m: Grid) -> tuple:
     Each entry of the key is its (numerators, denominator) pair, which is
     canonical (see cyclo), so equal keys mean equal projective classes.
     """
-    lead = next(x for row in m for x in row if not x.is_zero())
-    inv = lead.inverse()
-    return tuple(tuple((y.num, y.den) for y in (x * inv for x in row)) for row in m)
+    lead = next(x for row in m for x in row if x)
+    if lead != ONE:
+        inv = lead.inverse()
+        m = [[x * inv if x else x for x in row] for row in m]  # a zero stays (0, ..., 0)/1
+    return tuple(tuple((x.num, x.den) for x in row) for row in m)
 
 
 class Character(Frozen):

@@ -5,9 +5,12 @@ cyclotomic polynomial Phi_20, on sparse and dense elements whose
 coefficients have mixed denominators.
 """
 
+import copy
+import pickle
 from datetime import timedelta
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 import pytest
 import sympy
@@ -136,6 +139,82 @@ def test_rational_matches_the_general_constructor(q):
     assert e.serialize() == [f"{c.numerator}/{c.denominator}" for c in expected.coeffs]
 
 
+# The memoised operators against the unmemoised ring operations and the oracle.
+
+serial = attrgetter("_FieldElement__serial")
+
+
+def memoised(a: FieldElement, b: FieldElement) -> list[FieldElement]:
+    return [a * b, a + b, a - b, -a] + ([] if a.is_zero() else [a.inverse()])
+
+
+def direct(a: FieldElement, b: FieldElement) -> list[FieldElement]:
+    """The same operations unmemoised, each checked against the oracle."""
+    pa, pb = to_poly(a), to_poly(b)
+    results = [(cyclo._product(a, b), pa * pb), (cyclo._sum(a, b), pa + pb),
+               (cyclo._difference(a, b), pa - pb), (cyclo._negation(a), -pa)]
+    if not a.is_zero():
+        results.append((cyclo._inverse(a), pa.invert(PHI)))
+    assert all(agrees(e, expected) for e, expected in results)
+    return [e for e, _ in results]
+
+
+@checked
+@given(with_units, with_units)
+def test_memoised_operations_match_the_direct_path_asked_once_or_twice(a, b):
+    expected = direct(a, b)
+    first = memoised(a, b)
+    assert first == expected and all(is_canonical(e) for e in first)
+    again = memoised(a, b)
+    assert again == expected
+    assert all(x is y for x, y in zip(again, first))  # the second time is looked up
+
+
+@checked
+@given(with_units, with_units)
+def test_memoised_operations_hold_across_emptied_tables(a, b):
+    # with a cap of 1 an entry into a table that holds one empties them all;
+    # the copies' fresh serials miss, so the product memo takes a second entry
+    # unless it was emptied before
+    expected = direct(a, b)
+    emptied = []
+    clear = cyclo.clear_tables
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyclo, "TABLE_CAP", 1)
+        mp.setattr(cyclo, "clear_tables", lambda: emptied.append(None) or clear())
+        for x, y in ((a, b), (copy.copy(a), copy.copy(b)), (a, b)):
+            assert memoised(x, y) == expected
+        assert all(n <= 1 for n in cyclo.table_sizes().values())
+    assert emptied
+
+
+@checked
+@given(with_units, with_units)
+def test_memoised_operations_hold_on_copies_and_pickles(a, b):
+    expected = direct(a, b)
+    for twin in (copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))):
+        ta, tb = twin(a), twin(b)
+        assert ta == a and tb == b and hash(ta) == hash(a) and ta is not a
+        # every twin is a distinct object with a fresh serial; a and b share
+        # theirs when the constructor found their value in the table
+        assert len({serial(a), serial(b), serial(ta), serial(tb)}) == 4 - (serial(a) == serial(b))
+        assert serial(ta) > serial(a) and serial(tb) > serial(b)
+        assert memoised(ta, tb) == expected
+        assert memoised(ta, b) == expected and memoised(a, tb) == expected
+
+
+def test_serials_are_never_reused_as_object_ids_are():
+    # each copy dies before the next is made, so its id is free for the next
+    # one; a memo keyed by ids would return a stale square
+    serials, squares = [], []
+    for k in range(100):
+        x = copy.copy(FieldElement([k, 1]))
+        serials.append(serial(x))
+        squares.append(x * x)
+    assert serials == sorted(set(serials))
+    assert squares == [FieldElement([k * k, 2 * k, 1]) for k in range(100)]
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(DivisionByZero):
         ZERO.inverse()
@@ -146,6 +225,8 @@ def test_inverse_of_zero_raises():
 def test_irrational_norm_raises_instead_of_asserting(monkeypatch):
     # With the Galois maps replaced by the identity the "norm" of 1 + zeta is
     # (1 + zeta)^8, which is not rational; the inverse must refuse, not assert.
+    # The memo must not hold the inverse from an earlier test.
+    cyclo.clear_tables()
     monkeypatch.setattr(cyclo, "_galois", lambda k, a: list(a))
     with pytest.raises(IrrationalNorm):
         (ONE + ZETA).inverse()

@@ -11,11 +11,14 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import dp5links
+from dp5links import cyclo
 from dp5links.cli import main
 from dp5links.report import run_checks
 
@@ -53,3 +56,43 @@ def test_the_report_bytes_do_not_depend_on_the_hash_seed(seed):
                          env=env, capture_output=True, timeout=300, check=False)
     assert out.returncode == 0, out.stderr.decode()
     assert out.stdout == GOLDEN.read_bytes()
+
+
+def test_the_report_is_unchanged_when_the_field_tables_are_emptied_often(monkeypatch):
+    # a report makes some 500 distinct values, so a cap of 64 empties the
+    # value table and the memos many times while it runs
+    emptied = []
+    clear = cyclo.clear_tables
+    monkeypatch.setattr(cyclo, "TABLE_CAP", 64)
+    monkeypatch.setattr(cyclo, "clear_tables", lambda: emptied.append(None) or clear())
+    clear()
+    assert run_checks().to_json().encode("utf-8") == GOLDEN.read_bytes()
+    assert len(emptied) > 10
+    assert all(n <= 64 for n in cyclo.table_sizes().values())
+
+
+def test_reports_run_at_once_in_threads_are_the_golden_report():
+    # the threads share the field's tables, starting empty, so they race to
+    # enter the same values and operations; a short switch interval makes
+    # them interleave finely
+    cyclo.clear_tables()
+    results, started, finished = [None, None], [], []
+
+    def report(k: int) -> None:
+        started.append(time.perf_counter())
+        results[k] = run_checks().to_json().encode("utf-8")
+        finished.append(time.perf_counter())
+
+    threads = [threading.Thread(target=report, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert max(started) < min(finished)  # the two reports ran at once
+    assert results == [GOLDEN.read_bytes()] * 2

@@ -101,10 +101,12 @@ def test_errors_are_reported_not_raised(ctx, monkeypatch):
 
 
 def _clear_module_caches() -> None:
-    # keyed by value, so a report built earlier in this process would fill them
+    # keyed by value, so a report built earlier in this process would fill them;
+    # the field's value table and memos too, or its operations would not be computed
     for cached in (groups.subgroups_of_order, census._fixed_point_orbits, picard.contraction,
                    picard._ruling_data):
         cached.cache_clear()
+    cyclo.clear_tables()
 
 
 def _cold_report_counting(monkeypatch, module, name: str) -> list:
@@ -163,7 +165,10 @@ def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
     # squaring after their top bit and the length-4 orbit and the characters
     # took their roots of unity in closed form.  9,588 before the cubic's
     # smoothness norm multiplied by each linear factor as a sum of shifted
-    # terms instead of by a product of its +-1 coefficients
+    # terms instead of by a product of its +-1 coefficients.  8,878 and 455
+    # before canonical_projective stopped scaling a matrix whose lead entry
+    # is ONE (12 inverses and their 192 products) and multiplying the other
+    # matrices' 341 zero entries
     counts = Counter()
 
     def counted(name, real):
@@ -172,11 +177,13 @@ def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
     for attr, name in (("__mul__", "mul"), ("__rmul__", "mul"), ("inverse", "inverse")):
         monkeypatch.setattr(FieldElement, attr, counted(name, getattr(FieldElement, attr)))
     # the 20-slot convolutions, in products and inverses; 3,339 before a
-    # product of two monomials read its power of zeta from a table
+    # product of two monomials read its power of zeta from a table; 2,038
+    # before the field memoised products and inverses by operand serials, so
+    # that each is computed once per cold report
     monkeypatch.setattr(cyclo, "_mul", counted("convolution", cyclo._mul))
     _clear_module_caches()
     run_checks()
-    assert counts == {"mul": 8878, "inverse": 455, "convolution": 2038}
+    assert counts == {"mul": 8345, "inverse": 443, "convolution": 662}
 
 
 def test_a_full_report_pins_the_point_images(monkeypatch):
@@ -323,11 +330,16 @@ def test_no_module_level_cache_grows_after_the_first_report():
     assert {"dp5links.picard.contraction", "dp5links.picard._ruling_data",
             "dp5links.groups.subgroups_of_order",
             "dp5links.census._fixed_point_orbits"} <= set(caches)
+    # the field's tables start empty, so that no emptying at TABLE_CAP falls
+    # within the three reports
+    _clear_module_caches()
     sizes = []
     for _ in range(3):
         run_checks()
-        sizes.append({name: cached.cache_info().currsize for name, cached in caches.items()})
-    assert sizes[2] == sizes[0]
+        sizes.append({**{name: cached.cache_info().currsize for name, cached in caches.items()},
+                      **{f"dp5links.cyclo.{name}": n for name, n in cyclo.table_sizes().items()}})
+    assert sizes[2] == sizes[1] == sizes[0]
+    assert 0 < sizes[0]["dp5links.cyclo.values"] < cyclo.TABLE_CAP
 
 
 def test_each_check_builds_exactly_the_stages_it_declares():
@@ -372,9 +384,24 @@ def test_cli_writes_the_report_to_stdout_once():
                          check=False)
     assert out.returncode == 0, out.stderr
     assert out.stdout == GOLDEN.read_bytes()
-    *rows, timeline = out.stderr.decode().splitlines()
+    *rows, timeline, field = out.stderr.decode().splitlines()
     assert [row.split(":", 1)[0] for row in rows] == sorted(CHECK_IDS)
     assert [row.split(" (", 1)[1] for row in rows] == [
         f"stages: {', '.join(CHECK_STAGES[cid]) or '-'})" for cid in sorted(CHECK_IDS)]
     events = [event.rsplit(" at ", 1)[0] for event in timeline.split(": ", 1)[1].split(", ")]
     assert events == ["checks done", "report written"]
+    # a fresh process: the tables hold exactly the report's values and operations
+    assert field == ("field: 531 distinct values; 834 products, 832 sums and 66 inverses "
+                     "computed")
+
+
+def test_timings_add_the_field_line_and_leave_the_report_bytes(tmp_path, capsys):
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    assert main(["verify", "all", "--format", "json", "--output", str(plain)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["verify", "all", "--format", "json", "--timings", "--output", str(timed)]) == 0
+    sizes = cyclo.table_sizes()
+    assert timed.read_bytes() == plain.read_bytes() == GOLDEN.read_bytes()
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"field: {sizes['values']} distinct values; {sizes['products']} products, "
+        f"{sizes['sums']} sums and {sizes['inverses']} inverses computed")
