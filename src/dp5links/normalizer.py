@@ -36,7 +36,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable
 
-from .cyclo import FieldElement, Frozen, ONE, ZERO, rational, root_of_unity
+from .cyclo import FieldElement, Frozen, ZERO, rational, root_of_unity
 from .groups import FiniteGroup, Permutation
 from .linalg import Grid, identity_grid, mat_mul, mat_vec, rank, serialize_grid, transpose
 from .projgeo import HYPERPLANE_BASIS, ProjPoint, hyperplane_gram, power_sum_form
@@ -70,16 +70,11 @@ def restricted_representation(g: FiniteGroup) -> dict[Permutation, Grid]:
 
 
 def canonical_projective(m: Grid) -> tuple:
-    """Scale so the first nonzero entry (row-major) is 1; hashable key.
-
-    Each entry of the key is its (numerators, denominator) pair, which is
-    canonical (see cyclo), so equal keys mean equal projective classes.
-    """
-    lead = next(x for row in m for x in row if x)
-    if lead != ONE:
-        inv = lead.inverse()
-        m = [[x * inv if x else x for x in row] for row in m]  # a zero stays (0, ..., 0)/1
-    return tuple(tuple((x.num, x.den) for x in row) for row in m)
+    """Hashable key of the projective class of m: the (numerators, denominator)
+    pairs, which are canonical (see cyclo), of its row-major entries scaled by
+    ProjPoint.of.  Equal keys mean equal classes, and keys of matrices of one
+    shape sort as the row-major entries do."""
+    return tuple((x.num, x.den) for x in ProjPoint.of([x for row in m for x in row]).coords)
 
 
 class Character(Frozen):

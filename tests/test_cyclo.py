@@ -19,7 +19,9 @@ from dp5links.cyclo import (
     ZETA5,
     _element,
     _fold,
+    _inverse,
     _mul,
+    _product,
     galois_apply,
     rational,
     root_of_unity,
@@ -212,6 +214,20 @@ def test_product_of_two_monomials_matches_the_convolution_and_sympy():
                 generic = _element(_mul(a.num, b.num), a.den * b.den)
                 assert (product.num, product.den) == (generic.num, generic.den)
                 assert product.coeffs == tuple(x * y * c for c in remainder_coeffs(i + j))
+
+
+def test_every_monomial_product_and_inverse_matches_the_general_path():
+    # every s z^i, i < 20, +-1 among the s: a monomial for i mod 10 < 8, four
+    # terms otherwise; the property tests sample these pairs
+    scalars = (1, -1, Fraction(2, 3), -5)
+    terms = [FieldElement([0] * i + [s]) for i in range(20) for s in scalars]
+    assert sum(e.num.count(0) == 7 for e in terms) == 16 * len(scalars)
+    for a in terms:
+        for b in terms:
+            product, generic = _product(a, b), _element(_mul(a.num, b.num), a.den * b.den)
+            assert (product.num, product.den) == (generic.num, generic.den)
+        inv = _inverse(a)
+        assert inv * a == ONE and inv == FieldElement(inv.coeffs)
 
 
 def test_inverse_of_plus_minus_one_is_the_operand():

@@ -30,7 +30,7 @@ monomials = st.builds(lambda q, k: rational(q) * FieldElement.zeta_power(k),
 k_entries = st.one_of(st.just(ZERO), st.just(ZERO), small.map(rational), monomials,
                       st.builds(lambda a, b: a + b, monomials, monomials))
 nonzero_k = k_entries.filter(bool)
-# pivots of exactly +-1, which elimination treats apart, besides general ones
+# pivots of exactly +-1 besides general ones: elimination leaves a ONE pivot unscaled
 unit_k_entries = st.one_of(st.just(ONE), st.just(-ONE), k_entries)
 
 

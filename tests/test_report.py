@@ -168,7 +168,10 @@ def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
     # terms instead of by a product of its +-1 coefficients.  8,878 and 455
     # before canonical_projective stopped scaling a matrix whose lead entry
     # is ONE (12 inverses and their 192 products) and multiplying the other
-    # matrices' 341 zero entries
+    # matrices' 341 zero entries.  8,345 products and 662 convolutions before
+    # the memo let the field drop its +-1 shortcuts: an operand of +-1 now
+    # takes the general path on a memo miss, and canonical_projective, now
+    # ProjPoint.of over the matrix entries, multiplies its zero entries again
     counts = Counter()
 
     def counted(name, real):
@@ -179,11 +182,12 @@ def test_a_full_report_pins_the_field_products_and_inverses(monkeypatch):
     # the 20-slot convolutions, in products and inverses; 3,339 before a
     # product of two monomials read its power of zeta from a table; 2,038
     # before the field memoised products and inverses by operand serials, so
-    # that each is computed once per cold report
+    # that each is computed once per cold report; 662 before products by +-1
+    # stopped returning the other operand without a lookup
     monkeypatch.setattr(cyclo, "_mul", counted("convolution", cyclo._mul))
     _clear_module_caches()
     run_checks()
-    assert counts == {"mul": 8345, "inverse": 443, "convolution": 662}
+    assert counts == {"mul": 8686, "inverse": 443, "convolution": 791}
 
 
 def test_a_full_report_pins_the_point_images(monkeypatch):
@@ -390,8 +394,9 @@ def test_cli_writes_the_report_to_stdout_once():
         f"stages: {', '.join(CHECK_STAGES[cid]) or '-'})" for cid in sorted(CHECK_IDS)]
     events = [event.rsplit(" at ", 1)[0] for event in timeline.split(": ", 1)[1].split(", ")]
     assert events == ["checks done", "report written"]
-    # a fresh process: the tables hold exactly the report's values and operations
-    assert field == ("field: 531 distinct values; 834 products, 832 sums and 66 inverses "
+    # a fresh process: the tables hold exactly the report's values and operations;
+    # 834 products before canonical_projective multiplied its zero entries
+    assert field == ("field: 531 distinct values; 837 products, 832 sums and 66 inverses "
                      "computed")
 
 
