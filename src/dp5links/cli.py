@@ -9,7 +9,7 @@ import sys
 import time
 
 from .cyclo import table_sizes
-from .report import CHECK_STAGES, STATEMENTS, UnknownCheckId, run_checks
+from .report import STATEMENTS, UnknownCheckId, run_checks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,9 +28,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output path (default: standard output)")
     verify.add_argument("--timings", action="store_true",
                         help="print per-check wall times and the stages each check "
-                             "declares, then when the checks were done and the report "
-                             "written, then the field's distinct values and computed "
-                             "operations, to standard error")
+                             "built first, then when the checks were done and the "
+                             "report written, then the field's distinct values and "
+                             "computed operations, to standard error")
     return parser
 
 
@@ -77,8 +77,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.timings:
         written = time.perf_counter()
         for c in report.checks:
-            stages = ", ".join(CHECK_STAGES[c.check_id]) or "-"
-            print(f"{c.check_id}: {c.wall_time_ms:.1f} ms (stages: {stages})", file=sys.stderr)
+            built = ", ".join(c.built) or "-"
+            print(f"{c.check_id}: {c.wall_time_ms:.1f} ms (built: {built})", file=sys.stderr)
         print(f"timeline: checks done at {(checks_done - start) * 1000:.1f} ms, "
               f"report written at {(written - start) * 1000:.1f} ms", file=sys.stderr)
         # read from the field's tables, so no operation keeps a counter; after

@@ -150,12 +150,6 @@ class FiniteGroup(Frozen, eq=True):
     def element_set(self) -> frozenset[Permutation]:
         return self._members
 
-    def serialize(self) -> dict:
-        return {
-            "generators": [g.to_cycles() for g in self.generators],
-            "order": self.order(),
-        }
-
 
 def closure(seeds: Iterable, generators: Iterable, act: Callable,
             key: Callable | None = None) -> dict:

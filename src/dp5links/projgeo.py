@@ -146,19 +146,6 @@ class HomogeneousForm(Frozen, eq=True):
                 total = total + term
         return total
 
-    def serialize(self) -> list[dict]:
-        return [
-            {"exponents": list(m), "coefficient": c.serialize()}
-            for m, c in self.coeffs
-        ]
-
-    @staticmethod
-    def deserialize(nvars: int, degree: int, data: Iterable[dict]) -> "HomogeneousForm":
-        return HomogeneousForm.of(
-            nvars, degree,
-            {tuple(d["exponents"]): FieldElement.deserialize(d["coefficient"]) for d in data},
-        )
-
 
 def power_sum_form(nvars: int, degree: int) -> HomogeneousForm:
     """x_0^d + ... + x_{n-1}^d."""

@@ -5,9 +5,9 @@ the equivariant birational models of the quintic del Pezzo surface under the
 order-20 group.  Checks are pure: given the shared exact-geometry context
 they either produce a certificate payload (pass), raise CheckFailure (fail),
 or raise something else (error).  Reports are fully deterministic: results
-ordered by check id, sorted orbit listings, no timestamps; wall times are
-kept on the in-memory results only and never serialized, so consecutive
-runs are byte-identical.
+ordered by check id, sorted orbit listings, no timestamps; wall times and
+the stages each check built are kept on the in-memory results only and
+never serialized, so consecutive runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -164,25 +164,18 @@ def _points_equal(a, b) -> bool:
 
 # -- the checks -------------------------------------------------------------------
 
-# The catalog: id -> claim, id -> function and id -> the Context stages the
-# check builds, in definition order.  The functions stay a plain dict read at
-# run time so callers can replace entries.
+# The catalog: id -> claim and id -> function, in definition order.  The
+# functions stay a plain dict read at run time so callers can replace entries.
+# Each run records the Context stages its check built (CheckResult.built).
 STATEMENTS: dict[str, str] = {}
 CHECK_FUNCTIONS: dict[str, Callable[[Context], dict]] = {}
-CHECK_STAGES: dict[str, tuple[str, ...]] = {}
 
 
-def check(cid: str, statement: str, stages: tuple[str, ...] = ()):
-    """Register the decorated function as the check `cid` certifying `statement`.
-
-    `stages` names every cached `Context` stage the check builds, including
-    those it builds through another stage (`pic` builds `cfg`); `--timings`
-    prints them beside the check's wall time.
-    """
+def check(cid: str, statement: str):
+    """Register the decorated function as the check `cid` certifying `statement`."""
     def register(fn):
         STATEMENTS[cid] = statement
         CHECK_FUNCTIONS[cid] = fn
-        CHECK_STAGES[cid] = stages
         return fn
     return register
 
@@ -200,8 +193,7 @@ def check_clebsch_smooth(ctx: Context) -> dict:
 
 @check("clebsch-orbit-4",
        "unique length-4 orbit on the cubic: the four eigenpoints "
-       "(1 : z^a : z^2a : z^3a : z^4a) of the 5-cycle",
-       stages=("clebsch_census",))
+       "(1 : z^a : z^2a : z^3a : z^4a) of the 5-cycle")
 def check_clebsch_orbit4(ctx: Context) -> dict:
     orbits = ctx.clebsch_census.orbits_by_length.get(4, [])
     _require(len(orbits) == 1, f"expected one length-4 orbit, found {len(orbits)}")
@@ -219,8 +211,7 @@ def check_clebsch_orbit4(ctx: Context) -> dict:
 
 @check("clebsch-orbit-5",
        "exactly three length-5 orbits on the cubic (the V, U, W point lists); "
-       "(-4:1:1:1:1) is fixed by the order-4 subgroup but is not on the cubic",
-       stages=("clebsch_census",))
+       "(-4:1:1:1:1) is fixed by the order-4 subgroup but is not on the cubic")
 def check_clebsch_orbit5(ctx: Context) -> dict:
     orbits = ctx.clebsch_census.orbits_by_length.get(5, [])
     _require(len(orbits) == 3, f"expected three length-5 orbits, found {len(orbits)}")
@@ -247,8 +238,7 @@ def check_clebsch_orbit5(ctx: Context) -> dict:
 
 @check("clebsch-census-lt8",
        "complete orbit census of length < 8 on the cubic: one orbit of length 4, "
-       "three of length 5, none of length 1 or 2",
-       stages=("clebsch_census",))
+       "three of length 5, none of length 1 or 2")
 def check_clebsch_census(ctx: Context) -> dict:
     lengths = {r: len(v) for r, v in ctx.clebsch_census.orbits_by_length.items()}
     _require(lengths == {4: 1, 5: 3}, f"census lengths {lengths} != {{4: 1, 5: 3}}")
@@ -257,8 +247,7 @@ def check_clebsch_census(ctx: Context) -> dict:
 
 @check("lines-27",
        "the cubic carries exactly 27 lines, each meeting 10 others; L1..L5 have "
-       "their closed-form equations, pass through U_i and W_i, and are disjoint",
-       stages=("cfg",))
+       "their closed-form equations, pass through U_i and W_i, and are disjoint")
 def check_lines27(ctx: Context) -> dict:
     cfg = ctx.cfg
     _require(len(cfg.lines) == 27, f"found {len(cfg.lines)} lines")
@@ -300,8 +289,7 @@ def check_lines27(ctx: Context) -> dict:
 
 @check("skew-families",
        "exactly two maximal invariant skew families of lines: {E1, E2} and "
-       "{L1..L5} (the two extremal contractions)",
-       stages=("cfg", "families"))
+       "{L1..L5} (the two extremal contractions)")
 def check_skew_families(ctx: Context) -> dict:
     maximal = [f for f in ctx.families if f.maximal]
     sizes = sorted(f.size() for f in maximal)
@@ -323,8 +311,7 @@ def check_skew_families(ctx: Context) -> dict:
 
 @check("quadric-census-lt8",
        "complete orbit census of length < 8 on the quadric: one orbit of length 4 "
-       "(the same eigenpoints) and exactly two of length 5 (K1, K2)",
-       stages=("quadric_census",))
+       "(the same eigenpoints) and exactly two of length 5 (K1, K2)")
 def check_quadric_census(ctx: Context) -> dict:
     lengths = {r: len(v) for r, v in ctx.quadric_census.orbits_by_length.items()}
     _require(lengths == {4: 1, 5: 2}, f"census lengths {lengths} != {{4: 1, 5: 2}}")
@@ -345,8 +332,7 @@ def check_quadric_census(ctx: Context) -> dict:
 
 @check("general-position-k1-k2",
        "K1 and K2 are in general position on the quadric (no 2 points on a line "
-       "in the quadric, no 4 coplanar); the length-4 orbit is not",
-       stages=("quadric_census",))
+       "in the quadric, no 4 coplanar); the length-4 orbit is not")
 def check_general_position(ctx: Context) -> dict:
     k1, k2 = ctx.quadric_orbits5()
     cert1 = general_position_on_quadric(k1, ctx.quadric)
@@ -377,8 +363,7 @@ def check_ruling_minus2(ctx: Context) -> dict:
 
 @check("picard-reconstruct",
        "the cubic's Picard lattice has rank 7 and (-K)^2 = 3, rebuilt from line "
-       "incidence alone and stable across sixer choices",
-       stages=("cfg", "pic"))
+       "incidence alone and stable across sixer choices")
 def check_picard_reconstruct(ctx: Context) -> dict:
     pic = ctx.pic
     _require(pic.rank == 7, f"rank {pic.rank} != 7")
@@ -411,8 +396,7 @@ def check_picard_reconstruct(ctx: Context) -> dict:
 
 @check("invariant-ranks",
        "invariant Picard ranks: 2 on the cubic, 1 after contracting {E1, E2}, "
-       "1 after contracting {L1..L5}",
-       stages=("cfg", "pic"))
+       "1 after contracting {L1..L5}")
 def check_invariant_ranks(ctx: Context) -> dict:
     pic = ctx.pic
     r_cubic = invariant_rank(pic)
@@ -431,8 +415,7 @@ def check_invariant_ranks(ctx: Context) -> dict:
 
 @check("contractions-two",
        "the two families contract to surfaces of degree 5 (rank 5) and degree 8 "
-       "(rank 2, hyperbolic intersection form)",
-       stages=("cfg", "pic", "families"))
+       "(rank 2, hyperbolic intersection form)")
 def check_contractions_two(ctx: Context) -> dict:
     maximal = [f for f in ctx.families if f.maximal]
     _require(len(maximal) == 2, f"{len(maximal)} maximal families, expected 2")
@@ -457,16 +440,14 @@ def check_contractions_two(ctx: Context) -> dict:
 
 @check("divisor-relations",
        "sigma*(H) = 2 pi*(-K) - 3(E1+E2) and F1+...+F5 = 3 pi*(-K) - 5(E1+E2) "
-       "hold exactly; E1, E2 push forward with bidegrees (2,1) and (1,2)",
-       stages=("cfg", "pic"))
+       "hold exactly; E1, E2 push forward with bidegrees (2,1) and (1,2)")
 def check_divisor_relations(ctx: Context) -> dict:
     return divisor_relation_check(ctx.pic)
 
 
 @check("selfmap-degree",
        "the composite self-map pairs the two anticanonical pullbacks to 50 in "
-       "the rank-12 resolution lattice: degree 10, hence not biregular",
-       stages=("quadric_census",))
+       "the rank-12 resolution lattice: degree 10, hence not biregular")
 def check_selfmap_degree(ctx: Context) -> dict:
     k1, k2 = ctx.quadric_orbits5()
     cert = selfmap_degree(ctx.quadric, ctx.g20, k1, k2, ctx.d10)
@@ -480,8 +461,7 @@ def check_selfmap_degree(ctx: Context) -> dict:
 
 @check("dp5-orbit-descent",
        "descent to the quintic surface: the unique orbit of length < 5 is the "
-       "length-2 image of the contracted pair of lines",
-       stages=("clebsch_census", "cfg"))
+       "length-2 image of the contracted pair of lines")
 def check_dp5_orbit_descent(ctx: Context) -> dict:
     lengths = set(ctx.clebsch_census.orbits_by_length)
     _require(1 not in lengths and 2 not in lengths,
@@ -514,8 +494,7 @@ def check_dp5_orbit_descent(ctx: Context) -> dict:
 
 @check("thm-g40",
        "the quadric-preserving projective normalizer of the represented group "
-       "has order 40 and structure C2 x G20; its extra involution swaps K1 and K2",
-       stages=("quadric_census", "normalizer"))
+       "has order 40 and structure C2 x G20; its extra involution swaps K1 and K2")
 def check_thm_g40(ctx: Context) -> dict:
     res = ctx.normalizer
     _require(res.order == 40, f"normalizer order {res.order} != 40")
@@ -535,15 +514,16 @@ def check_thm_g40(ctx: Context) -> dict:
 
 class CheckResult:
     def __init__(self, check_id: str, statement: str, status: str, certificate: dict,
-                 wall_time_ms: float = 0.0):
+                 wall_time_ms: float = 0.0, built: tuple[str, ...] = ()):
         self.check_id = check_id
         self.statement = statement
         self.status = status  # pass | fail | error
         self.certificate = certificate
         self.wall_time_ms = wall_time_ms
+        self.built = built  # the Context stages this run built, in build order
 
     def serialize(self) -> dict:
-        # wall time is left out: reports must be byte-deterministic
+        # wall time and built stages are left out: reports must be byte-deterministic
         return {"id": self.check_id, "statement": self.statement, "status": self.status,
                 "certificate": self.certificate}
 
@@ -599,6 +579,9 @@ def _written(writer) -> str:
 
 
 def _run_check(cid: str, ctx: Context) -> CheckResult:
+    # a cached stage enters vars(ctx) when its build returns, so the names
+    # that are new after the check are the stages it built, in build order
+    present = set(vars(ctx))
     start = time.perf_counter()
     try:
         certificate = CHECK_FUNCTIONS[cid](ctx)
@@ -610,7 +593,8 @@ def _run_check(cid: str, ctx: Context) -> CheckResult:
         certificate = {"error": f"{type(exc).__name__}: {exc}"}
         status = "error"
     elapsed = (time.perf_counter() - start) * 1000.0
-    return CheckResult(cid, STATEMENTS[cid], status, certificate, elapsed)
+    built = tuple(name for name in vars(ctx) if name not in present)
+    return CheckResult(cid, STATEMENTS[cid], status, certificate, elapsed, built)
 
 
 def _selected(selection: list[str] | None) -> list[str]:

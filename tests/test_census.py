@@ -1,5 +1,6 @@
 import gc
 import itertools
+import time
 import weakref
 
 import pytest
@@ -26,11 +27,15 @@ from dp5links.census import (
 from dp5links.cyclo import I_UNIT, ONE, rational
 from dp5links.groups import (
     Permutation,
+    UnsupportedEigenvalue,
     fixed_locus,
+    group_from_cycles,
     orbit_and_stabilizer,
     subgroup_closure,
     subgroups_of_order,
 )
+from dp5links.normalizer import WrongGroup, assemble_normalizer
+from dp5links.picard import invariant_rank, reconstruct_picard
 from dp5links.projgeo import (
     HomogeneousForm,
     ProjLine,
@@ -405,3 +410,40 @@ def test_length4_orbit_lies_on_both_surfaces(clebsch, quadric):
     for p in length4_orbit_points():
         assert clebsch.contains(p)
         assert quadric.contains(p)
+
+
+# The five transitive subgroups of the symmetric group on 5 letters, as
+# inputs the report never gives: the 27 lines' orbit sizes, the invariant
+# Picard rank, and the error type by which orbit_census (bound 8) and
+# assemble_normalizer refuse the group (None: the group is accepted).  The A5
+# and S5 rows are the classical Clebsch cubic's: 15 lines over Q in one
+# orbit, and a double-six over Q(sqrt 5) whose halves A5 keeps and odd
+# permutations swap (Dolgachev, Classical Algebraic Geometry, section 9.5).
+TRANSITIVE_SUBGROUPS = {
+    "C5": (("(12345)",), [1, 1, 5, 5, 5, 5, 5], 3, ValueError, WrongGroup),
+    "D10": (("(12345)", "(25)(34)"), [1, 1, 5, 5, 5, 5, 5], 3,
+            PositiveDimensionalFixedLocus, WrongGroup),
+    "G20": (("(12345)", "(2354)"), [2, 5, 10, 10], 2, None, None),
+    "A5": (("(12345)", "(123)"), [6, 6, 15], 2, UnsupportedEigenvalue, WrongGroup),
+    "S5": (("(12345)", "(12)"), [12, 15], 1, UnsupportedEigenvalue, WrongGroup),
+}
+
+
+@pytest.mark.parametrize("name", TRANSITIVE_SUBGROUPS)
+def test_lines_ranks_and_refusals_under_each_transitive_subgroup(clebsch, name):
+    gens, orbit_sizes, rank, census_error, normalizer_error = TRANSITIVE_SUBGROUPS[name]
+    g = group_from_cycles(*gens)
+    cfg = lines27(clebsch, g)
+    assert sorted(len(orbit) for orbit in line_orbits(cfg, g)) == orbit_sizes
+    assert invariant_rank(reconstruct_picard(cfg, g)) == rank
+    refusals = ((lambda: orbit_census(clebsch, g, 8), census_error),
+                (lambda: assemble_normalizer(g), normalizer_error))
+    for refused, error in refusals:
+        if error is None:
+            continue
+        start = time.perf_counter()
+        with pytest.raises(error) as raised:
+            refused()
+        assert raised.type is error  # C5's ValueError is the base of two of the others
+        # the S5 census takes about 0.4 s before it refuses
+        assert time.perf_counter() - start < 5.0

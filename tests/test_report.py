@@ -16,10 +16,12 @@ from dp5links.cli import main
 from dp5links.cyclo import FieldElement
 from dp5links.report import (
     CHECK_FUNCTIONS,
-    CHECK_STAGES,
+    CONVENTIONS,
     STATEMENTS,
     CheckFailure,
+    CheckResult,
     Context,
+    Report,
     UnknownCheckId,
     run_checks,
 )
@@ -32,6 +34,12 @@ CHECK_IDS = [
     "divisor-relations", "selfmap-degree", "dp5-orbit-descent", "thm-g40",
 ]
 GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
+# the first check in catalog order that builds each Context stage, and the stage
+FIRST_BUILT = {
+    "clebsch-orbit-4": "clebsch_census", "lines-27": "cfg", "skew-families": "families",
+    "quadric-census-lt8": "quadric_census", "picard-reconstruct": "pic",
+    "thm-g40": "normalizer",
+}
 
 
 @pytest.fixture(scope="module")
@@ -346,12 +354,32 @@ def test_no_module_level_cache_grows_after_the_first_report():
     assert 0 < sizes[0]["dp5links.cyclo.values"] < cyclo.TABLE_CAP
 
 
-def test_each_check_builds_exactly_the_stages_it_declares():
+def test_timings_name_each_stage_once_on_the_first_check_that_builds_it(tmp_path, capsys):
     stages = {name for name, attr in vars(Context).items() if isinstance(attr, cached_property)}
+    first = {}
     for cid in CHECK_IDS:
         fresh = Context()
         CHECK_FUNCTIONS[cid](fresh)
-        assert set(CHECK_STAGES[cid]) == stages & set(vars(fresh)), cid
+        for name in stages & set(vars(fresh)):
+            first.setdefault(name, cid)
+    assert set(first) == stages and {cid: s for s, cid in first.items()} == FIRST_BUILT
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--format", "json", "--timings", "--output", str(out)]) == 0
+    rows = capsys.readouterr().err.splitlines()[:len(CHECK_IDS)]
+    built = {row.split(":", 1)[0]: row.rsplit(" (built: ", 1)[1].rstrip(")") for row in rows}
+    assert built == {cid: FIRST_BUILT.get(cid, "-") for cid in CHECK_IDS}
+
+
+def test_the_checks_are_pure_so_their_order_leaves_the_report_bytes():
+    # one fresh Context, the catalog run backwards: a check that read state
+    # left by an earlier one, or changed a stage it shares, would change bytes
+    _clear_module_caches()
+    ctx = Context()
+    results = [CheckResult(cid, STATEMENTS[cid], "pass", CHECK_FUNCTIONS[cid](ctx))
+               for cid in reversed(CHECK_IDS)]
+    results.sort(key=lambda r: r.check_id)
+    report = Report(dp5links.__version__, dict(CONVENTIONS), results)
+    assert report.to_json() == GOLDEN.read_text(encoding="utf-8")
 
 
 def test_run_checks_fills_a_passed_context():
@@ -391,7 +419,7 @@ def test_cli_writes_the_report_to_stdout_once():
     *rows, timeline, field = out.stderr.decode().splitlines()
     assert [row.split(":", 1)[0] for row in rows] == sorted(CHECK_IDS)
     assert [row.split(" (", 1)[1] for row in rows] == [
-        f"stages: {', '.join(CHECK_STAGES[cid]) or '-'})" for cid in sorted(CHECK_IDS)]
+        f"built: {FIRST_BUILT.get(cid, '-')})" for cid in sorted(CHECK_IDS)]
     events = [event.rsplit(" at ", 1)[0] for event in timeline.split(": ", 1)[1].split(", ")]
     assert events == ["checks done", "report written"]
     # a fresh process: the tables hold exactly the report's values and operations;
